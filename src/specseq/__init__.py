@@ -62,7 +62,6 @@ from .resolvent import (
 )
 from .sequences import (
     SUPP_TOL,
-    Impulse,
     Weight,
     WindowedSequence,
     embed_one_sided,

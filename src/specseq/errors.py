@@ -155,24 +155,4 @@ class InternalInconsistency(SpecseqError):
 
 def all_error_types():
     """All concrete error classes, for diagnostics and registry tests."""
-    return [
-        InputError,
-        DimensionMismatch,
-        NormOverflow,
-        EigenSolverFailure,
-        SpectrumHit,
-        SpectrumOnCircle,
-        QuadratureError,
-        IndeterminateHyperbolic,
-        NotCausalRegime,
-        NotContractive,
-        NoConvergence,
-        CausalityRequired,
-        IndeterminateStability,
-        AliasingError,
-        WindowTooWide,
-        RangeViolation,
-        AdmissibilityError,
-        PreconditionViolation,
-        InternalInconsistency,
-    ]
+    return SpecseqError.__subclasses__()

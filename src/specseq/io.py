@@ -50,10 +50,29 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _parse(convert, value, what):
+    """``convert(value)``, with a malformed value raised as InputError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is malformed: {exc}") from exc
+
+
+def _floats(value, what) -> np.ndarray:
+    return _parse(lambda v: np.asarray(v, dtype=np.float64), value, what)
+
+
+def _dim(obj, context) -> int:
+    dim = _parse(int, _require(obj, "dim", context), f"{context} dim")
+    if dim < 1:
+        raise InputError(f"{context} dim must be positive, got {dim}")
+    return dim
+
+
 def matrix_from_json(obj, context="matrix") -> BoundedOperator:
-    dim = int(_require(obj, "dim", context))
-    re = np.asarray(_require(obj, "re", context), dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+    dim = _dim(obj, context)
+    re = _floats(_require(obj, "re", context), f"{context} re")
+    im = _floats(obj.get("im", np.zeros_like(re)), f"{context} im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputError(f"{context} entries must be {dim}x{dim}")
     return BoundedOperator(re + 1j * im)
@@ -69,9 +88,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def vector_from_json(obj, context="vector") -> np.ndarray:
-    dim = int(_require(obj, "dim", context))
-    re = np.asarray(_require(obj, "re", context), dtype=np.float64).reshape(-1)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64).reshape(-1)
+    dim = _dim(obj, context)
+    re = _floats(_require(obj, "re", context), f"{context} re").reshape(-1)
+    im = _floats(obj.get("im", np.zeros_like(re)), f"{context} im").reshape(-1)
     if re.size != dim or im.size != dim:
         raise InputError(f"{context} components must have length {dim}")
     return re + 1j * im
@@ -83,15 +102,15 @@ def vector_to_json(vec: np.ndarray) -> dict:
 
 
 def sequence_from_json(obj, context="sequence") -> WindowedSequence:
-    dim = int(_require(obj, "dim", context))
-    lo = int(_require(obj, "lo", context))
+    dim = _dim(obj, context)
+    lo = _parse(int, _require(obj, "lo", context), f"{context} lo")
     raw = _require(obj, "values", context)
     vals = np.zeros((max(len(raw), 1), dim), dtype=np.complex128)
     for i, pair in enumerate(raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"{context} values must be [re, im] component pairs")
-        re = np.asarray(pair[0], dtype=np.float64).reshape(-1)
-        im = np.asarray(pair[1], dtype=np.float64).reshape(-1)
+        re = _floats(pair[0], f"{context} entry {i}").reshape(-1)
+        im = _floats(pair[1], f"{context} entry {i}").reshape(-1)
         if re.size != dim or im.size != dim:
             raise InputError(f"{context} entry {i} must have {dim} components")
         vals[i] = re + 1j * im
@@ -119,14 +138,6 @@ def write_sequence_csv(u: WindowedSequence, path):
                 )
 
 
-def circle_function_to_json(f: CircleFunction) -> dict:
-    return {
-        "rho": f.rho,
-        "n_samples": f.n_samples,
-        "samples": [[row.real.tolist(), row.imag.tolist()] for row in f.samples],
-    }
-
-
 def write_circle_csv(f: CircleFunction, path):
     """Rows (theta, |f|) for external plotting."""
     mags = np.linalg.norm(f.samples, axis=1)
@@ -139,22 +150,25 @@ def write_circle_csv(f: CircleFunction, path):
 
 def stencil_from_json(obj, context="stencil") -> StencilMap:
     kernel = _require(obj, "kernel", context)
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError(f"{context} params must be an object")
+    params = dict(params)
     if kernel == "linear" and "matrix" in params:
         params["matrix"] = matrix_from_json(params["matrix"], f"{context}.matrix").entries
     forcing = obj.get("forcing")
     seq = sequence_from_json(forcing, f"{context}.forcing") if forcing else None
-    return StencilMap(kernel, params, seq)
+    return _parse(lambda p: StencilMap(kernel, p, seq), params, f"{context} params")
 
 
 def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
     kwargs = {}
     for key in ("rho", "fp_tol"):
         if key in obj:
-            kwargs[key] = float(obj[key])
+            kwargs[key] = _parse(float, obj[key], f"{context} {key}")
     for key in ("max_iter", "horizon", "tail_cut"):
         if key in obj:
-            kwargs[key] = int(obj[key])
+            kwargs[key] = _parse(int, obj[key], f"{context} {key}")
     return ManifoldProblem(
         A=matrix_from_json(_require(obj, "A", context), f"{context}.A"),
         F=stencil_from_json(_require(obj, "F", context), f"{context}.F"),

@@ -42,7 +42,7 @@ from .operators import (
     riesz_split,
     spectral_radius,
 )
-from .resolvent import SERIES_TOL, ResolventPlan, apply_resolvent_split
+from .resolvent import SERIES_TOL, ResolventPlan, apply_resolvent_split, linear_recurrence
 from .sequences import Weight, WindowedSequence, impulse, truncate, weighted_norm
 from .solver import StencilMap, _contraction_estimate, solve_ivp
 
@@ -151,47 +151,22 @@ def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence
 
 
 def _linear_profile(prob: ManifoldProblem, xi: np.ndarray) -> WindowedSequence:
-    vals = np.zeros((prob.horizon + 1, prob.A.dim), dtype=np.complex128)
-    vals[0] = xi
-    for n in range(prob.horizon):
-        vals[n + 1] = prob.A.entries @ vals[n]
-    return WindowedSequence(0, vals)
+    # u_n = A^n xi on [0, horizon]: the recurrence driven by g_0 = xi alone.
+    g = np.zeros((prob.horizon + 1, prob.A.dim), dtype=np.complex128)
+    g[0] = xi
+    return WindowedSequence(0, linear_recurrence(prob.A.entries, g))
 
 
 def _characterization_defects(prob: ManifoldProblem, xi, u: WindowedSequence):
-    # Stable-range identity: P u_n = (PAP)^n xi + sum_{k<n} (PAP)^{n-1-k} P F(u)_k,
-    # where the sum starts at k = 0 because F(u) is supported in Z_{>=0}.
+    # On [0, horizon], P u and Q u must match the P- and Q-parts of
+    # (tau - A)^{-1} (F(u) + delta_{-1} xi): the causal sum
+    # (PAP)^n xi + sum_{k<n} (PAP)^{n-1-k} P F(u)_k and the anticausal sum
+    # -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k.
+    v = apply_resolvent_split(prob.plan, prob.F.apply(u) + impulse(-1, xi))
+    diff = (u - v).dense(0, prob.horizon)
     split = prob.split
-    p, q = split.proj_stable, split.proj_unstable
-    fu = prob.F.apply(u)
-    h = prob.horizon
-    pf = fu.apply_matrix(p)
-    pap = prob.plan._pap
-    conv = np.zeros(prob.A.dim, dtype=np.complex128)
-    pw = p @ xi
-    defect_p = 0.0
-    for n in range(h + 1):
-        expected = pw + conv
-        defect_p = max(defect_p, float(np.linalg.norm(p @ u.at(n) - expected)))
-        conv = pap @ conv + pf.at(n)
-        pw = pap @ pw
-    # Unstable-range identity: Q u_n = -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k,
-    # evaluated backward in range(Q) coordinates.
-    defect_q = 0.0
-    v_basis, binv = prob.plan._vq, prob.plan._binv
-    if v_basis.shape[1] > 0:
-        qf = fu.apply_matrix(q)
-        state = np.zeros(v_basis.shape[1], dtype=np.complex128)
-        expected_q = {}
-        for n in range(h, -1, -1):
-            coeff = v_basis.conj().T @ qf.at(n)
-            state = binv @ (state - coeff)
-            expected_q[n] = v_basis @ state
-        for n in range(h + 1):
-            defect_q = max(defect_q, float(np.linalg.norm(q @ u.at(n) - expected_q[n])))
-    else:
-        for n in range(h + 1):
-            defect_q = max(defect_q, float(np.linalg.norm(q @ u.at(n))))
+    defect_p = float(np.max(np.linalg.norm(diff @ split.proj_stable.T, axis=1)))
+    defect_q = float(np.max(np.linalg.norm(diff @ split.proj_unstable.T, axis=1)))
     return defect_p, defect_q
 
 

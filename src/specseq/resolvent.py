@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     InternalInconsistency,
     NotCausalRegime,
+    PreconditionViolation,
     SpectrumOnCircle,
 )
 from .operators import (
@@ -69,9 +70,30 @@ def _decay_steps(mat: np.ndarray, weight: float, tol: float, cap: int = _TAIL_CA
         if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
             return k
         power = power @ mat
-    raise InternalInconsistency(
+    raise PreconditionViolation(
         f"series tail cut exceeded {cap} terms; the spectral gap is too small"
     )
+
+
+def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Rows of the linear recurrence driven by the rows ``g_k`` of ``g``.
+
+    Forward, ``s_{k+1} = M s_k + g_k`` from ``s_0 = 0`` and row ``k`` is
+    ``s_{k+1} = sum_{j <= k} M^{k-j} g_j``.  In reverse,
+    ``s_k = M (s_{k+1} - g_k)`` from ``s_K = 0`` with ``K = len(g)`` and row
+    ``k`` is ``s_k = -sum_{j >= k} M^{j-k+1} g_j``.
+    """
+    out = np.empty(g.shape, dtype=np.complex128)
+    state = np.zeros(g.shape[1], dtype=np.complex128)
+    if reverse:
+        for k in range(len(g) - 1, -1, -1):
+            state = M @ (state - g[k])
+            out[k] = state
+    else:
+        for k in range(len(g)):
+            state = M @ state + g[k]
+            out[k] = state
+    return out
 
 
 def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
@@ -92,7 +114,9 @@ class ResolventPlan:
 
     ``mode`` picks the route.  ``split`` may be supplied for mode "split";
     otherwise it is computed at ``gamma = rho``.  ``tail_cut`` overrides
-    the certified series truncation length.
+    the certified series truncation length.  A spectral gap so small that
+    the certified length would exceed ``_TAIL_CAP`` terms raises
+    ``PreconditionViolation``.
     """
 
     A: BoundedOperator
@@ -119,7 +143,6 @@ class ResolventPlan:
                 )
             if self.tail_cut is None:
                 self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho, self.series_tol)
-            self._prepare_causal()
             return
 
         if float(np.min(np.abs(moduli - self.rho))) <= self.gap_tol:
@@ -136,13 +159,6 @@ class ResolventPlan:
             self._prepare_split()
         else:  # frequency
             self._prepare_frequency(moduli)
-
-    def _prepare_causal(self):
-        self._pap = self.A.entries
-        self._tail_p = self.tail_cut
-        self._vq = np.zeros((self.A.dim, 0), dtype=np.complex128)
-        self._binv = np.zeros((0, 0), dtype=np.complex128)
-        self._tail_q = 0
 
     def _prepare_split(self):
         split = self.split
@@ -200,37 +216,23 @@ def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> Windowed
 
 
 def _causal_branch(mat: np.ndarray, f: WindowedSequence, tail: int) -> WindowedSequence:
+    # u_{n+1} = M u_n + f_n from u_lo = 0, run tail steps past hi(f).
     if f.is_zero:
         return zero_sequence(f.dim)
-    lo, hi = f.window
-    n_out = (hi - lo) + tail + 1
-    out = np.zeros((n_out, f.dim), dtype=np.complex128)
-    state = np.zeros(f.dim, dtype=np.complex128)
-    # u_{n+1} = M u_n + f_n, started from u_lo = 0; out[i] holds u_{lo+1+i}.
-    for i, n in enumerate(range(lo, lo + n_out)):
-        state = mat @ state + (f.values[n - lo] if n <= hi else 0.0)
-        out[i] = state
-    return WindowedSequence(lo + 1, out)
+    g = np.concatenate([f.values, np.zeros((tail, f.dim), dtype=np.complex128)])
+    return WindowedSequence(f.lo + 1, linear_recurrence(mat, g))
 
 
 def _anticausal_branch(plan: ResolventPlan, qf: WindowedSequence) -> WindowedSequence:
-    # Backward recurrence for u_n = -sum_{k >= n} (QAQ)^{n-1-k} v_k in
-    # range(Q) coordinates: w_n = B^{-1} (w_{n+1} - v_n).
-    v_basis, binv = plan._vq, plan._binv
-    rank = v_basis.shape[1]
-    if rank == 0 or qf.is_zero:
+    # u_n = -sum_{k >= n} (QAQ)^{n-1-k} v_k in range(Q) coordinates, by the
+    # backward recurrence w_n = B^{-1} (w_{n+1} - v_n), run tail_q steps
+    # below lo(v).
+    if qf.is_zero:
         return zero_sequence(qf.dim)
-    lo, hi = qf.window
-    coords = qf.values @ np.conj(v_basis)
-    start = lo - plan._tail_q
-    n_out = hi - start + 1
-    w = np.zeros((n_out, rank), dtype=np.complex128)
-    state = np.zeros(rank, dtype=np.complex128)
-    for n in range(hi, start - 1, -1):
-        vn = coords[n - lo] if n >= lo else 0.0
-        state = binv @ (state - vn)
-        w[n - start] = state
-    return WindowedSequence(start, w @ v_basis.T)
+    coords = qf.values @ np.conj(plan._vq)
+    pad = np.zeros((plan._tail_q, coords.shape[1]), dtype=np.complex128)
+    w = linear_recurrence(plan._binv, np.concatenate([pad, coords]), reverse=True)
+    return WindowedSequence(qf.lo - plan._tail_q, w @ plan._vq.T)
 
 
 def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:

@@ -143,28 +143,6 @@ class WindowedSequence:
         return f"WindowedSequence(dim={self.dim}, window=[{self.lo}, {self.hi}])"
 
 
-@dataclass(frozen=True)
-class Impulse:
-    """Kronecker impulse: the vector ``x`` placed at index ``position``."""
-
-    position: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        if vec.size < 1:
-            raise InputError("impulse vector is empty")
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-            raise InputError("impulse vector contains non-finite entries")
-        vec = vec.copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "position", int(self.position))
-        object.__setattr__(self, "vector", vec)
-
-    def to_sequence(self) -> WindowedSequence:
-        return impulse(self.position, self.vector)
-
-
 def _canonical(lo: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
     nz = np.flatnonzero(np.any(vals != 0, axis=1))
     if nz.size == 0:

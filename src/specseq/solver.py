@@ -112,12 +112,12 @@ def _kernel_implicit_euler(args, params):
 
 
 _KERNELS = {
-    # name: (fn, memory, lookahead)
-    "zero": (_kernel_zero, 0, 0),
-    "linear": (_kernel_linear, 0, 0),
-    "scaled_bounded_saturation": (_kernel_saturation, 0, 0),
-    "polynomial_clipped": (_kernel_polynomial, 0, 0),
-    "implicit_euler": (_kernel_implicit_euler, 0, 1),
+    # name: (fn, lookahead)
+    "zero": (_kernel_zero, 0),
+    "linear": (_kernel_linear, 0),
+    "scaled_bounded_saturation": (_kernel_saturation, 0),
+    "polynomial_clipped": (_kernel_polynomial, 0),
+    "implicit_euler": (_kernel_implicit_euler, 1),
 }
 
 
@@ -166,12 +166,8 @@ class StencilMap:
         self.params = p
 
     @property
-    def memory(self) -> int:
-        return _KERNELS[self.kernel][1]
-
-    @property
     def lookahead(self) -> int:
-        return _KERNELS[self.kernel][2]
+        return _KERNELS[self.kernel][1]
 
     @property
     def causal(self) -> bool:
@@ -207,26 +203,21 @@ class StencilMap:
 
     def apply(self, u: WindowedSequence) -> WindowedSequence:
         """Evaluate F(u) on its exact output window."""
-        fn = _KERNELS[self.kernel][0]
-        m, r = self.memory, self.lookahead
-        out_lo, out_hi = u.lo - r, u.hi + m
-        args = {j: u.dense(out_lo + j, out_hi + j) for j in range(-m, r + 1)}
+        fn, r = _KERNELS[self.kernel]
+        out_lo = u.lo - r
+        args = {j: u.dense(out_lo + j, u.hi + j) for j in range(r + 1)}
         out = WindowedSequence(out_lo, fn(args, self.params))
         if self.forcing is not None:
             out = out + self.forcing
         return out
 
-    def eval_at(self, getter, n: int, dim: int) -> np.ndarray:
-        """Single entry F(u)_n, with u entries supplied by ``getter(k)``."""
-        fn = _KERNELS[self.kernel][0]
-        args = {
-            j: np.asarray(getter(n + j), dtype=np.complex128).reshape(1, dim)
-            for j in range(-self.memory, self.lookahead + 1)
-        }
-        val = fn(args, self.params)[0]
-        if self.forcing is not None:
-            val = val + self.forcing.at(n)
-        return val
+
+def _causal_row(F: StencilMap, n: int, row: np.ndarray) -> np.ndarray:
+    """Entry F(u)_n of a causal stencil, which reads only ``u_n = row``."""
+    val = _KERNELS[F.kernel][0]({0: row.reshape(1, -1)}, F.params)[0]
+    if F.forcing is not None:
+        val = val + F.forcing.at(n)
+    return val
 
 
 def zero_map(forcing: WindowedSequence | None = None) -> StencilMap:
@@ -372,12 +363,8 @@ def solve_ivp(
 def _ivp_recursion(A, F, x, horizon):
     vals = np.zeros((horizon + 1, A.dim), dtype=np.complex128)
     vals[0] = x
-
-    def getter(k):
-        return vals[k] if 0 <= k < vals.shape[0] else np.zeros(A.dim, dtype=np.complex128)
-
     for n in range(horizon):
-        vals[n + 1] = A.entries @ vals[n] + F.eval_at(getter, n, A.dim)
+        vals[n + 1] = A.entries @ vals[n] + _causal_row(F, n, vals[n])
     return WindowedSequence(0, vals)
 
 
@@ -386,13 +373,8 @@ def _ivp_variation_of_constants(A, F, x, horizon):
     vals[0] = x
     power_x = x.copy()  # A^n x
     conv = np.zeros(A.dim, dtype=np.complex128)  # sum_{k<n} A^{n-1-k} F(u)_k
-
-    def getter(k):
-        return vals[k] if 0 <= k < vals.shape[0] else np.zeros(A.dim, dtype=np.complex128)
-
     for n in range(horizon):
-        fn = F.eval_at(getter, n, A.dim)
-        conv = A.entries @ conv + fn
+        conv = A.entries @ conv + _causal_row(F, n, vals[n])
         power_x = A.entries @ power_x
         vals[n + 1] = power_x + conv
     return WindowedSequence(0, vals)

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import specseq
 from specseq.cli import main
 from specseq.errors import all_error_types
 
@@ -311,10 +313,38 @@ def test_escape_check_cli(files, tmp_path, capsys):
     assert json.loads(out)["escapes"] is True
 
 
-def test_invalid_input_error(files, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(["spectrum", "--A", str(bad)], capsys)
+SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
+CONTRACTION = ["solve-contraction", "--rho", "2.0", "--window", "0", "4", "--dim", "1", "--F"]
+ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]
+MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--problem"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["spectrum", "--A"], "{not json"),
+        (ZCHECK, {"dim": -1, "lo": 0, "values": [[[1.0], [0.0]]]}),
+        (ZCHECK, {"dim": "two", "lo": 0, "values": [[[1.0], [0.0]]]}),
+        (ZCHECK, {"dim": 1, "lo": 0, "values": [[["one"], [0.0]]]}),
+        (CONTRACTION, {"kernel": "scaled_bounded_saturation", "params": {"eps": "big"}}),
+        (CONTRACTION, {"kernel": "scaled_bounded_saturation", "params": [0.01]}),
+        (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "horizon": "abc"}),
+    ],
+    ids=[
+        "not-json",
+        "negative-dim",
+        "word-dim",
+        "word-entry",
+        "word-eps",
+        "list-params",
+        "word-horizon",
+    ],
+)
+def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+    code, _, err = run_cli(argv + [str(path)], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "invalid-input"
 
@@ -328,10 +358,14 @@ def test_error_codes_are_distinct():
 
 
 def test_module_entry_point(files):
+    # the child process imports the same specseq as this test, installed or not
+    src = os.path.dirname(os.path.dirname(specseq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "specseq", "spectrum", "--A", files["A_diag"]],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["r"] == 2.0

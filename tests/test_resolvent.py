@@ -4,6 +4,7 @@ import pytest
 from specseq import (
     BoundedOperator,
     NotCausalRegime,
+    PreconditionViolation,
     ResolventPlan,
     SpectrumOnCircle,
     Weight,
@@ -21,6 +22,7 @@ from specseq import (
     weighted_norm,
     zero_sequence,
 )
+from specseq.resolvent import linear_recurrence
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 SERIES_SLACK = 1e-11  # 10 * series_tol
@@ -55,6 +57,27 @@ def test_causal_matches_unique_selection_for_scalar_equation():
 def test_causal_requires_supercritical_weight():
     with pytest.raises(NotCausalRegime):
         ResolventPlan(BoundedOperator([[2.0]]), 1.0, "causal")
+
+
+def test_tail_cut_overflow_is_a_precondition_violation():
+    # the gap 1e-4 passes GAP_TOL, but the certified tail is longer than the cap
+    with pytest.raises(PreconditionViolation):
+        ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
+
+
+def test_linear_recurrence_matches_power_sums():
+    rng = np.random.default_rng(19)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert np.linalg.norm(m @ m.conj().T - m.conj().T @ m) > 0.1
+    g = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    power = [np.linalg.matrix_power(m, k) for k in range(len(g) + 1)]
+    forward = linear_recurrence(m, g)
+    backward = linear_recurrence(m, g, reverse=True)
+    for k in range(len(g)):
+        want = sum(power[k - j] @ g[j] for j in range(k + 1))
+        assert np.linalg.norm(forward[k] - want) <= 1e-12 * np.linalg.norm(want)
+        want = -sum(power[j - k + 1] @ g[j] for j in range(k, len(g)))
+        assert np.linalg.norm(backward[k] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_split_anticausal_branch_closed_form():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specseq import (
     DimensionMismatch,
-    Impulse,
     NormOverflow,
     Weight,
     WindowedSequence,
@@ -230,8 +229,3 @@ def test_truncate_explicit_window():
     for n in range(0, 4):
         assert np.allclose(t.at(n), u.at(n))
     assert truncate(u, 10, 20).is_zero
-
-
-def test_impulse_type_roundtrip():
-    imp = Impulse(-1, [1.0, 2.0])
-    assert max_abs_diff(imp.to_sequence(), impulse(-1, [1.0, 2.0])) == 0.0
