@@ -2,15 +2,13 @@
 
 One entry point with subcommands; every run is deterministic given its
 configuration and ``--seed``.  Module errors surface as a structured JSON
-diagnostic on stderr plus a distinct nonzero exit status.  The environment
-variable ``SPECSEQ_THREADS`` caps sweep parallelism (default 1).
+diagnostic on stderr plus a distinct nonzero exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -192,8 +190,7 @@ def _cmd_stability(args):
 def _cmd_stable_manifold(args):
     prob = io.manifold_problem_from_json(io.load_json(args.problem), "problem")
     grid = io.grid_from_json(io.load_json(args.grid), "grid")
-    workers = max(1, int(os.environ.get("SPECSEQ_THREADS", "1")))
-    rows = manifold_sweep(prob, grid, max_workers=workers)
+    rows = manifold_sweep(prob, grid)
     dim = prob.A.dim
     header = (
         [f"xi_{i}_{part}" for i in range(dim) for part in ("re", "im")]

@@ -48,7 +48,7 @@ class SpectrumHit(SpecseqError):
 
 
 class SpectrumOnCircle(SpecseqError):
-    """An eigenvalue modulus lies within ``gap_tol`` of the circle radius."""
+    """An eigenvalue modulus lies within ``GAP_TOL`` of the circle radius."""
 
     code = "spectrum-on-circle"
     exit_status = 8
@@ -62,14 +62,14 @@ class QuadratureError(SpecseqError):
 
 
 class IndeterminateHyperbolic(SpecseqError):
-    """Hyperbolicity cannot be decided: spectrum within ``gap_tol`` of S_1."""
+    """Hyperbolicity cannot be decided: spectrum within ``GAP_TOL`` of S_1."""
 
     code = "indeterminate-hyperbolic"
     exit_status = 10
 
 
 class NotCausalRegime(SpecseqError):
-    """Causal resolvent application requested with rho <= r(A) + gap_tol."""
+    """Causal resolvent application requested with rho <= r(A) + GAP_TOL."""
 
     code = "not-causal-regime"
     exit_status = 11
@@ -105,7 +105,7 @@ class CausalityRequired(SpecseqError):
 
 
 class IndeterminateStability(SpecseqError):
-    """Spectral radius within ``gap_tol`` of 1; stability undecidable."""
+    """Spectral radius within ``GAP_TOL`` of 1; stability undecidable."""
 
     code = "indeterminate-stability"
     exit_status = 15

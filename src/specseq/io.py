@@ -166,7 +166,7 @@ def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
     for key in ("rho", "fp_tol"):
         if key in obj:
             kwargs[key] = _parse(float, obj[key], f"{context} {key}")
-    for key in ("max_iter", "horizon", "tail_cut"):
+    for key in ("max_iter", "horizon"):
         if key in obj:
             kwargs[key] = _parse(int, obj[key], f"{context} {key}")
     return ManifoldProblem(

@@ -20,8 +20,7 @@ window cannot certify an infinite sum).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import (
     AdmissibilityError,
     InputError,
     InternalInconsistency,
-    NoConvergence,
     PreconditionViolation,
     RangeViolation,
 )
@@ -43,8 +41,8 @@ from .operators import (
     spectral_radius,
 )
 from .resolvent import SERIES_TOL, ResolventPlan, apply_resolvent_split, linear_recurrence
-from .sequences import Weight, WindowedSequence, impulse, truncate, weighted_norm
-from .solver import StencilMap, _contraction_estimate, solve_ivp
+from .sequences import Weight, WindowedSequence, impulse, truncate
+from .solver import StencilMap, check_iteration_limits, fixed_point, solve_ivp
 
 
 @dataclass
@@ -55,43 +53,36 @@ class ManifoldProblem:
     admissibility bounds are validated at construction.  ``rho`` is the
     weight of the outer solution operator (any value above ``r(A)`` gives
     the same projections, so the default just steps past the radius).
+    ``split`` is the Riesz splitting at the unit circle.
     """
 
     A: BoundedOperator
     F: StencilMap
     rho: float | None = None
-    split: SpectralSplit | None = None
     fp_tol: float = 1e-10
     max_iter: int = 200
     horizon: int | None = None
-    tail_cut: int | None = None
-    gap_tol: float = GAP_TOL
+    split: SpectralSplit = field(init=False)
 
     def __post_init__(self):
-        is_hyperbolic(self.A, self.gap_tol)
+        check_iteration_limits(self.fp_tol, self.max_iter)
+        if self.horizon is not None and self.horizon < 0:
+            raise InputError(f"horizon must be nonnegative, got {self.horizon}")
+        is_hyperbolic(self.A)
         if not self.F.causal:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
         if not self.F.fixes_zero:
             raise AdmissibilityError("the manifold nonlinearity must satisfy F(0) = 0")
-        if self.split is None:
-            self.split = riesz_split(self.A, 1.0, gap_tol=self.gap_tol)
-        else:
-            if abs(self.split.gamma - 1.0) > 1e-12:
-                raise InputError("the manifold split must sit at gamma = 1")
-            n_inside = int(np.count_nonzero(np.abs(self.A.eigenvalues) < 1.0))
-            if self.split.rank_stable != n_inside:
-                raise InputError(
-                    "supplied split rank disagrees with the eigenvalues inside S_1"
-                )
+        self.split = riesz_split(self.A, 1.0)
         radius = spectral_radius(self.A)
         if self.rho is None:
             self.rho = radius + 0.5
-        if self.rho <= radius + self.gap_tol:
+        if self.rho <= radius + GAP_TOL:
             raise AdmissibilityError(
                 f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
             )
-        self.m_one = circle_sup_resolvent(self.A, 1.0, samples=1024, gap_tol=self.gap_tol)
-        self.m_rho = circle_sup_resolvent(self.A, self.rho, samples=1024, gap_tol=self.gap_tol)
+        self.m_one = circle_sup_resolvent(self.A, 1.0, samples=1024)
+        self.m_rho = circle_sup_resolvent(self.A, self.rho, samples=1024)
         lip_one = self.F.lip_bound(1.0)
         lip_rho = self.F.lip_bound(self.rho)
         if lip_one >= 1.0 / self.m_one:
@@ -111,9 +102,7 @@ class ManifoldProblem:
             else:
                 self.horizon = 2 * self.A.dim + 4
             self.horizon = int(min(max(self.horizon, 32), 1024))
-        self.plan = ResolventPlan(
-            self.A, 1.0, "split", split=self.split, tail_cut=self.tail_cut, gap_tol=self.gap_tol
-        )
+        self.plan = ResolventPlan(self.A, 1.0, "split", split=self.split)
 
     def check_stable_range(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
@@ -179,40 +168,28 @@ def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
     ``10 * fp_tol``.
     """
     xi = prob.check_stable_range(xi)
-    w = Weight(1.0, 2.0)
-    u = _linear_profile(prob, xi)
-    deltas: list[float] = []
-    converged = False
-    iterations = 0
-    for it in range(1, prob.max_iter + 1):
-        v = lp_apply(prob, xi, u)
-        delta = weighted_norm(v - u, w)
-        deltas.append(delta)
-        u = v
-        iterations = it
-        if delta <= prob.fp_tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"fixed-point iteration missed {prob.fp_tol} within {prob.max_iter} steps"
-        )
+    report = fixed_point(
+        lambda u: lp_apply(prob, xi, u),
+        _linear_profile(prob, xi),
+        Weight(1.0, 2.0),
+        prob.fp_tol,
+        prob.max_iter,
+    )
+    u = report.solution
     defect_p, defect_q = _characterization_defects(prob, xi, u)
     bound = 10.0 * prob.fp_tol
     if max(defect_p, defect_q) > bound:
         raise InternalInconsistency(
             f"characterization sums defect {max(defect_p, defect_q):.3e} above {bound:.3e}"
         )
-    eta = prob.split.proj_unstable @ u.at(0)
-    floor = max(10.0 * prob.fp_tol, 1e-13 * (1.0 + weighted_norm(u, w)))
     return ManifoldPoint(
         xi=xi,
-        eta=eta,
+        eta=prob.split.proj_unstable @ u.at(0),
         orbit=u,
         decay_rate_estimate=_decay_rate(u),
-        iterations=iterations,
-        residual=deltas[-1],
-        contraction_estimate=_contraction_estimate(deltas, floor),
+        iterations=report.iterations,
+        residual=report.final_residual,
+        contraction_estimate=report.contraction_estimate,
     )
 
 
@@ -283,7 +260,7 @@ class SweepRow:
     error: str | None = None
 
 
-def manifold_sweep(prob: ManifoldProblem, xi_grid, max_workers: int = 1) -> list[SweepRow]:
+def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     """Tabulate ``(xi, eta, decay rate)`` over a grid of stable-range vectors.
 
     Rows are independent; per-row failures are recorded in the ``error``
@@ -315,40 +292,27 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid, max_workers: int = 1) -> list
                 error=f"{code}: {exc}",
             )
 
-    items = list(enumerate(grid))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run, items))
-    else:
-        rows = [run(item) for item in items]
-    rows.sort(key=lambda row: row.index)
-    return rows
+    return [run(item) for item in enumerate(grid)]
 
 
-def spectrum_escape_check(
-    A: BoundedOperator,
-    x,
-    horizon: int = 50,
-    gap_tol: float = GAP_TOL,
-    zero_tol: float = 1e-12,
-) -> bool:
+def spectrum_escape_check(A: BoundedOperator, x, horizon: int = 50) -> bool:
     """Numerical rendering of: spectrum outside the closed unit disk forces
     every square-summable orbit to start at 0.
 
-    Requires all eigenvalue moduli above ``1 + gap_tol``.  Returns True
+    Requires all eigenvalue moduli above ``1 + GAP_TOL``.  Returns True
     when ``x`` is (numerically) zero or the partial sums of ``|A^n x|^2``
     show monotone growth; either way the orbit cannot be square-summable
     unless ``x = 0``.
     """
     moduli = np.abs(A.eigenvalues)
-    if float(np.min(moduli)) <= 1.0 + gap_tol:
+    if float(np.min(moduli)) <= 1.0 + GAP_TOL:
         raise PreconditionViolation(
-            "escape check requires all eigenvalue moduli above 1 + gap_tol"
+            f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
         )
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != A.dim:
         raise InputError(f"vector has dimension {x.size}, expected {A.dim}")
-    if float(np.linalg.norm(x)) <= zero_tol:
+    if float(np.linalg.norm(x)) <= 1e-12:
         return True
     norms = [float(np.linalg.norm(x))]
     y = x.copy()

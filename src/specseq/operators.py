@@ -32,6 +32,9 @@ EIG_TOL = 1e-9
 #: Hard cap on contour quadrature nodes.
 MAX_QUAD_POINTS = 4096
 
+#: Idempotency defect ``||P^2 - P||`` a Riesz projection must reach.
+PROJ_TOL = 1e-10
+
 
 def operator_norm(mat: np.ndarray) -> float:
     """Spectral 2-norm (largest singular value)."""
@@ -136,26 +139,21 @@ def spectral_radius(A: BoundedOperator) -> float:
     return float(np.max(np.abs(A.eigenvalues)))
 
 
-def resolvent_at(A: BoundedOperator, z: complex, eig_tol: float = EIG_TOL) -> np.ndarray:
+def resolvent_at(A: BoundedOperator, z: complex) -> np.ndarray:
     """The matrix ``(z I - A)^{-1}``.
 
-    Raises :class:`SpectrumHit` if ``z`` lies within ``eig_tol`` of an
+    Raises :class:`SpectrumHit` if ``z`` lies within :data:`EIG_TOL` of an
     eigenvalue, where the inverse is meaningless in floating point.
     """
     z = complex(z)
     dist = float(np.min(np.abs(z - A.eigenvalues)))
-    if dist <= eig_tol:
-        raise SpectrumHit(f"z={z} is within {eig_tol} of the spectrum (distance {dist:.3e})")
+    if dist <= EIG_TOL:
+        raise SpectrumHit(f"z={z} is within {EIG_TOL} of the spectrum (distance {dist:.3e})")
     lhs = z * np.eye(A.dim, dtype=np.complex128) - A.entries
     return np.linalg.solve(lhs, np.eye(A.dim, dtype=np.complex128))
 
 
-def circle_sup_resolvent(
-    A: BoundedOperator,
-    rho: float,
-    samples: int = 256,
-    gap_tol: float = GAP_TOL,
-) -> float:
+def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 256) -> float:
     """Sampled supremum of ``||(z - A)^{-1}||`` over the circle S_rho.
 
     The maximum runs over ``samples`` uniformly spaced points
@@ -167,8 +165,8 @@ def circle_sup_resolvent(
     if not (math.isfinite(rho) and rho > 0):
         raise InputError(f"rho must be positive and finite, got {rho!r}")
     moduli = np.abs(A.eigenvalues)
-    if float(np.min(np.abs(moduli - rho))) <= gap_tol:
-        raise SpectrumOnCircle(f"spectrum within {gap_tol} of the circle |z| = {rho}")
+    if float(np.min(np.abs(moduli - rho))) <= GAP_TOL:
+        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {rho}")
     eye = np.eye(A.dim, dtype=np.complex128)
     best = 0.0
     for theta in 2.0 * np.pi * np.arange(samples) / samples:
@@ -189,26 +187,20 @@ def _contour_projection(A: BoundedOperator, gamma: float, n_points: int) -> np.n
     return acc / n_points
 
 
-def riesz_split(
-    A: BoundedOperator,
-    gamma: float,
-    quad_points: int = 256,
-    proj_tol: float = 1e-10,
-    gap_tol: float = GAP_TOL,
-) -> SpectralSplit:
+def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> SpectralSplit:
     """Spectral splitting of ``A`` at the circle ``S_gamma``.
 
     The stable projection is the contour integral of the resolvent over
     ``S_gamma`` by the trapezoid rule, which is spectrally accurate for
     this periodic analytic integrand.  The node count doubles adaptively
-    until the idempotency defect ``||P^2 - P||`` falls below ``proj_tol``
+    until the idempotency defect ``||P^2 - P||`` falls below :data:`PROJ_TOL`
     or the cap of :data:`MAX_QUAD_POINTS` is reached.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive and finite, got {gamma!r}")
     moduli = np.abs(A.eigenvalues)
-    if float(np.min(np.abs(moduli - gamma))) <= gap_tol:
-        raise SpectrumOnCircle(f"spectrum within {gap_tol} of the circle |z| = {gamma}")
+    if float(np.min(np.abs(moduli - gamma))) <= GAP_TOL:
+        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {gamma}")
 
     n = max(16, int(quad_points))
     attempts = []
@@ -224,11 +216,11 @@ def riesz_split(
         proj = _contour_projection(A, gamma, n_points)
         defect = operator_norm(proj @ proj - proj)
         used = n_points
-        if defect <= proj_tol:
+        if defect <= PROJ_TOL:
             break
-    if defect > proj_tol:
+    if defect > PROJ_TOL:
         raise QuadratureError(
-            f"projection defect {defect:.3e} above {proj_tol} after {used} nodes"
+            f"projection defect {defect:.3e} above {PROJ_TOL} after {used} nodes"
         )
 
     inside = moduli < gamma
@@ -254,18 +246,18 @@ def riesz_split(
     )
 
 
-def is_hyperbolic(A: BoundedOperator, gap_tol: float = GAP_TOL) -> bool:
-    """True when every eigenvalue modulus differs from 1 by more than ``gap_tol``.
+def is_hyperbolic(A: BoundedOperator) -> bool:
+    """True when every eigenvalue modulus differs from 1 by more than :data:`GAP_TOL`.
 
     Raises :class:`IndeterminateHyperbolic` (instead of returning False)
-    when some modulus lies within ``gap_tol`` of 1: floating point cannot
+    when some modulus lies within :data:`GAP_TOL` of 1: floating point cannot
     distinguish spectrum exactly on the unit circle from spectrum merely
     near it.
     """
     diffs = np.abs(np.abs(A.eigenvalues) - 1.0)
     worst = float(np.min(diffs))
-    if worst <= gap_tol:
+    if worst <= GAP_TOL:
         raise IndeterminateHyperbolic(
-            f"eigenvalue modulus within {gap_tol} of 1 (distance {worst:.3e})"
+            f"eigenvalue modulus within {GAP_TOL} of 1 (distance {worst:.3e})"
         )
     return True

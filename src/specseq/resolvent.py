@@ -12,13 +12,13 @@ Three routes are provided and cross-checked:
   conjugated by the Z-transform.
 
 Infinite tails are truncated at a certified length: the plan picks the
-cut so the dropped terms fall below ``series_tol`` in the weighted norm.
+cut so the dropped terms fall below :data:`SERIES_TOL` in the weighted norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .operators import (
     spectral_radius,
 )
 from .sequences import (
-    SUPP_TOL,
     Weight,
     WindowedSequence,
     impulse,
@@ -58,20 +57,20 @@ _TAIL_CAP = 20000
 _MODES = ("causal", "split", "frequency")
 
 
-def _decay_steps(mat: np.ndarray, weight: float, tol: float, cap: int = _TAIL_CAP) -> int:
-    """Smallest K >= 1 with ||mat^K|| * weight^K <= tol (checked in logs)."""
+def _decay_steps(mat: np.ndarray, weight: float) -> int:
+    """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs)."""
     if mat.size == 0:
         return 0
-    log_tol = math.log(tol)
+    log_tol = math.log(SERIES_TOL)
     log_w = math.log(weight)
     power = mat.copy()
-    for k in range(1, cap + 1):
+    for k in range(1, _TAIL_CAP + 1):
         nrm = operator_norm(power)
         if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
             return k
         power = power @ mat
     raise PreconditionViolation(
-        f"series tail cut exceeded {cap} terms; the spectral gap is too small"
+        f"series tail cut exceeded {_TAIL_CAP} terms; the spectral gap is too small"
     )
 
 
@@ -113,20 +112,17 @@ class ResolventPlan:
     """Reusable recipe for applying ``(tau - A)^{-1}`` on ell_{2,rho}.
 
     ``mode`` picks the route.  ``split`` may be supplied for mode "split";
-    otherwise it is computed at ``gamma = rho``.  ``tail_cut`` overrides
-    the certified series truncation length.  A spectral gap so small that
-    the certified length would exceed ``_TAIL_CAP`` terms raises
-    ``PreconditionViolation``.
+    otherwise it is computed at ``gamma = rho``.  ``tail_cut`` is computed:
+    the certified series truncation length of the route.  A spectral gap
+    so small that the certified length would exceed ``_TAIL_CAP`` terms
+    raises ``PreconditionViolation``.
     """
 
     A: BoundedOperator
     rho: float
     mode: str
     split: SpectralSplit | None = None
-    tail_cut: int | None = None
-    series_tol: float = SERIES_TOL
-    gap_tol: float = GAP_TOL
-    quad_points: int = 256
+    tail_cut: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -136,22 +132,21 @@ class ResolventPlan:
         moduli = np.abs(self.A.eigenvalues)
         radius = spectral_radius(self.A)
         if self.mode == "causal":
-            if self.rho <= radius + self.gap_tol:
+            if self.rho <= radius + GAP_TOL:
                 raise NotCausalRegime(
-                    f"causal application needs rho > r(A) + {self.gap_tol}; "
+                    f"causal application needs rho > r(A) + {GAP_TOL}; "
                     f"rho = {self.rho}, r(A) = {radius}"
                 )
-            if self.tail_cut is None:
-                self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho, self.series_tol)
+            self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho)
             return
 
-        if float(np.min(np.abs(moduli - self.rho))) <= self.gap_tol:
+        if float(np.min(np.abs(moduli - self.rho))) <= GAP_TOL:
             raise SpectrumOnCircle(
-                f"spectrum within {self.gap_tol} of the circle |z| = {self.rho}"
+                f"spectrum within {GAP_TOL} of the circle |z| = {self.rho}"
             )
         if self.mode == "split":
             if self.split is None:
-                self.split = riesz_split(self.A, self.rho, self.quad_points, gap_tol=self.gap_tol)
+                self.split = riesz_split(self.A, self.rho)
             elif abs(self.split.gamma - self.rho) > 1e-12:
                 raise InputError(
                     f"split radius {self.split.gamma} does not match plan rho {self.rho}"
@@ -165,7 +160,7 @@ class ResolventPlan:
         p, q = split.proj_stable, split.proj_unstable
         self._pap = p @ self.A.entries @ p
         if split.rank_stable > 0:
-            self._tail_p = _decay_steps(self._pap, 1.0 / self.rho, self.series_tol)
+            self._tail_p = _decay_steps(self._pap, 1.0 / self.rho)
         else:
             self._tail_p = 0
         rank_q = split.rank_unstable
@@ -179,12 +174,11 @@ class ResolventPlan:
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._tail_q = _decay_steps(self._binv, self.rho, self.series_tol)
+            self._tail_q = _decay_steps(self._binv, self.rho)
         else:
             self._binv = np.zeros((0, 0), dtype=np.complex128)
             self._tail_q = 0
-        if self.tail_cut is None:
-            self.tail_cut = max(self._tail_p, self._tail_q, 1)
+        self.tail_cut = max(self._tail_p, self._tail_q, 1)
 
     def _prepare_frequency(self, moduli):
         inside = moduli[moduli < self.rho]
@@ -195,20 +189,19 @@ class ResolventPlan:
         if outside.size:
             rates.append(self.rho / float(np.min(outside)))
         rate = max(rates)
-        if self.tail_cut is None:
-            k_eig = math.ceil(math.log(self.series_tol) / math.log(rate)) if rate > 0 else self.A.dim
-            self.tail_cut = int(1.5 * k_eig) + 2 * self.A.dim + 8
+        k_eig = math.ceil(math.log(SERIES_TOL) / math.log(rate)) if rate > 0 else self.A.dim
+        self.tail_cut = int(1.5 * k_eig) + 2 * self.A.dim + 8
 
     @property
     def is_causal_regime(self) -> bool:
-        return self.rho > spectral_radius(self.A) + self.gap_tol
+        return self.rho > spectral_radius(self.A) + GAP_TOL
 
 
 def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
     """Causal convolution ``u_n = sum_{k <= n-1} A^{n-1-k} f_k``.
 
     Output window is ``[lo(f) + 1, hi(f) + tail_cut]``; the dropped tail is
-    below ``series_tol`` in the ell_{2,rho} norm.
+    below :data:`SERIES_TOL` in the ell_{2,rho} norm.
     """
     if plan.mode != "causal":
         raise InputError(f"plan mode is {plan.mode!r}, expected 'causal'")
@@ -291,19 +284,13 @@ def equation_residual(
     return weighted_norm(res, Weight(rho, 2.0))
 
 
-def causality_probe(
-    A: BoundedOperator,
-    rho: float,
-    x,
-    supp_tol: float = SUPP_TOL,
-    quad_points: int = 256,
-) -> tuple[bool, WindowedSequence]:
+def causality_probe(A: BoundedOperator, rho: float, x) -> tuple[bool, WindowedSequence]:
     """Empirical causality test of ``(tau - A)^{-1}`` on ell_{2,rho}.
 
     Applies the split-mode resolvent to the impulse ``delta_{-1} x`` and
     reports whether the witness is supported in Z_{>=0}; this equals the
     predicate ``rho > r(A)``.
     """
-    plan = ResolventPlan(A, rho, "split", quad_points=quad_points)
+    plan = ResolventPlan(A, rho, "split")
     witness = apply_resolvent_split(plan, impulse(-1, x))
-    return support_subset_geq(witness, 0, supp_tol), witness
+    return support_subset_geq(witness, 0), witness

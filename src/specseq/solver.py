@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -253,11 +254,46 @@ class SolveReport:
     converged: bool
 
 
-def _contraction_estimate(deltas: list[float], floor: float) -> float:
-    ratios = [
-        b / a for a, b in zip(deltas, deltas[1:]) if a > floor
-    ]
-    return max(ratios) if ratios else 0.0
+def check_iteration_limits(fp_tol: float, max_iter: int) -> None:
+    """Raise :class:`InputError` unless ``fp_tol`` is positive and finite
+    and ``max_iter >= 1``."""
+    if not (math.isfinite(fp_tol) and fp_tol > 0):
+        raise InputError(f"fp_tol must be positive and finite, got {fp_tol!r}")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
+def fixed_point(
+    step: Callable[[WindowedSequence], WindowedSequence],
+    u0: WindowedSequence,
+    w: Weight,
+    fp_tol: float,
+    max_iter: int,
+) -> SolveReport:
+    """Banach iteration ``u <- step(u)`` from ``u0``.
+
+    Stops once consecutive iterates differ by at most ``fp_tol`` in the norm
+    of ``w``.  The contraction estimate is the largest ratio of consecutive
+    increments, counting only increments above the roundoff floor
+    ``max(10 fp_tol, 1e-13 (1 + |u|_w))``.  Raises :class:`NoConvergence`
+    carrying the report when ``max_iter`` steps do not reach ``fp_tol``.
+    """
+    check_iteration_limits(fp_tol, max_iter)
+    u = u0
+    deltas: list[float] = []
+    for _ in range(max_iter):
+        v = step(u)
+        deltas.append(weighted_norm(v - u, w))
+        u = v
+        if deltas[-1] <= fp_tol:
+            break
+    floor = max(10.0 * fp_tol, 1e-13 * (1.0 + weighted_norm(u, w)))
+    ratios = [b / a for a, b in zip(deltas, deltas[1:]) if a > floor]
+    converged = deltas[-1] <= fp_tol
+    report = SolveReport(u, len(deltas), deltas[-1], max(ratios, default=0.0), converged)
+    if not converged:
+        raise NoConvergence(f"no convergence within {max_iter} iterations", report)
+    return report
 
 
 def solve_contraction(
@@ -288,25 +324,9 @@ def solve_contraction(
         raise InputError("solve window is empty")
     if dim is None:
         dim = _infer_dim(F)
-    u = zero_sequence(dim)
-    deltas: list[float] = []
-    for it in range(1, max_iter + 1):
-        v = truncate(shift(F.apply(u), -1), lo, hi)
-        delta = weighted_norm(v - u, w)
-        deltas.append(delta)
-        u = v
-        if delta <= fp_tol:
-            floor = max(10.0 * fp_tol, 1e-13 * (1.0 + weighted_norm(u, w)))
-            return SolveReport(
-                solution=u,
-                iterations=it,
-                final_residual=delta,
-                contraction_estimate=_contraction_estimate(deltas, floor),
-                converged=True,
-            )
-    floor = max(10.0 * fp_tol, 1e-13 * (1.0 + weighted_norm(u, w)))
-    report = SolveReport(u, max_iter, deltas[-1], _contraction_estimate(deltas, floor), False)
-    raise NoConvergence(f"no convergence within {max_iter} iterations", report)
+    return fixed_point(
+        lambda u: truncate(shift(F.apply(u), -1), lo, hi), zero_sequence(dim), w, fp_tol, max_iter
+    )
 
 
 def _infer_dim(F: StencilMap) -> int:
@@ -394,16 +414,15 @@ def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):
         )
     plan = ResolventPlan(A, rho, "causal")
     pulse = impulse(-1, x)
-    w = Weight(rho, 2.0)
     cap = horizon + plan.tail_cut
-    u = zero_sequence(A.dim)
-    for _ in range(1, max_iter + 1):
-        v = truncate(apply_resolvent_causal(plan, F.apply(u) + pulse), None, cap)
-        delta = weighted_norm(v - u, w)
-        u = v
-        if delta <= fp_tol:
-            return truncate(u, 0, horizon)
-    raise NoConvergence(f"impulse iteration did not reach {fp_tol} in {max_iter} steps")
+    report = fixed_point(
+        lambda u: truncate(apply_resolvent_causal(plan, F.apply(u) + pulse), None, cap),
+        zero_sequence(A.dim),
+        Weight(rho, 2.0),
+        fp_tol,
+        max_iter,
+    )
+    return truncate(report.solution, 0, horizon)
 
 
 def solve_ivp_all(A, F, x, horizon, rho=None, fp_tol=FP_TOL, max_iter=MAX_ITER):
@@ -447,7 +466,6 @@ def stability_classify(
     horizon: int = 100,
     probe_count: int = 8,
     seed: int = 0,
-    gap_tol: float = GAP_TOL,
 ) -> StabilityReport:
     """Classify ``u_{n+1} = A u_n`` as exponentially stable or not.
 
@@ -457,8 +475,8 @@ def stability_classify(
     when unstable, orbits are checked for growth past 10x their start.
     """
     r = spectral_radius(A)
-    if abs(r - 1.0) <= gap_tol:
-        raise IndeterminateStability(f"spectral radius {r} within {gap_tol} of 1")
+    if abs(r - 1.0) <= GAP_TOL:
+        raise IndeterminateStability(f"spectral radius {r} within {GAP_TOL} of 1")
     rng = np.random.default_rng(seed)
     stable = r < 1.0
     rho_star = (1.0 + r) / 2.0 if stable else None

@@ -97,7 +97,7 @@ def test_resolve_csv_export(files, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.reader(csv_path.open()))
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == ["n", "component", "re", "im"]
     assert rows[1][0] == "0" and float(rows[1][2]) == pytest.approx(1.0)
 
@@ -188,7 +188,7 @@ def test_ztransform_check(files, tmp_path, capsys):
     data = json.loads(out)
     assert data["parseval_lhs"] == pytest.approx(data["parseval_rhs"], rel=1e-10)
     assert data["multiplication_defect"] <= 1e-10
-    rows = list(csv.reader(circle.open()))
+    rows = list(csv.reader(circle.read_text().splitlines()))
     assert rows[0] == ["theta", "abs"]
     assert len(rows) == 65
 
@@ -272,7 +272,7 @@ def test_stability_cli(files, capsys):
     assert data["probes_consistent"] is True
 
 
-def test_stable_manifold_cli(files, tmp_path, capsys, monkeypatch):
+def test_stable_manifold_cli(files, tmp_path, capsys):
     problem = write_json(
         tmp_path / "prob.json",
         {
@@ -292,10 +292,9 @@ def test_stable_manifold_cli(files, tmp_path, capsys, monkeypatch):
         },
     )
     out_csv = tmp_path / "table.csv"
-    monkeypatch.setenv("SPECSEQ_THREADS", "2")
     code = main(["stable-manifold", "--problem", problem, "--grid", grid, "--out", str(out_csv)])
     assert code == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert len(rows) == 3
     assert rows[0]["error"] == "" and rows[1]["error"] == ""
     # odd kernel: eta flips sign with xi
@@ -329,6 +328,10 @@ MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--pro
         (CONTRACTION, {"kernel": "scaled_bounded_saturation", "params": {"eps": "big"}}),
         (CONTRACTION, {"kernel": "scaled_bounded_saturation", "params": [0.01]}),
         (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "horizon": "abc"}),
+        (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "horizon": -1}),
+        (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "max_iter": 0}),
+        (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": -1}),
+        (["solve-contraction", "--max-iter", "0"] + CONTRACTION[1:], SAT),
     ],
     ids=[
         "not-json",
@@ -338,10 +341,16 @@ MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--pro
         "word-eps",
         "list-params",
         "word-horizon",
+        "negative-horizon",
+        "zero-max-iter",
+        "negative-fp-tol",
+        "contraction-zero-max-iter",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    # a valid grid, so a MANIFOLD case can fail only on its problem file
+    write_json(tmp_path / "grid.json", {"vectors": [{"dim": 1, "re": [0.1]}]})
     path = tmp_path / "bad.json"
     path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     code, _, err = run_cli(argv + [str(path)], capsys)

@@ -161,6 +161,10 @@ def test_solve_contraction_no_convergence_carries_report():
     with pytest.raises(NoConvergence) as err:
         solve_contraction(f, Weight(1.0, 2.0), (-2, 40), max_iter=3)
     assert err.value.report is not None and not err.value.report.converged
+    with pytest.raises(InputError):
+        solve_contraction(f, Weight(1.0, 2.0), (-2, 40), max_iter=0)
+    with pytest.raises(InputError):
+        solve_contraction(f, Weight(1.0, 2.0), (-2, 40), fp_tol=float("nan"))
 
 
 def test_solve_ivp_linear_closed_form():
