@@ -37,7 +37,6 @@ from .operators import (
     SpectralSplit,
     circle_sup_resolvent,
     is_hyperbolic,
-    riesz_split,
     spectral_radius,
 )
 from .resolvent import SERIES_TOL, ResolventPlan, apply_resolvent_split, linear_recurrence
@@ -53,7 +52,7 @@ class ManifoldProblem:
     admissibility bounds are validated at construction.  ``rho`` is the
     weight of the outer solution operator (any value above ``r(A)`` gives
     the same projections, so the default just steps past the radius).
-    ``split`` is the Riesz splitting at the unit circle.
+    ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
     """
 
     A: BoundedOperator
@@ -73,7 +72,8 @@ class ManifoldProblem:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
         if not self.F.fixes_zero:
             raise AdmissibilityError("the manifold nonlinearity must satisfy F(0) = 0")
-        self.split = riesz_split(self.A, 1.0)
+        self.plan = ResolventPlan(self.A, 1.0, "split")
+        self.split = self.plan.split
         radius = spectral_radius(self.A)
         if self.rho is None:
             self.rho = radius + 0.5
@@ -102,7 +102,6 @@ class ManifoldProblem:
             else:
                 self.horizon = 2 * self.A.dim + 4
             self.horizon = int(min(max(self.horizon, 32), 1024))
-        self.plan = ResolventPlan(self.A, 1.0, "split", split=self.split)
 
     def check_stable_range(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
@@ -302,8 +301,10 @@ def spectrum_escape_check(A: BoundedOperator, x, horizon: int = 50) -> bool:
     Requires all eigenvalue moduli above ``1 + GAP_TOL``.  Returns True
     when ``x`` is (numerically) zero or the partial sums of ``|A^n x|^2``
     show monotone growth; either way the orbit cannot be square-summable
-    unless ``x = 0``.
+    unless ``x = 0``.  Raises :class:`InputError` when ``horizon < 1``.
     """
+    if horizon < 1:
+        raise InputError(f"escape check needs horizon >= 1, got {horizon}")
     moduli = np.abs(A.eigenvalues)
     if float(np.min(moduli)) <= 1.0 + GAP_TOL:
         raise PreconditionViolation(

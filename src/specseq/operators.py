@@ -2,6 +2,8 @@
 Riesz spectral projections.
 
 Operator norms throughout are spectral 2-norms (largest singular value).
+The circle supremum, the Riesz quadrature and frequency-mode solves all reduce
+over the node blocks of :func:`circle_resolvents`.
 Circles ``S_r = {|z| = r}`` are always assumed to avoid the spectrum by at
 least :data:`GAP_TOL`; quadrature accuracy degrades as the gap closes.
 """
@@ -153,6 +155,25 @@ def resolvent_at(A: BoundedOperator, z: complex) -> np.ndarray:
     return np.linalg.solve(lhs, np.eye(A.dim, dtype=np.complex128))
 
 
+def circle_resolvents(A: BoundedOperator, rho: float, n: int):
+    """Resolvents ``(z I - A)^{-1}`` at the ``n`` uniform nodes of S_rho, in blocks.
+
+    Yields ``(start, z, R)`` with nodes ``z = rho e^{2 pi i j / n}`` from
+    ``j = start`` and ``R[i] = (z[i] I - A)^{-1}``, one stacked solve per block
+    of ``max(1, 2**14 // d**2)`` nodes.  Raises :class:`SpectrumOnCircle` when
+    an eigenvalue modulus is within :data:`GAP_TOL` of ``rho``.
+    """
+    moduli = np.abs(A.eigenvalues)
+    if float(np.min(np.abs(moduli - rho))) <= GAP_TOL:
+        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {rho}")
+    nodes = rho * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    eye = np.eye(A.dim, dtype=np.complex128)
+    block = max(1, 2**14 // A.dim**2)
+    for start in range(0, n, block):
+        z = nodes[start : start + block]
+        yield start, z, np.linalg.solve(z[:, None, None] * eye - A.entries, eye)
+
+
 def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 256) -> float:
     """Sampled supremum of ``||(z - A)^{-1}||`` over the circle S_rho.
 
@@ -164,26 +185,18 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 256) -> 
         raise PreconditionViolation(f"circle supremum needs samples >= 16, got {samples}")
     if not (math.isfinite(rho) and rho > 0):
         raise InputError(f"rho must be positive and finite, got {rho!r}")
-    moduli = np.abs(A.eigenvalues)
-    if float(np.min(np.abs(moduli - rho))) <= GAP_TOL:
-        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {rho}")
-    eye = np.eye(A.dim, dtype=np.complex128)
-    best = 0.0
-    for theta in 2.0 * np.pi * np.arange(samples) / samples:
-        z = rho * np.exp(1j * theta)
-        res = np.linalg.solve(z * eye - A.entries, eye)
-        best = max(best, operator_norm(res))
-    return best
+    blocks = circle_resolvents(A, rho, samples)
+    return max(float(np.max(np.linalg.norm(res, 2, axis=(1, 2)))) for _, _, res in blocks)
 
 
 def _contour_projection(A: BoundedOperator, gamma: float, n_points: int) -> np.ndarray:
     # Trapezoid rule for (2 pi i)^(-1) * contour integral of (z-A)^(-1) dz
     # over S_gamma; with z = gamma e^(i theta) this is the mean of z (z-A)^(-1).
-    eye = np.eye(A.dim, dtype=np.complex128)
-    acc = np.zeros_like(eye)
-    for theta in 2.0 * np.pi * np.arange(n_points) / n_points:
-        z = gamma * np.exp(1j * theta)
-        acc += z * np.linalg.solve(z * eye - A.entries, eye)
+    # Summed node by node so the rounding does not depend on the block length.
+    acc = np.zeros((A.dim, A.dim), dtype=np.complex128)
+    for _, z, res in circle_resolvents(A, gamma, n_points):
+        for zi, ri in zip(z, res):
+            acc += zi * ri
     return acc / n_points
 
 
@@ -198,31 +211,19 @@ def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> Spe
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive and finite, got {gamma!r}")
-    moduli = np.abs(A.eigenvalues)
-    if float(np.min(np.abs(moduli - gamma))) <= GAP_TOL:
-        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {gamma}")
-
-    n = max(16, int(quad_points))
-    attempts = []
+    used = min(max(16, int(quad_points)), MAX_QUAD_POINTS)
     while True:
-        attempts.append(min(n, MAX_QUAD_POINTS))
-        if n >= MAX_QUAD_POINTS:
-            break
-        n *= 2
-    proj = None
-    defect = math.inf
-    used = attempts[-1]
-    for n_points in attempts:
-        proj = _contour_projection(A, gamma, n_points)
+        proj = _contour_projection(A, gamma, used)
         defect = operator_norm(proj @ proj - proj)
-        used = n_points
-        if defect <= PROJ_TOL:
+        if defect <= PROJ_TOL or used >= MAX_QUAD_POINTS:
             break
+        used = min(2 * used, MAX_QUAD_POINTS)
     if defect > PROJ_TOL:
         raise QuadratureError(
             f"projection defect {defect:.3e} above {PROJ_TOL} after {used} nodes"
         )
 
+    moduli = np.abs(A.eigenvalues)
     inside = moduli < gamma
     n_inside = int(np.count_nonzero(inside))
     if int(round(float(np.trace(proj).real))) != n_inside:

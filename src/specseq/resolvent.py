@@ -33,8 +33,8 @@ from .operators import (
     GAP_TOL,
     BoundedOperator,
     SpectralSplit,
+    circle_resolvents,
     operator_norm,
-    resolvent_at,
     riesz_split,
     spectral_radius,
 )
@@ -58,17 +58,24 @@ _MODES = ("causal", "split", "frequency")
 
 
 def _decay_steps(mat: np.ndarray, weight: float) -> int:
-    """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs)."""
+    """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs).
+
+    As ``||mat^K|| >= r(mat)^K``, a rate ``r(mat) * weight`` too slow for
+    ``_TAIL_CAP`` steps raises before any power is formed.
+    """
     if mat.size == 0:
         return 0
     log_tol = math.log(SERIES_TOL)
     log_w = math.log(weight)
-    power = mat.copy()
-    for k in range(1, _TAIL_CAP + 1):
-        nrm = operator_norm(power)
-        if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
-            return k
-        power = power @ mat
+    radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+    rate = math.log(radius) + log_w if radius > 0.0 else -math.inf
+    if rate < 0.0 and log_tol / rate <= _TAIL_CAP:
+        power = mat.copy()
+        for k in range(1, _TAIL_CAP + 1):
+            nrm = operator_norm(power)
+            if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
+                return k
+            power = power @ mat
     raise PreconditionViolation(
         f"series tail cut exceeded {_TAIL_CAP} terms; the spectral gap is too small"
     )
@@ -111,8 +118,8 @@ def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
 class ResolventPlan:
     """Reusable recipe for applying ``(tau - A)^{-1}`` on ell_{2,rho}.
 
-    ``mode`` picks the route.  ``split`` may be supplied for mode "split";
-    otherwise it is computed at ``gamma = rho``.  ``tail_cut`` is computed:
+    ``mode`` picks the route.  ``split`` is computed, not supplied: the Riesz
+    splitting at ``gamma = rho`` in mode "split".  ``tail_cut`` is computed:
     the certified series truncation length of the route.  A spectral gap
     so small that the certified length would exceed ``_TAIL_CAP`` terms
     raises ``PreconditionViolation``.
@@ -121,7 +128,7 @@ class ResolventPlan:
     A: BoundedOperator
     rho: float
     mode: str
-    split: SpectralSplit | None = None
+    split: SpectralSplit | None = field(init=False, default=None)
     tail_cut: int = field(init=False)
 
     def __post_init__(self):
@@ -145,12 +152,7 @@ class ResolventPlan:
                 f"spectrum within {GAP_TOL} of the circle |z| = {self.rho}"
             )
         if self.mode == "split":
-            if self.split is None:
-                self.split = riesz_split(self.A, self.rho)
-            elif abs(self.split.gamma - self.rho) > 1e-12:
-                raise InputError(
-                    f"split radius {self.split.gamma} does not match plan rho {self.rho}"
-                )
+            self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
         else:  # frequency
             self._prepare_frequency(moduli)
@@ -271,8 +273,9 @@ def apply_resolvent_frequency(
     n = next_pow2(max(4 * width, 2 * (out_hi - out_lo + 1) + 8, n_samples or 0))
     fhat = ztransform(f, plan.rho, n)
     out = np.empty_like(fhat.samples)
-    for j, z in enumerate(fhat.points()):
-        out[j] = resolvent_at(plan.A, z) @ fhat.samples[j]
+    for start, _, res in circle_resolvents(plan.A, fhat.rho, n):
+        rows = slice(start, start + len(res))
+        out[rows] = (res @ fhat.samples[rows, :, None])[:, :, 0]
     return inverse_ztransform(CircleFunction(plan.rho, out), (out_lo, out_hi))
 
 

@@ -473,7 +473,14 @@ def stability_classify(
     and random impulse orbits are checked for membership evidence in
     ell_{2,rho*} and for the pointwise bound ``|u_n| <= M rho_star^n``;
     when unstable, orbits are checked for growth past 10x their start.
+    Raises :class:`InputError` unless ``horizon`` and ``probe_count`` are
+    at least 1: no probe is no evidence.
     """
+    if probe_count < 1 or horizon < 1:
+        raise InputError(
+            f"stability needs probe_count >= 1 and horizon >= 1, "
+            f"got {probe_count} and {horizon}"
+        )
     r = spectral_radius(A)
     if abs(r - 1.0) <= GAP_TOL:
         raise IndeterminateStability(f"spectral radius {r} within {GAP_TOL} of 1")

@@ -169,7 +169,7 @@ def test_c06_riesz_suite():
         p_hi = riesz_split(a, hi_gamma).proj_stable
         assert operator_norm(p_lo - p_hi) <= 1e-8
         # split-resolvent residual
-        plan = ResolventPlan(a, 1.0, "split", split=split)
+        plan = ResolventPlan(a, 1.0, "split")
         f = random_sequence(rng, dim, -4, 4)
         f = f.scale(1.0 / weighted_norm(f, Weight(1.0, 2.0)))
         u = apply_resolvent_split(plan, f)

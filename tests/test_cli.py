@@ -316,6 +316,7 @@ SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
 CONTRACTION = ["solve-contraction", "--rho", "2.0", "--window", "0", "4", "--dim", "1", "--F"]
 ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]
 MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--problem"]
+STABLE = {"dim": 1, "re": [[0.5]]}
 
 
 @pytest.mark.parametrize(
@@ -332,6 +333,12 @@ MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--pro
         (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "max_iter": 0}),
         (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": -1}),
         (["solve-contraction", "--max-iter", "0"] + CONTRACTION[1:], SAT),
+        (["stability", "--probes", "0", "--A"], STABLE),
+        (["stability", "--horizon", "0", "--A"], STABLE),
+        (
+            ["escape-check", "--horizon", "0", "--x", "x.json", "--A"],
+            {"dim": 2, "re": [[1.5, 0.3], [0.0, 2.0]]},
+        ),
     ],
     ids=[
         "not-json",
@@ -345,12 +352,16 @@ MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--pro
         "zero-max-iter",
         "negative-fp-tol",
         "contraction-zero-max-iter",
+        "zero-probes",
+        "zero-stability-horizon",
+        "zero-escape-horizon",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # a valid grid, so a MANIFOLD case can fail only on its problem file
+    # a valid grid and vector, so a case can fail only on its last file or flags
     write_json(tmp_path / "grid.json", {"vectors": [{"dim": 1, "re": [0.1]}]})
+    write_json(tmp_path / "x.json", {"dim": 2, "re": [1.0, 0.0]})
     path = tmp_path / "bad.json"
     path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     code, _, err = run_cli(argv + [str(path)], capsys)

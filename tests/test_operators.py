@@ -15,6 +15,7 @@ from specseq import (
     riesz_split,
     spectral_radius,
 )
+from specseq.operators import circle_resolvents
 from testutil import matrix_with_moduli
 
 
@@ -105,6 +106,32 @@ def test_circle_sup_preconditions():
         circle_sup_resolvent(a, 1.0, samples=8)
     with pytest.raises(SpectrumOnCircle):
         circle_sup_resolvent(a, 0.5)
+
+
+def test_circle_resolvents_blocks_match_pointwise_resolvents():
+    # d = 3: blocks of 2**14 // 9 = 1820 nodes, so 4096 nodes end in a partial block
+    rng = np.random.default_rng(21)
+    a = matrix_with_moduli(rng, [0.4, 0.9, 1.6], shear=0.3)
+    n = 4096
+    nodes = 1.2 * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    blocks = list(circle_resolvents(a, 1.2, n))
+    assert [(start, len(z), len(res)) for start, z, res in blocks] == [
+        (0, 1820, 1820),
+        (1820, 1820, 1820),
+        (3640, 456, 456),
+    ]
+    for start, z, res in blocks:
+        assert np.array_equal(z, nodes[start : start + len(z)])
+        for zi, ri in zip(z, res):
+            assert np.array_equal(ri, resolvent_at(a, zi))
+    reference = max(operator_norm(resolvent_at(a, z)) for z in nodes)
+    assert circle_sup_resolvent(a, 1.2, samples=n) == reference
+
+
+def test_circle_resolvents_rejects_spectrum_on_circle():
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    with pytest.raises(SpectrumOnCircle):
+        next(circle_resolvents(a, 2.0, 64))
 
 
 def test_riesz_diagonal_split():

@@ -22,6 +22,7 @@ from specseq import (
     weighted_norm,
     zero_sequence,
 )
+from specseq import resolvent
 from specseq.resolvent import linear_recurrence
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
@@ -59,10 +60,18 @@ def test_causal_requires_supercritical_weight():
         ResolventPlan(BoundedOperator([[2.0]]), 1.0, "causal")
 
 
-def test_tail_cut_overflow_is_a_precondition_violation():
-    # the gap 1e-4 passes GAP_TOL, but the certified tail is longer than the cap
+def test_tail_cut_overflow_is_a_precondition_violation(monkeypatch):
+    # the gap 1e-4 passes GAP_TOL, but the certified tail is longer than the
+    # cap; ||A^K|| >= r(A)^K settles that before any power step
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
     with pytest.raises(PreconditionViolation):
         ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
+    assert calls == []
+    # a nilpotent A (r(A) = 0) still takes the step search
+    assert ResolventPlan(BoundedOperator([[0.0, 1.0], [0.0, 0.0]]), 0.5, "causal").tail_cut == 2
+    assert len(calls) == 2
 
 
 def test_linear_recurrence_matches_power_sums():
