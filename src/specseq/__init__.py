@@ -30,9 +30,7 @@ from .errors import (
     WindowTooWide,
 )
 from .manifold import (
-    ManifoldPoint,
     ManifoldProblem,
-    SweepRow,
     lp_apply,
     lp_fixed_point,
     manifold_sweep,
@@ -40,7 +38,6 @@ from .manifold import (
     stable_manifold_point,
 )
 from .operators import (
-    EIG_TOL,
     GAP_TOL,
     BoundedOperator,
     SpectralSplit,
@@ -61,7 +58,6 @@ from .resolvent import (
     equation_residual,
 )
 from .sequences import (
-    SUPP_TOL,
     Weight,
     WindowedSequence,
     embed_one_sided,
@@ -76,12 +72,6 @@ from .sequences import (
     zero_sequence,
 )
 from .solver import (
-    FIELD_TABLE,
-    FP_TOL,
-    IVP_METHODS,
-    MAX_ITER,
-    SolveReport,
-    StabilityReport,
     StencilMap,
     implicit_euler_map,
     linear_map,
@@ -96,8 +86,6 @@ from .solver import (
 )
 from .ztransform import (
     CircleFunction,
-    circle_l2_norm,
-    default_sample_count,
     inverse_ztransform,
     multiplication_equiv_check,
     parseval_check,

@@ -54,7 +54,7 @@ def _parse(convert, value, what):
     """``convert(value)``, with a malformed value raised as InputError."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} is malformed: {exc}") from exc
 
 
@@ -105,6 +105,8 @@ def sequence_from_json(obj, context="sequence") -> WindowedSequence:
     dim = _dim(obj, context)
     lo = _parse(int, _require(obj, "lo", context), f"{context} lo")
     raw = _require(obj, "values", context)
+    if not isinstance(raw, list):
+        raise InputError(f"{context} values must be a list")
     vals = np.zeros((max(len(raw), 1), dim), dtype=np.complex128)
     for i, pair in enumerate(raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -162,6 +164,8 @@ def stencil_from_json(obj, context="stencil") -> StencilMap:
 
 
 def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
+    if not isinstance(obj, dict):
+        raise InputError(f"{context} must be a JSON object")
     kwargs = {}
     for key in ("rho", "fp_tol"):
         if key in obj:

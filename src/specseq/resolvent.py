@@ -4,15 +4,19 @@ Three routes are provided and cross-checked:
 
 * ``causal``: the one-sided convolution ``u_n = sum_{k <= n-1} A^{n-1-k} f_k``,
   valid exactly when ``rho > r(A)``; implemented as a forward recurrence.
-* ``split``: the two-sided formulas through a Riesz splitting at
-  ``gamma = rho``, the causal branch on the stable range and the anticausal
-  branch ``u_n = -sum_{k >= n} (QAQ)^{n-1-k} v_k`` on the unstable range,
-  where the negative powers are taken on range(Q) only.
+* ``split``: the two-sided formulas through a Riesz splitting
+  ``P + Q = I`` at ``gamma = rho``: the causal branch
+  ``sum_{k <= n-1} (PAP)^{n-1-k} P f_k`` on the stable range plus the
+  anticausal branch ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with
+  ``M_Q = (QAQ + P)^{-1} Q``, the inverse of ``A`` on range(Q) and zero on
+  range(P); a forward and a backward recurrence in C^d.
 * ``frequency``: multiplication by ``(z - A)^{-1}`` on circle samples,
   conjugated by the Z-transform.
 
-Infinite tails are truncated at a certified length: the plan picks the
-cut so the dropped terms fall below :data:`SERIES_TOL` in the weighted norm.
+Infinite tails are truncated at a certified length: each cut is the first
+``K`` with ``||M^K|| w^K <= SERIES_TOL`` for the matrix ``M`` that acts on
+``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with ``w = rho``), so
+every dropped power bounds its terms relative to ``||f||_{2,rho}``.
 """
 
 from __future__ import annotations
@@ -102,25 +106,17 @@ def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np
     return out
 
 
-def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the range of an (oblique) projection."""
-    if rank == 0:
-        return np.zeros((proj.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(proj)
-    if s[rank - 1] < 1e-8:
-        raise InternalInconsistency(
-            f"projection numerical rank below expected {rank} (sigma={s[rank - 1]:.3e})"
-        )
-    return u[:, :rank]
-
-
 @dataclass
 class ResolventPlan:
     """Reusable recipe for applying ``(tau - A)^{-1}`` on ell_{2,rho}.
 
     ``mode`` picks the route.  ``split`` is computed, not supplied: the Riesz
-    splitting at ``gamma = rho`` in mode "split".  ``tail_cut`` is computed:
-    the certified series truncation length of the route.  A spectral gap
+    splitting at ``gamma = rho`` in mode "split", whose anticausal branch is
+    ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with ``M_Q = (QAQ + P)^{-1} Q``.
+    ``tail_cut`` is computed: the certified series truncation length of the
+    route; in mode "split" it is the longer of the causal cut (through
+    ``PAP``) and the anticausal cut (through ``M_Q``), both bounding the
+    dropped terms relative to ``||f||_{2,rho}``.  A spectral gap
     so small that the certified length would exceed ``_TAIL_CAP`` terms
     raises ``PreconditionViolation``.
     """
@@ -160,25 +156,20 @@ class ResolventPlan:
     def _prepare_split(self):
         split = self.split
         p, q = split.proj_stable, split.proj_unstable
-        self._pap = p @ self.A.entries @ p
-        if split.rank_stable > 0:
-            self._tail_p = _decay_steps(self._pap, 1.0 / self.rho)
-        else:
-            self._tail_p = 0
-        rank_q = split.rank_unstable
-        self._vq = _range_basis(q, rank_q)
-        if rank_q > 0:
-            b = self._vq.conj().T @ (q @ (self.A.entries @ self._vq))
+        a = self.A.entries
+        self._pap = p @ a @ p
+        self._tail_p = _decay_steps(self._pap, 1.0 / self.rho) if split.rank_stable else 0
+        if split.rank_unstable:
+            # M_Q = (QAQ + P)^{-1} Q: A^{-1} on range(Q), zero on range(P)
             try:
-                self._binv = np.linalg.inv(b)
+                self._mq = np.linalg.solve(q @ a @ q + p, q)
             except np.linalg.LinAlgError as exc:
                 raise InternalInconsistency(
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._tail_q = _decay_steps(self._binv, self.rho)
+            self._tail_q = _decay_steps(self._mq, self.rho)
         else:
-            self._binv = np.zeros((0, 0), dtype=np.complex128)
             self._tail_q = 0
         self.tail_cut = max(self._tail_p, self._tail_q, 1)
 
@@ -202,7 +193,7 @@ class ResolventPlan:
 def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
     """Causal convolution ``u_n = sum_{k <= n-1} A^{n-1-k} f_k``.
 
-    Output window is ``[lo(f) + 1, hi(f) + tail_cut]``; the dropped tail is
+    Output window is ``[lo(f) + 1, hi(f) + tail_cut + 1]``; the dropped tail is
     below :data:`SERIES_TOL` in the ell_{2,rho} norm.
     """
     if plan.mode != "causal":
@@ -218,23 +209,19 @@ def _causal_branch(mat: np.ndarray, f: WindowedSequence, tail: int) -> WindowedS
     return WindowedSequence(f.lo + 1, linear_recurrence(mat, g))
 
 
-def _anticausal_branch(plan: ResolventPlan, qf: WindowedSequence) -> WindowedSequence:
-    # u_n = -sum_{k >= n} (QAQ)^{n-1-k} v_k in range(Q) coordinates, by the
-    # backward recurrence w_n = B^{-1} (w_{n+1} - v_n), run tail_q steps
-    # below lo(v).
-    if qf.is_zero:
-        return zero_sequence(qf.dim)
-    coords = qf.values @ np.conj(plan._vq)
-    pad = np.zeros((plan._tail_q, coords.shape[1]), dtype=np.complex128)
-    w = linear_recurrence(plan._binv, np.concatenate([pad, coords]), reverse=True)
-    return WindowedSequence(qf.lo - plan._tail_q, w @ plan._vq.T)
+def _anticausal_branch(mat: np.ndarray, f: WindowedSequence, tail: int) -> WindowedSequence:
+    # u_n = -sum_{k >= n} M^{k-n+1} f_k by the backward recurrence
+    # u_n = M (u_{n+1} - f_n), run tail steps below lo(f).
+    g = np.concatenate([np.zeros((tail, f.dim), dtype=np.complex128), f.values])
+    return WindowedSequence(f.lo - tail, linear_recurrence(mat, g, reverse=True))
 
 
 def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
     """Two-sided application through the Riesz splitting at gamma = rho.
 
     ``u = (tau - PAP)^{-1} P f + (tau - QAQ)^{-1} Q f`` with the causal
-    branch on range(P) and the anticausal branch on range(Q).
+    branch on range(P) and the anticausal branch, ``M_Q`` applied to the
+    unprojected ``f``, on range(Q).
     """
     if plan.mode != "split":
         raise InputError(f"plan mode is {plan.mode!r}, expected 'split'")
@@ -246,8 +233,7 @@ def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedS
         pf = f.apply_matrix(split.proj_stable)
         out = out + _causal_branch(plan._pap, pf, plan._tail_p)
     if split.rank_unstable > 0:
-        qf = f.apply_matrix(split.proj_unstable)
-        out = out + _anticausal_branch(plan, qf)
+        out = out + _anticausal_branch(plan._mq, f, plan._tail_q)
     return out
 
 

@@ -518,9 +518,6 @@ def stability_classify(
                 if nrm >= target:
                     grew = True
                     break
-                if nrm > 1e150:
-                    grew = True
-                    break
             consistent = consistent and grew
     return StabilityReport(
         verdict="exponentially_stable" if stable else "not_stable",

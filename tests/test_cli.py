@@ -317,6 +317,7 @@ CONTRACTION = ["solve-contraction", "--rho", "2.0", "--window", "0", "4", "--dim
 ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]
 MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--problem"]
 STABLE = {"dim": 1, "re": [[0.5]]}
+PROBLEM = json.dumps({"A": STABLE, "F": SAT})
 
 
 @pytest.mark.parametrize(
@@ -339,6 +340,15 @@ STABLE = {"dim": 1, "re": [[0.5]]}
             ["escape-check", "--horizon", "0", "--x", "x.json", "--A"],
             {"dim": 2, "re": [[1.5, 0.3], [0.0, 2.0]]},
         ),
+        # JSON reads 1e999 as inf, which no integer field can hold
+        (ZCHECK, '{"dim": 1e999, "lo": 0, "values": [[[1.0], [0.0]]]}'),
+        (ZCHECK, '{"dim": 1, "lo": 1e999, "values": [[[1.0], [0.0]]]}'),
+        (MANIFOLD, PROBLEM[:-1] + ', "horizon": 1e999}'),
+        (MANIFOLD, PROBLEM[:-1] + ', "max_iter": 1e999}'),
+        (ZCHECK, {"dim": 1, "lo": 0, "values": 5}),
+        (ZCHECK, {"dim": 1, "lo": 0, "values": None}),
+        (MANIFOLD, 5),
+        (MANIFOLD, None),
     ],
     ids=[
         "not-json",
@@ -355,6 +365,14 @@ STABLE = {"dim": 1, "re": [[0.5]]}
         "zero-probes",
         "zero-stability-horizon",
         "zero-escape-horizon",
+        "infinite-dim",
+        "infinite-lo",
+        "infinite-horizon",
+        "infinite-max-iter",
+        "number-values",
+        "null-values",
+        "number-problem",
+        "null-problem",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):

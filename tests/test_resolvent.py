@@ -39,6 +39,15 @@ def test_causal_impulse_response_scalar():
     assert equation_residual(u, a, impulse(-1, [1.0]), 1.0) <= SERIES_SLACK
 
 
+def test_causal_output_window():
+    # f has nonzero first and last rows: the output runs one row past hi + tail_cut
+    rng = np.random.default_rng(23)
+    plan = ResolventPlan(BoundedOperator([[0.9]]), 1.0, "causal")
+    f = random_sequence(rng, 1, -5, 63)
+    u = apply_resolvent_causal(plan, f)
+    assert u.window == (-4, 63 + plan.tail_cut + 1)
+
+
 def test_causal_zero_forcing():
     plan = ResolventPlan(BoundedOperator([[0.5]]), 1.0, "causal")
     assert apply_resolvent_causal(plan, zero_sequence(1)).is_zero
@@ -104,6 +113,22 @@ def test_split_anticausal_branch_closed_form():
     for n in range(0, 10):
         assert np.linalg.norm(u.at(n)) <= 1e-14
     assert equation_residual(u, a, f, 1.0) <= SERIES_SLACK
+
+
+def test_split_anticausal_cut_counts_oblique_projection():
+    # eigenvectors 1e-3 apart make ||Q|| ~ 1e3; the anticausal cut must
+    # still keep its end rows below SERIES_TOL ||f||, like the causal cut
+    angle = 1e-3
+    s = np.array([[1.0, np.cos(angle)], [0.0, np.sin(angle)]])
+    a = BoundedOperator(s @ np.diag([0.5, 2.0]) @ np.linalg.inv(s))
+    plan = ResolventPlan(a, 1.0, "split")
+    assert np.linalg.norm(plan.split.proj_unstable, 2) > 999.0
+    f = random_sequence(np.random.default_rng(29), 2, 0, 39)
+    u = apply_resolvent_split(plan, f)
+    bound = resolvent.SERIES_TOL * weighted_norm(f, Weight(1.0, 2.0))
+    assert np.linalg.norm(u.values[0]) <= bound
+    assert np.linalg.norm(u.values[-1]) <= bound
+    assert equation_residual(u, a, f, 1.0) <= SERIES_SLACK * weighted_norm(f, Weight(1.0, 2.0))
 
 
 def test_split_stable_branch_reduces_to_causal():

@@ -1,4 +1,5 @@
 import csv
+import json
 import pathlib
 import runpy
 
@@ -25,3 +26,28 @@ def test_manifold_demo_sweeps_every_point(tmp_path, capsys):
     assert len(rows) == 5
     assert all(row["error"] == "" for row in rows)
     assert "table written to" in capsys.readouterr().out
+
+
+def test_compare_outputs_aligns_windows_and_columns():
+    # the full run (90 CLI jobs on two trees) takes about a minute, so only
+    # the comparison of one pair of outputs runs here
+    script = runpy.run_path(str(SCRIPTS / "compare_outputs.py"), run_name="not_main")
+    report = script["KindReport"]()
+    old = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]], [[2.0], [0.0]]]}
+    new = {"dim": 1, "lo": -1, "values": [[[3e-13], [0.0]], [[1.0], [0.0]], [[2.0], [0.5]]]}
+    report.compare(
+        "job",
+        json.dumps({"residual": 1e-13, "solution": old}).encode(),
+        json.dumps({"residual": 1e-13, "solution": new}).encode(),
+    )
+    assert dict(report.deviation) == {"solution": 0.5}
+    assert report.relative["solution"] == 0.25
+    assert report.windows == [
+        "job solution: window [0, 1] -> [-1, 1], largest entry outside the shared window 3e-13"
+    ]
+    header = "xi_0_re,eta_0_re,eta_1_re,error\n"
+    report.compare("job", (header + "1.0,nan,0.25,\n").encode(), (header + "1.0,nan,0.5,\n").encode())
+    assert report.deviation["eta_*_re"] == 0.25
+    assert not report.unmatched
+    report.compare("job", (header + "1.0,nan,0.25,\n").encode(), (header + "1.0,0.0,0.25,x\n").encode())
+    assert report.unmatched == {"eta_*_re", "error"}
