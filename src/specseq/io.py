@@ -3,11 +3,15 @@
 Matrices:    {"dim": d, "re": [[..]], "im": [[..]]}        ("im" optional on input)
 Vectors:     {"dim": d, "re": [..], "im": [..]}
 Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
-             one [re-components, im-components] pair per index from lo
+             one [re-components, im-components] pair per index from lo;
+             every pair must have d components (checked before any array
+             is allocated)
 Circle data: {"rho": r, "n_samples": N, "samples": [...as vectors...]}
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.
+Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizon"?}
+             a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000].
 Sequence CSV rows: (n, component, re, im).
 """
 
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import InputError
 from .manifold import ManifoldProblem
 from .operators import BoundedOperator
-from .sequences import WindowedSequence
+from .sequences import WindowedSequence, zero_sequence
 from .solver import StencilMap
 from .ztransform import CircleFunction
 
@@ -51,10 +55,11 @@ def _require(obj, key, context):
 
 
 def _parse(convert, value, what):
-    """``convert(value)``, with a malformed value raised as InputError."""
+    """``convert(value)``, with a malformed or unrepresentable value raised
+    as InputError."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise InputError(f"{what} is malformed: {exc}") from exc
 
 
@@ -107,7 +112,7 @@ def sequence_from_json(obj, context="sequence") -> WindowedSequence:
     raw = _require(obj, "values", context)
     if not isinstance(raw, list):
         raise InputError(f"{context} values must be a list")
-    vals = np.zeros((max(len(raw), 1), dim), dtype=np.complex128)
+    rows = []
     for i, pair in enumerate(raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"{context} values must be [re, im] component pairs")
@@ -115,8 +120,10 @@ def sequence_from_json(obj, context="sequence") -> WindowedSequence:
         im = _floats(pair[1], f"{context} entry {i}").reshape(-1)
         if re.size != dim or im.size != dim:
             raise InputError(f"{context} entry {i} must have {dim} components")
-        vals[i] = re + 1j * im
-    return WindowedSequence(lo, vals)
+        rows.append(re + 1j * im)
+    if not rows:  # no entry fixes the width: the zero sequence of dimension dim
+        return _parse(zero_sequence, dim, f"{context} dim")
+    return WindowedSequence(lo, np.array(rows))
 
 
 def sequence_to_json(u: WindowedSequence) -> dict:

@@ -15,6 +15,12 @@ escape along the unstable range.
 Infinite sums are truncated at certified lengths; ell_2 membership is
 reported as tail-decay evidence, never as exact membership (a finite
 window cannot certify an infinite sum).
+
+The map is the same for every ``xi``, so a grid of G vectors is one
+fixed-point problem with G columns: its state holds the rows ``[0, horizon]``
+of every orbit side by side, ``(horizon + 1, G, d)``, and a row stops
+iterating once it converges.  A single point is the case G = 1 of the same
+code.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from .operators import (
     is_hyperbolic,
     spectral_radius,
 )
-from .resolvent import SERIES_TOL, ResolventPlan, apply_resolvent_split, linear_recurrence
-from .sequences import Weight, WindowedSequence, impulse, truncate
-from .solver import StencilMap, check_iteration_limits, fixed_point, solve_ivp
+from .resolvent import SERIES_TOL, TAIL_CAP, ResolventPlan, apply_resolvent_window
+from .sequences import Weight, WindowedSequence
+from .solver import StencilMap, check_iteration_limits, fixed_point, forward_orbit
 
 
 @dataclass
@@ -53,6 +59,8 @@ class ManifoldProblem:
     weight of the outer solution operator (any value above ``r(A)`` gives
     the same projections, so the default just steps past the radius).
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
+    A supplied ``horizon`` must lie in ``[0, TAIL_CAP]``; by default it is
+    twice the certified decay length of the stable range, within [32, 1024].
     """
 
     A: BoundedOperator
@@ -65,8 +73,8 @@ class ManifoldProblem:
 
     def __post_init__(self):
         check_iteration_limits(self.fp_tol, self.max_iter)
-        if self.horizon is not None and self.horizon < 0:
-            raise InputError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.horizon is not None and not 0 <= self.horizon <= TAIL_CAP:
+            raise InputError(f"horizon must lie in [0, {TAIL_CAP}], got {self.horizon}")
         is_hyperbolic(self.A)
         if not self.F.causal:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
@@ -129,66 +137,42 @@ class ManifoldPoint:
 def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence:
     """One application of the cut-off resolvent map at weight 1.
 
-    Contraction in ``u`` with factor at most ``M_1 * |F|_Lip``; the cutoff
-    to nonnegative indices and the horizon truncation are norm-nonexpansive.
+    The map acts on sequences over ``[0, horizon]``, the space the iteration
+    lives in, so ``u`` is read there.  Contraction in ``u`` with factor at
+    most ``M_1 * |F|_Lip``; the cutoff to nonnegative indices and the
+    horizon truncation are norm-nonexpansive.
     """
     xi = prob.check_stable_range(xi)
-    g = prob.F.apply(u) + impulse(-1, xi)
-    v = apply_resolvent_split(prob.plan, g)
-    return truncate(v, 0, prob.horizon)
+    return WindowedSequence(0, _lp_image(prob, xi[None], u.dense(0, prob.horizon)[:, None])[:, 0])
 
 
-def _linear_profile(prob: ManifoldProblem, xi: np.ndarray) -> WindowedSequence:
-    # u_n = A^n xi on [0, horizon]: the recurrence driven by g_0 = xi alone.
-    g = np.zeros((prob.horizon + 1, prob.A.dim), dtype=np.complex128)
-    g[0] = xi
-    return WindowedSequence(0, linear_recurrence(prob.A.entries, g))
+def _lp_image(prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Rows [0, horizon] of (tau - A)^{-1} (F(u) + delta_{-1} xi) for the
+    # columns of u, (horizon + 1, G, d), and xis, (G, d); they read the
+    # data on [-1, horizon].
+    h = prob.horizon
+    g = np.concatenate([xis[None], prob.F.apply_rows(u, 0, 0, h)])
+    return apply_resolvent_window(prob.plan, g, -1, 0, h)
 
 
-def _characterization_defects(prob: ManifoldProblem, xi, u: WindowedSequence):
+def _linear_profile(prob: ManifoldProblem, xis: np.ndarray) -> np.ndarray:
+    # u_n = (PAP)^n xi, which is A^n xi for xi in range(P), on [0, horizon]:
+    # the image of delta_{-1} xi alone.  Unlike A, PAP does not amplify the
+    # roundoff part of xi in range(Q), which overflows on long horizons.
+    return apply_resolvent_window(prob.plan, xis[None], -1, 0, prob.horizon)
+
+
+def _characterization_defects(prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray):
     # On [0, horizon], P u and Q u must match the P- and Q-parts of
     # (tau - A)^{-1} (F(u) + delta_{-1} xi): the causal sum
     # (PAP)^n xi + sum_{k<n} (PAP)^{n-1-k} P F(u)_k and the anticausal sum
-    # -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k.
-    v = apply_resolvent_split(prob.plan, prob.F.apply(u) + impulse(-1, xi))
-    diff = (u - v).dense(0, prob.horizon)
+    # -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k.  One largest defect per column.
+    diff = u - _lp_image(prob, xis, u)
+    rows = diff.reshape(-1, diff.shape[-1])
     split = prob.split
-    defect_p = float(np.max(np.linalg.norm(diff @ split.proj_stable.T, axis=1)))
-    defect_q = float(np.max(np.linalg.norm(diff @ split.proj_unstable.T, axis=1)))
-    return defect_p, defect_q
-
-
-def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
-    """Fixed point ``T(xi)`` of the cut-off map, with identity certification.
-
-    Starts from the linear profile ``A^n xi`` on Z_{>=0} (already exact for
-    F = 0) and iterates to ``fp_tol`` in the ell_2 norm.  The converged
-    orbit is certified against both characterization sums to
-    ``10 * fp_tol``.
-    """
-    xi = prob.check_stable_range(xi)
-    report = fixed_point(
-        lambda u: lp_apply(prob, xi, u),
-        _linear_profile(prob, xi),
-        Weight(1.0, 2.0),
-        prob.fp_tol,
-        prob.max_iter,
-    )
-    u = report.solution
-    defect_p, defect_q = _characterization_defects(prob, xi, u)
-    bound = 10.0 * prob.fp_tol
-    if max(defect_p, defect_q) > bound:
-        raise InternalInconsistency(
-            f"characterization sums defect {max(defect_p, defect_q):.3e} above {bound:.3e}"
-        )
-    return ManifoldPoint(
-        xi=xi,
-        eta=prob.split.proj_unstable @ u.at(0),
-        orbit=u,
-        decay_rate_estimate=_decay_rate(u),
-        iterations=report.iterations,
-        residual=report.final_residual,
-        contraction_estimate=report.contraction_estimate,
+    return tuple(
+        np.max(np.linalg.norm((rows @ proj.T).reshape(diff.shape), axis=-1), axis=0)
+        for proj in (split.proj_stable, split.proj_unstable)
     )
 
 
@@ -217,32 +201,97 @@ def _forward_agreement_window(prob: ManifoldProblem, residual: float) -> int:
     return max(1, min(prob.horizon, n))
 
 
+def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) -> list:
+    """Certified fixed points ``T(xi)`` for the stable-range rows of ``xis``.
+
+    One stacked iteration runs every row from its linear profile to
+    ``fp_tol``.  Each converged orbit is certified against both
+    characterization sums to ``10 * fp_tol``; with ``check_orbit`` the
+    forward solution through ``xi + eta`` must also reproduce it on the
+    error-safe prefix (computed only that far) and the orbit must carry
+    ell_2 tail-decay evidence.  Returns one entry per row: its
+    :class:`ManifoldPoint`, or the typed error that stopped that row.
+    """
+    h = prob.horizon
+    stack = fixed_point(
+        lambda u, cols: _lp_image(prob, xis[cols], u),
+        _linear_profile(prob, xis),
+        0,
+        Weight(1.0, 2.0),
+        prob.fp_tol,
+        prob.max_iter,
+    )
+    results = list(stack.errors)
+    ok = np.flatnonzero([e is None for e in results])
+    if not ok.size:
+        return results
+    u = stack.solution if ok.size == len(results) else stack.solution[:, ok]
+    defect = np.maximum(*_characterization_defects(prob, xis[ok], u))
+    etas = u[0] @ prob.split.proj_unstable.T
+    if check_orbit:
+        n_cmp = np.array([_forward_agreement_window(prob, stack.residual[c]) for c in ok])
+        fwd = forward_orbit(prob.A, prob.F, xis[ok] + etas, int(np.max(n_cmp)))
+        dist = np.linalg.norm(fwd - u[: len(fwd)], axis=-1)
+        in_window = np.arange(len(fwd))[:, None] <= n_cmp
+        dev = np.max(np.where(in_window, dist, 0.0), axis=0)
+        mags = np.linalg.norm(u, axis=-1) ** 2
+        total, tail = np.sum(mags, axis=0), np.sum(mags[h // 2 :], axis=0)
+    bound = 10.0 * prob.fp_tol
+    for j, c in enumerate(ok):
+        if defect[j] > bound:
+            results[c] = InternalInconsistency(
+                f"characterization sums defect {defect[j]:.3e} above {bound:.3e}"
+            )
+        elif check_orbit and dev[j] > 1e-8:
+            results[c] = InternalInconsistency(
+                f"forward orbit deviates by {dev[j]:.3e} from the fixed point on [0, {n_cmp[j]}]"
+            )
+        elif check_orbit and total[j] > 0.0 and tail[j] > 1e-6 * total[j]:
+            results[c] = InternalInconsistency(
+                f"orbit tail mass {tail[j]:.3e} exceeds decay evidence threshold"
+            )
+        else:
+            orbit = WindowedSequence(0, u[:, j])
+            results[c] = ManifoldPoint(
+                xi=xis[c],
+                eta=etas[j],
+                orbit=orbit,
+                decay_rate_estimate=_decay_rate(orbit),
+                iterations=int(stack.iterations[c]),
+                residual=float(stack.residual[c]),
+                contraction_estimate=float(stack.contraction_estimate[c]),
+            )
+    return results
+
+
+def _one_point(prob: ManifoldProblem, xi, check_orbit: bool) -> ManifoldPoint:
+    xi = prob.check_stable_range(xi)
+    result = _manifold_points(prob, xi[None], check_orbit)[0]
+    if not isinstance(result, ManifoldPoint):
+        raise result
+    return result
+
+
+def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
+    """Fixed point ``T(xi)`` of the cut-off map, with identity certification.
+
+    Starts from the linear profile ``(PAP)^n xi = A^n xi`` on Z_{>=0}
+    (already exact for F = 0) and iterates to ``fp_tol`` in the ell_2
+    norm.  The converged orbit is certified against both characterization
+    sums to ``10 * fp_tol``.  This is the one-row case of the stacked sweep.
+    """
+    return _one_point(prob, xi, check_orbit=False)
+
+
 def stable_manifold_point(prob: ManifoldProblem, xi) -> tuple[np.ndarray, ManifoldPoint]:
     """Graph value ``eta = w_s(xi)`` plus the converged orbit.
 
     Verifies that the forward solution through ``xi + eta`` reproduces the
     fixed-point orbit on the error-safe prefix and that the orbit carries
-    ell_2 tail-decay evidence.
+    ell_2 tail-decay evidence.  This is the one-row case of the stacked
+    sweep.
     """
-    point = lp_fixed_point(prob, xi)
-    x = point.xi + point.eta
-    fwd = solve_ivp(prob.A, prob.F, x, prob.horizon, method="recursion")
-    n_cmp = _forward_agreement_window(prob, point.residual)
-    dev = 0.0
-    for n in range(n_cmp + 1):
-        dev = max(dev, float(np.linalg.norm(fwd.at(n) - point.orbit.at(n))))
-    if dev > 1e-8:
-        raise InternalInconsistency(
-            f"forward orbit deviates by {dev:.3e} from the fixed point on [0, {n_cmp}]"
-        )
-    mags = np.linalg.norm(point.orbit.dense(0, prob.horizon), axis=1) ** 2
-    total = float(np.sum(mags))
-    if total > 0.0:
-        tail = float(np.sum(mags[prob.horizon // 2 :]))
-        if tail > 1e-6 * total:
-            raise InternalInconsistency(
-                f"orbit tail mass {tail:.3e} exceeds decay evidence threshold"
-            )
+    point = _one_point(prob, xi, check_orbit=True)
     return point.eta, point
 
 
@@ -259,39 +308,66 @@ class SweepRow:
     error: str | None = None
 
 
+def _block_points(prob: ManifoldProblem, xis: np.ndarray) -> list:
+    try:
+        return _manifold_points(prob, xis, check_orbit=True)
+    except Exception as exc:  # not attributable to one row: run the rows alone
+        if len(xis) == 1:
+            return [exc]
+        return [result for xi in xis for result in _block_points(prob, xi[None])]
+
+
 def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     """Tabulate ``(xi, eta, decay rate)`` over a grid of stable-range vectors.
 
-    Rows are independent; per-row failures are recorded in the ``error``
-    field and the sweep continues.  Output order follows the grid.
+    The grid is one stacked Lyapunov-Perron iteration, with the same checks
+    per row as :func:`stable_manifold_point`: rows converge and stop
+    independently.  Rows go in blocks of ``max(1, 2**14 // ((horizon + 1) d))``,
+    so a stacked array holds about 2**14 complex entries (or one row) as
+    the node blocks of :func:`~specseq.operators.circle_resolvents` do,
+    which bounds peak memory whatever the grid size.  Rows are independent;
+    per-row failures (a vector off the stable range, no convergence, a
+    failed certificate, a non-finite iterate) are recorded in the ``error``
+    field with the same code and message as a one-row run, and the other
+    rows are unaffected.  Output order follows the grid.
     """
     grid = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in xi_grid]
-
-    def run(item):
-        i, xi = item
+    results: list = [None] * len(grid)
+    valid = []
+    for i, xi in enumerate(grid):
         try:
-            eta, point = stable_manifold_point(prob, xi)
-            return SweepRow(
-                index=i,
-                xi=xi,
-                eta=eta,
-                decay_rate=point.decay_rate_estimate,
-                iterations=point.iterations,
-                residual=point.residual,
-            )
+            prob.check_stable_range(xi)
+            valid.append(i)
         except Exception as exc:  # per-row isolation
-            code = getattr(exc, "code", "error")
-            return SweepRow(
-                index=i,
-                xi=xi,
-                eta=None,
-                decay_rate=float("nan"),
-                iterations=0,
-                residual=float("nan"),
-                error=f"{code}: {exc}",
-            )
+            results[i] = exc
+    block = max(1, 2**14 // ((prob.horizon + 1) * prob.A.dim))
+    for start in range(0, len(valid), block):
+        rows = valid[start : start + block]
+        for i, result in zip(rows, _block_points(prob, np.array([grid[i] for i in rows]))):
+            results[i] = result
+    return [_sweep_row(i, xi, result) for i, (xi, result) in enumerate(zip(grid, results))]
 
-    return [run(item) for item in enumerate(grid)]
+
+def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
+    if isinstance(result, ManifoldPoint):
+        return SweepRow(
+            index=index,
+            xi=xi,
+            eta=result.eta,
+            decay_rate=result.decay_rate_estimate,
+            iterations=result.iterations,
+            residual=result.residual,
+        )
+    code = getattr(result, "code", "error")
+    return SweepRow(
+        index=index,
+        xi=xi,
+        eta=None,
+        decay_rate=float("nan"),
+        iterations=0,
+        residual=float("nan"),
+        error=f"{code}: {result}",
+    )
 
 
 def spectrum_escape_check(A: BoundedOperator, x, horizon: int = 50) -> bool:

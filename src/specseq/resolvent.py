@@ -17,6 +17,11 @@ Infinite tails are truncated at a certified length: each cut is the first
 ``K`` with ``||M^K|| w^K <= SERIES_TOL`` for the matrix ``M`` that acts on
 ``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with ``w = rho``), so
 every dropped power bounds its terms relative to ``||f||_{2,rho}``.
+
+The time-domain routes share one array-level application,
+:func:`apply_resolvent_window`, which fills only a requested output window
+and accepts a column axis, so many right-hand sides run through one
+recurrence.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .operators import (
 from .sequences import (
     Weight,
     WindowedSequence,
+    dense_rows,
     impulse,
     shift,
     support_subset_geq,
@@ -56,7 +62,8 @@ from .ztransform import CircleFunction, inverse_ztransform, next_pow2, ztransfor
 #: Target size for truncated series tails, in the weighted norm.
 SERIES_TOL = 1e-12
 
-_TAIL_CAP = 20000
+#: Longest certified series tail, in terms; also the longest manifold horizon.
+TAIL_CAP = 20000
 
 _MODES = ("causal", "split", "frequency")
 
@@ -65,7 +72,7 @@ def _decay_steps(mat: np.ndarray, weight: float) -> int:
     """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs).
 
     As ``||mat^K|| >= r(mat)^K``, a rate ``r(mat) * weight`` too slow for
-    ``_TAIL_CAP`` steps raises before any power is formed.
+    ``TAIL_CAP`` steps raises before any power is formed.
     """
     if mat.size == 0:
         return 0
@@ -73,15 +80,15 @@ def _decay_steps(mat: np.ndarray, weight: float) -> int:
     log_w = math.log(weight)
     radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
     rate = math.log(radius) + log_w if radius > 0.0 else -math.inf
-    if rate < 0.0 and log_tol / rate <= _TAIL_CAP:
+    if rate < 0.0 and log_tol / rate <= TAIL_CAP:
         power = mat.copy()
-        for k in range(1, _TAIL_CAP + 1):
+        for k in range(1, TAIL_CAP + 1):
             nrm = operator_norm(power)
             if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
                 return k
             power = power @ mat
     raise PreconditionViolation(
-        f"series tail cut exceeded {_TAIL_CAP} terms; the spectral gap is too small"
+        f"series tail cut exceeded {TAIL_CAP} terms; the spectral gap is too small"
     )
 
 
@@ -92,16 +99,20 @@ def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np
     ``s_{k+1} = sum_{j <= k} M^{k-j} g_j``.  In reverse,
     ``s_k = M (s_{k+1} - g_k)`` from ``s_K = 0`` with ``K = len(g)`` and row
     ``k`` is ``s_k = -sum_{j >= k} M^{j-k+1} g_j``.
+
+    ``g`` is ``(K, d)`` or carries a column axis, ``(K, G, d)``: each column
+    runs the same recurrence, ``M`` acting on the component axis.
     """
     out = np.empty(g.shape, dtype=np.complex128)
-    state = np.zeros(g.shape[1], dtype=np.complex128)
+    state = np.zeros(g.shape[1:], dtype=np.complex128)
+    mt = M.T  # s @ M.T is M s on the last axis, one product for all columns
     if reverse:
         for k in range(len(g) - 1, -1, -1):
-            state = M @ (state - g[k])
+            state = (state - g[k]) @ mt
             out[k] = state
     else:
         for k in range(len(g)):
-            state = M @ state + g[k]
+            state = state @ mt + g[k]
             out[k] = state
     return out
 
@@ -117,8 +128,12 @@ class ResolventPlan:
     route; in mode "split" it is the longer of the causal cut (through
     ``PAP``) and the anticausal cut (through ``M_Q``), both bounding the
     dropped terms relative to ``||f||_{2,rho}``.  A spectral gap
-    so small that the certified length would exceed ``_TAIL_CAP`` terms
+    so small that the certified length would exceed ``TAIL_CAP`` terms
     raises ``PreconditionViolation``.
+
+    The time-domain modes carry their branches: a causal branch
+    ``(M, projection or None, tail)`` and, in mode "split", an anticausal
+    branch ``(M_Q, tail)``; a branch on a zero-rank range is ``None``.
     """
 
     A: BoundedOperator
@@ -134,6 +149,7 @@ class ResolventPlan:
             raise InputError(f"rho must be positive and finite, got {self.rho!r}")
         moduli = np.abs(self.A.eigenvalues)
         radius = spectral_radius(self.A)
+        self._causal = self._anticausal = None
         if self.mode == "causal":
             if self.rho <= radius + GAP_TOL:
                 raise NotCausalRegime(
@@ -141,6 +157,7 @@ class ResolventPlan:
                     f"rho = {self.rho}, r(A) = {radius}"
                 )
             self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho)
+            self._causal = (self.A.entries, None, self.tail_cut)
             return
 
         if float(np.min(np.abs(moduli - self.rho))) <= GAP_TOL:
@@ -157,21 +174,21 @@ class ResolventPlan:
         split = self.split
         p, q = split.proj_stable, split.proj_unstable
         a = self.A.entries
-        self._pap = p @ a @ p
-        self._tail_p = _decay_steps(self._pap, 1.0 / self.rho) if split.rank_stable else 0
+        if split.rank_stable:
+            pap = p @ a @ p
+            self._causal = (pap, p, _decay_steps(pap, 1.0 / self.rho))
         if split.rank_unstable:
             # M_Q = (QAQ + P)^{-1} Q: A^{-1} on range(Q), zero on range(P)
             try:
-                self._mq = np.linalg.solve(q @ a @ q + p, q)
+                mq = np.linalg.solve(q @ a @ q + p, q)
             except np.linalg.LinAlgError as exc:
                 raise InternalInconsistency(
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._tail_q = _decay_steps(self._mq, self.rho)
-        else:
-            self._tail_q = 0
-        self.tail_cut = max(self._tail_p, self._tail_q, 1)
+            self._anticausal = (mq, _decay_steps(mq, self.rho))
+        branches = (self._causal, self._anticausal)
+        self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
 
     def _prepare_frequency(self, moduli):
         inside = moduli[moduli < self.rho]
@@ -190,6 +207,62 @@ class ResolventPlan:
         return self.rho > spectral_radius(self.A) + GAP_TOL
 
 
+def apply_resolvent_window(
+    plan: ResolventPlan, f: np.ndarray, lo: int, out_lo: int, out_hi: int
+) -> np.ndarray:
+    """Rows ``[out_lo, out_hi]`` of ``(tau - A)^{-1} f`` in mode "causal" or "split".
+
+    ``f`` holds the rows ``f_lo, f_{lo+1}, ...`` of the data (zero
+    elsewhere), each a vector or, with a column axis, a ``(G, d)`` stack.
+    The causal branch ``u_n = sum_{k <= n-1} M^{n-1-k} P f_k`` runs forward
+    from ``lo`` only up to ``out_hi``; the anticausal branch
+    ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` runs backward from the last row of
+    ``f`` only down to ``out_lo``.  Each row equals the same row of the
+    full-window application: the causal branch ends ``tail_cut`` rows past
+    the support of ``f`` (of all columns together) and the anticausal
+    branch starts ``tail_cut`` rows before it.
+    """
+    if plan.mode == "frequency":
+        raise InputError("plan mode is 'frequency', expected 'causal' or 'split'")
+    out = np.zeros((out_hi - out_lo + 1,) + f.shape[1:], dtype=np.complex128)
+    support = np.flatnonzero(np.any(f.reshape(len(f), -1) != 0, axis=1))
+    if not support.size:
+        return out
+    f = f[support[0] : support[-1] + 1]
+    lo, hi = lo + int(support[0]), lo + int(support[-1])
+    # Each branch's rows are added as soon as they are computed, so at most
+    # one branch's rows are held at a time.
+    if plan._anticausal is not None:
+        mat, tail = plan._anticausal
+        # row n reads f_k for k >= n: run the rows hi down to start
+        start, end = max(out_lo, lo - tail), min(out_hi, hi)
+        if start <= end:
+            g = dense_rows(f, lo, start, hi)
+            out[start - out_lo : end - out_lo + 1] += linear_recurrence(mat, g, reverse=True)[
+                : end - start + 1
+            ]
+    if plan._causal is not None:
+        mat, proj, tail = plan._causal
+        # row n reads f_k for k <= n - 1: run the rows lo .. end - 1
+        start, end = max(out_lo, lo + 1), min(out_hi, hi + tail + 1)
+        if start <= end:
+            if proj is not None:  # one product over all rows and columns
+                f = (f.reshape(-1, f.shape[-1]) @ proj.T).reshape(f.shape)
+            g = dense_rows(f, lo, lo, end - 1)
+            out[start - out_lo : end - out_lo + 1] += linear_recurrence(mat, g)[start - lo - 1 :]
+    return out
+
+
+def _apply_full(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
+    # The whole certified output window of a time-domain plan.
+    if f.is_zero:
+        return zero_sequence(f.dim)
+    causal, anticausal = plan._causal, plan._anticausal  # tails come last
+    out_lo = f.lo - anticausal[-1] if anticausal else f.lo + 1
+    out_hi = f.hi + causal[-1] + 1 if causal else f.hi
+    return WindowedSequence(out_lo, apply_resolvent_window(plan, f.values, f.lo, out_lo, out_hi))
+
+
 def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
     """Causal convolution ``u_n = sum_{k <= n-1} A^{n-1-k} f_k``.
 
@@ -198,22 +271,7 @@ def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> Windowed
     """
     if plan.mode != "causal":
         raise InputError(f"plan mode is {plan.mode!r}, expected 'causal'")
-    return _causal_branch(plan.A.entries, f, plan.tail_cut)
-
-
-def _causal_branch(mat: np.ndarray, f: WindowedSequence, tail: int) -> WindowedSequence:
-    # u_{n+1} = M u_n + f_n from u_lo = 0, run tail steps past hi(f).
-    if f.is_zero:
-        return zero_sequence(f.dim)
-    g = np.concatenate([f.values, np.zeros((tail, f.dim), dtype=np.complex128)])
-    return WindowedSequence(f.lo + 1, linear_recurrence(mat, g))
-
-
-def _anticausal_branch(mat: np.ndarray, f: WindowedSequence, tail: int) -> WindowedSequence:
-    # u_n = -sum_{k >= n} M^{k-n+1} f_k by the backward recurrence
-    # u_n = M (u_{n+1} - f_n), run tail steps below lo(f).
-    g = np.concatenate([np.zeros((tail, f.dim), dtype=np.complex128), f.values])
-    return WindowedSequence(f.lo - tail, linear_recurrence(mat, g, reverse=True))
+    return _apply_full(plan, f)
 
 
 def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
@@ -221,20 +279,12 @@ def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedS
 
     ``u = (tau - PAP)^{-1} P f + (tau - QAQ)^{-1} Q f`` with the causal
     branch on range(P) and the anticausal branch, ``M_Q`` applied to the
-    unprojected ``f``, on range(Q).
+    unprojected ``f``, on range(Q); the full-window case of
+    :func:`apply_resolvent_window`.
     """
     if plan.mode != "split":
         raise InputError(f"plan mode is {plan.mode!r}, expected 'split'")
-    if f.is_zero:
-        return zero_sequence(f.dim)
-    split = plan.split
-    out = zero_sequence(f.dim)
-    if split.rank_stable > 0:
-        pf = f.apply_matrix(split.proj_stable)
-        out = out + _causal_branch(plan._pap, pf, plan._tail_p)
-    if split.rank_unstable > 0:
-        out = out + _anticausal_branch(plan._mq, f, plan._tail_q)
-    return out
+    return _apply_full(plan, f)
 
 
 def apply_resolvent_frequency(

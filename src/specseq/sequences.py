@@ -106,15 +106,11 @@ class WindowedSequence:
         return np.zeros(self.dim, dtype=np.complex128)
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
-        """Entries over ``[lo, hi]`` as a zero-padded ``(hi-lo+1, dim)`` array."""
+        """Entries over ``[lo, hi]`` as a zero-padded ``(hi-lo+1, dim)`` array,
+        read-only when the window lies inside the stored one."""
         if hi < lo:
             raise InputError("dense window is empty")
-        out = np.zeros((hi - lo + 1, self.dim), dtype=np.complex128)
-        a = max(lo, self.lo)
-        b = min(hi, self.hi)
-        if a <= b:
-            out[a - lo : b - lo + 1] = self.values[a - self.lo : b - self.lo + 1]
-        return out
+        return dense_rows(self.values, self.lo, lo, hi)
 
     def apply_matrix(self, mat: np.ndarray) -> "WindowedSequence":
         """Pointwise image ``(M u_k)_k`` under a d x d matrix."""
@@ -177,6 +173,46 @@ def shift(u: WindowedSequence, n: int) -> WindowedSequence:
     return WindowedSequence(u.lo - int(n), u.values)
 
 
+def dense_rows(vals: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
+    """Rows ``[a, b]`` of the sequence whose rows from index ``lo`` are ``vals``.
+
+    Rows outside ``vals`` are zero.  ``vals`` is ``(width, d)`` or carries a
+    column axis, ``(width, G, d)``.  The result is a view of ``vals`` when
+    ``[a, b]`` lies inside it, else a zero-padded copy.
+    """
+    if lo <= a and b < lo + len(vals):
+        return vals[a - lo : b - lo + 1]
+    out = np.zeros((b - a + 1,) + vals.shape[1:], dtype=np.complex128)
+    s = max(a, lo)
+    e = min(b, lo + len(vals) - 1)
+    if s <= e:
+        out[s - a : e - a + 1] = vals[s - lo : e - lo + 1]
+    return out
+
+
+def column_norms(vals: np.ndarray, lo: int, w: Weight) -> np.ndarray:
+    """The ell_{p,rho} norm of each column of rows ``vals`` from index ``lo``.
+
+    ``vals`` is ``(width, G, d)`` (or ``(width, d)`` for a single sequence,
+    giving a 0-d result).  Zero rows at either end are skipped, so zero
+    padding does not change the rounding.  Never raises: an overflow or a
+    non-finite entry gives a non-finite norm.
+    """
+    with np.errstate(all="ignore"):
+        mags = np.linalg.norm(vals, axis=-1)
+        rows = np.flatnonzero(mags.reshape(len(mags), -1).any(axis=1))
+        if rows.size:
+            mags = mags[rows[0] : rows[-1] + 1]
+            lo += int(rows[0])
+        k = np.arange(lo, lo + len(mags), dtype=np.float64)
+        weighted = mags * np.power(w.rho, -k).reshape((-1,) + (1,) * (mags.ndim - 1))
+        if w.p == math.inf:
+            return np.max(weighted, axis=0)
+        if w.p == 1.0:
+            return np.sum(weighted, axis=0)
+        return np.sqrt(np.sum(weighted * weighted, axis=0))
+
+
 def weighted_norm(u: WindowedSequence, w: Weight) -> float:
     """The ell_{p,rho} norm of ``u``.
 
@@ -186,16 +222,7 @@ def weighted_norm(u: WindowedSequence, w: Weight) -> float:
         If the weighted sum overflows (extreme windows or weights); an
         overflow never silently returns Inf.
     """
-    k = np.arange(u.lo, u.hi + 1, dtype=np.float64)
-    mags = np.linalg.norm(u.values, axis=1)
-    with np.errstate(over="ignore", under="ignore"):
-        weighted = mags * np.power(w.rho, -k)
-        if w.p == math.inf:
-            out = float(np.max(weighted))
-        elif w.p == 1.0:
-            out = float(np.sum(weighted))
-        else:
-            out = float(np.sqrt(np.sum(weighted * weighted)))
+    out = float(column_norms(u.values, u.lo, w))
     if not math.isfinite(out):
         raise NormOverflow(
             f"ell_({w.p},{w.rho}) norm overflowed on window [{u.lo}, {u.hi}]"

@@ -21,6 +21,10 @@ bound (a contraction hypothesis must be checkable, not trusted):
 
 An optional additive ``forcing`` sequence folds affine terms into F; it
 does not change the Lipschitz bound.
+
+Kernels act on rows of component vectors.  Dense inputs may carry a column
+axis, ``(rows, G, d)``: every column is evaluated by the same kernel call,
+so many sequences share one evaluation and one fixed-point loop.
 """
 
 from __future__ import annotations
@@ -37,20 +41,20 @@ from .errors import (
     IndeterminateStability,
     InputError,
     NoConvergence,
+    NormOverflow,
     NotCausalRegime,
     NotContractive,
 )
 from .operators import GAP_TOL, BoundedOperator, circle_sup_resolvent, operator_norm, spectral_radius
-from .resolvent import ResolventPlan, apply_resolvent_causal
+from .resolvent import ResolventPlan, apply_resolvent_window
 from .sequences import (
     Weight,
     WindowedSequence,
-    impulse,
-    shift,
+    column_norms,
+    dense_rows,
     support_subset_geq,
     truncate,
     weighted_norm,
-    zero_sequence,
 )
 
 FP_TOL = 1e-10
@@ -204,18 +208,34 @@ class StencilMap:
 
     def apply(self, u: WindowedSequence) -> WindowedSequence:
         """Evaluate F(u) on its exact output window."""
-        fn, r = _KERNELS[self.kernel]
-        out_lo = u.lo - r
-        args = {j: u.dense(out_lo + j, u.hi + j) for j in range(r + 1)}
-        out = WindowedSequence(out_lo, fn(args, self.params))
+        lo, hi = u.lo - self.lookahead, u.hi
         if self.forcing is not None:
-            out = out + self.forcing
+            lo, hi = min(lo, self.forcing.lo), max(hi, self.forcing.hi)
+        return WindowedSequence(lo, self.apply_rows(u.values, u.lo, lo, hi))
+
+    def apply_rows(self, vals: np.ndarray, lo: int, out_lo: int, out_hi: int) -> np.ndarray:
+        """Rows ``[out_lo, out_hi]`` of F(u) for ``u`` given by the rows ``vals``
+        from index ``lo`` (zero elsewhere).
+
+        ``vals`` is ``(width, d)`` or ``(width, G, d)``; the forcing is added
+        to every column.
+        """
+        fn, r = _KERNELS[self.kernel]
+        args = {j: dense_rows(vals, lo, out_lo + j, out_hi + j) for j in range(r + 1)}
+        shape = args[0].shape
+        out = fn({j: a.reshape(-1, shape[-1]) for j, a in args.items()}, self.params)
+        out = out.reshape(shape)
+        if self.forcing is not None:
+            forcing = dense_rows(self.forcing.values, self.forcing.lo, out_lo, out_hi)
+            out = out + forcing.reshape((len(out),) + (1,) * (out.ndim - 2) + forcing.shape[1:])
         return out
 
 
 def _causal_row(F: StencilMap, n: int, row: np.ndarray) -> np.ndarray:
-    """Entry F(u)_n of a causal stencil, which reads only ``u_n = row``."""
-    val = _KERNELS[F.kernel][0]({0: row.reshape(1, -1)}, F.params)[0]
+    """Entry F(u)_n of a causal stencil, which reads only ``u_n = row``
+    (a vector, or a ``(G, d)`` stack of them)."""
+    val = _KERNELS[F.kernel][0]({0: row.reshape(-1, row.shape[-1])}, F.params)
+    val = val.reshape(row.shape)
     if F.forcing is not None:
         val = val + F.forcing.at(n)
     return val
@@ -254,6 +274,24 @@ class SolveReport:
     converged: bool
 
 
+@dataclass
+class StackedReport:
+    """Outcome of a column-stacked Banach iteration, one entry per column.
+
+    ``solution`` has the shape of the start, ``(rows, G, d)``; ``errors``
+    holds ``None`` for a converged column and otherwise the typed error
+    that stopped it: :class:`NoConvergence`, or :class:`InputError` for a
+    non-finite iterate and :class:`NormOverflow` for an increment whose norm
+    overflows.
+    """
+
+    solution: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    contraction_estimate: np.ndarray
+    errors: list
+
+
 def check_iteration_limits(fp_tol: float, max_iter: int) -> None:
     """Raise :class:`InputError` unless ``fp_tol`` is positive and finite
     and ``max_iter >= 1``."""
@@ -264,35 +302,88 @@ def check_iteration_limits(fp_tol: float, max_iter: int) -> None:
 
 
 def fixed_point(
-    step: Callable[[WindowedSequence], WindowedSequence],
-    u0: WindowedSequence,
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    u0: np.ndarray,
+    lo: int,
     w: Weight,
     fp_tol: float,
     max_iter: int,
-) -> SolveReport:
-    """Banach iteration ``u <- step(u)`` from ``u0``.
+) -> StackedReport:
+    """Banach iteration ``u <- step(u)`` from ``u0``, column by column.
 
-    Stops once consecutive iterates differ by at most ``fp_tol`` in the norm
-    of ``w``.  The contraction estimate is the largest ratio of consecutive
-    increments, counting only increments above the roundoff floor
-    ``max(10 fp_tol, 1e-13 (1 + |u|_w))``.  Raises :class:`NoConvergence`
-    carrying the report when ``max_iter`` steps do not reach ``fp_tol``.
+    ``u0`` holds the rows ``lo, lo + 1, ...`` of G sequences side by side,
+    ``(rows, G, d)``.  ``step(u, cols)`` maps the iterates of the columns
+    ``cols`` (``u`` is ``(rows, len(cols), d)``) to their images.  A column
+    stops, and is no longer stepped, once consecutive iterates differ by at
+    most ``fp_tol`` in the norm of ``w``, or when an iterate is not finite.
+    Its contraction estimate is the largest ratio of consecutive increments,
+    counting only increments above the roundoff floor
+    ``max(10 fp_tol, 1e-13 (1 + |u|_w))``.  A column that does not reach
+    ``fp_tol`` within ``max_iter`` steps records :class:`NoConvergence`.
     """
     check_iteration_limits(fp_tol, max_iter)
-    u = u0
-    deltas: list[float] = []
+    u = np.asarray(u0, dtype=np.complex128)
+    del u0  # held only as u, so it is freed once the first step replaces it
+    cols = u.shape[1]
+    deltas: list[list[float]] = [[] for _ in range(cols)]
+    errors: list = [None] * cols
+    for c in np.flatnonzero(~np.isfinite(u).all(axis=(0, 2))):
+        errors[c] = InputError("sequence contains non-finite entries")
+    active = np.flatnonzero([e is None for e in errors])
     for _ in range(max_iter):
-        v = step(u)
-        deltas.append(weighted_norm(v - u, w))
-        u = v
-        if deltas[-1] <= fp_tol:
+        if not active.size:
             break
-    floor = max(10.0 * fp_tol, 1e-13 * (1.0 + weighted_norm(u, w)))
-    ratios = [b / a for a, b in zip(deltas, deltas[1:]) if a > floor]
-    converged = deltas[-1] <= fp_tol
-    report = SolveReport(u, len(deltas), deltas[-1], max(ratios, default=0.0), converged)
-    if not converged:
-        raise NoConvergence(f"no convergence within {max_iter} iterations", report)
+        current = u if active.size == cols else u[:, active]
+        v = step(current, active)
+        with np.errstate(invalid="ignore", over="ignore"):
+            delta = column_norms(v - current, lo, w)
+        if active.size == cols:
+            u = v
+        else:  # a fresh array: never write into the caller's start
+            u = u.copy()
+            u[:, active] = v
+        for c, dc in zip(active, delta):
+            deltas[c].append(float(dc))
+        finite = np.isfinite(delta)
+        for j in np.flatnonzero(~finite):
+            errors[active[j]] = (
+                NormOverflow(f"ell_({w.p},{w.rho}) norm overflowed on window [{lo}, {lo + len(u) - 1}]")
+                if np.isfinite(v[:, j]).all()
+                else InputError("sequence contains non-finite entries")
+            )
+        active = active[finite & (delta > fp_tol)]
+    for c in active:
+        errors[c] = NoConvergence(f"no convergence within {max_iter} iterations")
+    floors = np.maximum(10.0 * fp_tol, 1e-13 * (1.0 + column_norms(u, lo, w)))
+    estimates = [
+        max([b / a for a, b in zip(d, d[1:]) if a > floor], default=0.0)
+        for d, floor in zip(deltas, floors)
+    ]
+    return StackedReport(
+        u,
+        np.array([len(d) for d in deltas]),
+        np.array([d[-1] if d else math.nan for d in deltas]),
+        np.array(estimates),
+        errors,
+    )
+
+
+def _one_column(stack: StackedReport, lo: int) -> SolveReport:
+    # The report of a one-column iteration; raises the column's error, a
+    # NoConvergence carrying the report.
+    error = stack.errors[0]
+    if error is not None and not isinstance(error, NoConvergence):
+        raise error
+    report = SolveReport(
+        WindowedSequence(lo, stack.solution[:, 0]),
+        int(stack.iterations[0]),
+        float(stack.residual[0]),
+        float(stack.contraction_estimate[0]),
+        error is None,
+    )
+    if error is not None:
+        error.report = report
+        raise error
     return report
 
 
@@ -324,9 +415,16 @@ def solve_contraction(
         raise InputError("solve window is empty")
     if dim is None:
         dim = _infer_dim(F)
-    return fixed_point(
-        lambda u: truncate(shift(F.apply(u), -1), lo, hi), zero_sequence(dim), w, fp_tol, max_iter
+    # rows [lo, hi] of tau^{-1} F(u) are the rows [lo - 1, hi - 1] of F(u)
+    stack = fixed_point(
+        lambda u, cols: F.apply_rows(u, lo, lo - 1, hi - 1),
+        np.zeros((hi - lo + 1, 1, dim), dtype=np.complex128),
+        lo,
+        w,
+        fp_tol,
+        max_iter,
     )
+    return _one_column(stack, lo)
 
 
 def _infer_dim(F: StencilMap) -> int:
@@ -374,18 +472,24 @@ def solve_ivp(
         raise InputError("horizon must be nonnegative")
 
     if method == "recursion":
-        return _ivp_recursion(A, F, x, horizon)
+        return WindowedSequence(0, forward_orbit(A, F, x, horizon))
     if method == "variation_of_constants":
         return _ivp_variation_of_constants(A, F, x, horizon)
     return _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter)
 
 
-def _ivp_recursion(A, F, x, horizon):
-    vals = np.zeros((horizon + 1, A.dim), dtype=np.complex128)
+def forward_orbit(A: BoundedOperator, F: StencilMap, x: np.ndarray, horizon: int) -> np.ndarray:
+    """Rows ``u_0 .. u_horizon`` of ``u_{n+1} = A u_n + F(u)_n`` from ``u_0 = x``.
+
+    ``F`` must be causal.  ``x`` is a vector, or a ``(G, d)`` stack of
+    initial values run side by side.
+    """
+    vals = np.zeros((horizon + 1,) + x.shape, dtype=np.complex128)
     vals[0] = x
+    at = A.entries.T  # v @ A.T is A v for every row of v
     for n in range(horizon):
-        vals[n + 1] = A.entries @ vals[n] + _causal_row(F, n, vals[n])
-    return WindowedSequence(0, vals)
+        vals[n + 1] = vals[n] @ at + _causal_row(F, n, vals[n])
+    return vals
 
 
 def _ivp_variation_of_constants(A, F, x, horizon):
@@ -413,16 +517,17 @@ def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):
             f"impulse-method smallness fails: lip {lip:.6g} >= 1/M_rho = {1.0 / m_rho:.6g}"
         )
     plan = ResolventPlan(A, rho, "causal")
-    pulse = impulse(-1, x)
     cap = horizon + plan.tail_cut
-    report = fixed_point(
-        lambda u: truncate(apply_resolvent_causal(plan, F.apply(u) + pulse), None, cap),
-        zero_sequence(A.dim),
-        Weight(rho, 2.0),
-        fp_tol,
-        max_iter,
+
+    def step(u, cols):
+        # rows [0, cap] of (tau - A)^{-1} (F(u) + delta_{-1} x) read f on [-1, cap - 1]
+        f = np.concatenate([x[None, None], F.apply_rows(u, 0, 0, cap - 1)])
+        return apply_resolvent_window(plan, f, -1, 0, cap)
+
+    stack = fixed_point(
+        step, np.zeros((cap + 1, 1, A.dim), dtype=np.complex128), 0, Weight(rho, 2.0), fp_tol, max_iter
     )
-    return truncate(report.solution, 0, horizon)
+    return truncate(_one_column(stack, 0).solution, 0, horizon)
 
 
 def solve_ivp_all(A, F, x, horizon, rho=None, fp_tol=FP_TOL, max_iter=MAX_ITER):

@@ -345,6 +345,11 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         (ZCHECK, '{"dim": 1, "lo": 1e999, "values": [[[1.0], [0.0]]]}'),
         (MANIFOLD, PROBLEM[:-1] + ', "horizon": 1e999}'),
         (MANIFOLD, PROBLEM[:-1] + ', "max_iter": 1e999}'),
+        # finite but far too large to allocate
+        (ZCHECK, '{"dim": 1e300, "lo": 0, "values": [[[1.0], [0.0]]]}'),
+        (ZCHECK, '{"dim": 1e300, "lo": 0, "values": []}'),
+        (MANIFOLD, PROBLEM[:-1] + ', "horizon": 1e300}'),
+        (MANIFOLD, PROBLEM[:-1] + ', "horizon": 20001}'),
         (ZCHECK, {"dim": 1, "lo": 0, "values": 5}),
         (ZCHECK, {"dim": 1, "lo": 0, "values": None}),
         (MANIFOLD, 5),
@@ -369,6 +374,10 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         "infinite-lo",
         "infinite-horizon",
         "infinite-max-iter",
+        "huge-dim",
+        "huge-dim-no-entries",
+        "huge-horizon",
+        "horizon-above-cap",
         "number-values",
         "null-values",
         "number-problem",

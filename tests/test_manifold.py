@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     AdmissibilityError,
     BoundedOperator,
     ManifoldProblem,
+    circle_sup_resolvent,
     PreconditionViolation,
     RangeViolation,
     Weight,
@@ -14,6 +17,7 @@ from specseq import (
     lp_apply,
     lp_fixed_point,
     manifold_sweep,
+    polynomial_map,
     saturation_map,
     solve_ivp,
     spectrum_escape_check,
@@ -22,7 +26,7 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
-from testutil import matrix_with_moduli, random_sequence
+from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +280,109 @@ def test_lp_contraction_estimate_reported(desk_problem):
     point = lp_fixed_point(desk_problem, np.array([0.2, 0.0]))
     assert point.contraction_estimate <= desk_problem.contraction_factor + 0.05
     assert 0.0 < point.decay_rate_estimate < 0.6
+
+
+def assert_rows_match_one_row_sweeps(prob, grid, rows=None):
+    # a stacked row has the iteration count and, to roundoff, the eta of
+    # the same vector swept alone
+    rows = manifold_sweep(prob, grid) if rows is None else rows
+    for xi, row in zip(grid, rows):
+        (alone,) = manifold_sweep(prob, [xi])
+        assert row.error == alone.error
+        assert row.iterations == alone.iterations
+        if alone.error is None:
+            tol = 1e-14 * (1.0 + np.linalg.norm(alone.eta))
+            assert np.linalg.norm(row.eta - alone.eta) <= tol
+    return rows
+
+
+@pytest.mark.parametrize("horizon", [None, 2000], ids=["one-block", "column-blocks"])
+def test_stacked_sweep_matches_one_row_sweeps(horizon):
+    # a long horizon splits the 16 rows into blocks of 2 (2**14 // (2001 * 4))
+    rng = np.random.default_rng(41)
+    a = matrix_with_moduli(rng, [0.4, 0.6, 1.5, 2.2], shear=0.2)
+    prob = ManifoldProblem(a, saturation_map(0.01), fp_tol=1e-12, horizon=horizon)
+    grid = [0.04 * k * prob.split.proj_stable @ random_vector(rng, 4) for k in range(16)]
+    rows = assert_rows_match_one_row_sweeps(prob, grid)
+    assert all(row.error is None for row in rows)
+    assert len({row.iterations for row in rows}) > 1  # rows stop independently
+
+
+def test_sweep_row_does_not_depend_on_its_companions(desk_problem):
+    xi = np.array([0.2, 0.0])
+    (alone,) = manifold_sweep(desk_problem, [xi])
+    grids = [
+        [np.array([0.0, 1.0]), xi],  # a failing companion
+        [xi, np.zeros(2), np.array([-0.05, 0.0]), np.array([0.0, 0.3])],
+        [np.array([0.1, 0.0])] * 5 + [xi],
+    ]
+    for grid in grids:
+        row = next(r for r in manifold_sweep(desk_problem, grid) if np.array_equal(r.xi, xi))
+        assert row.error is None and row.iterations == alone.iterations
+        assert np.linalg.norm(row.eta - alone.eta) <= 1e-14 * (1.0 + np.linalg.norm(alone.eta))
+        assert row.decay_rate == pytest.approx(alone.decay_rate, rel=1e-9)
+
+
+def test_stacked_sweep_isolates_no_convergence():
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    prob = ManifoldProblem(a, saturation_map(0.01), fp_tol=1e-12, max_iter=2)
+    grid = [np.array([0.2, 0.0]), np.zeros(2), np.array([0.0, 1.0]), np.array([-0.1, 0.0])]
+    rows = manifold_sweep(prob, grid)
+    assert rows[1].error is None and np.linalg.norm(rows[1].eta) <= 1e-14
+    for row in (rows[0], rows[3]):
+        assert row.error == "no-convergence: no convergence within 2 iterations"
+        assert row.eta is None and row.iterations == 0
+    assert rows[2].error.startswith("range-violation: xi is not in the stable range")
+
+
+def test_forward_check_runs_only_over_its_comparison_window():
+    # horizon 1024 with growth 3: an orbit over the whole horizon overflows,
+    # the prefix the check compares on does not
+    prob = ManifoldProblem(BoundedOperator(np.diag([0.95, 3.0])), saturation_map(0.01))
+    assert prob.horizon == 1024
+    (row,) = manifold_sweep(prob, [np.array([0.3, 0.0])])
+    assert row.error is None and np.all(np.isfinite(row.eta))
+
+
+def test_block_failure_becomes_each_rows_error():
+    # an error no single column raises (the kernel cannot act on this A at
+    # all) is still reported row by row, as in a one-row sweep
+    prob = ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), linear_map(0.01 * np.eye(3)))
+    rows = manifold_sweep(prob, [np.array([0.1, 0.0]), np.zeros(2), np.array([0.0, 1.0])])
+    want = "dimension-mismatch: linear kernel matrix is 3x3 but sequences have dimension 2"
+    assert [row.error for row in rows[:2]] == [want, want]
+    assert rows[2].error.startswith("range-violation")
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [linear_map(0.05 * np.array([[1.0, 0.4], [0.3, -0.8]])), polynomial_map([0.05, 0.2], 0.5)],
+    ids=["linear", "polynomial_clipped"],
+)
+def test_stacked_sweep_kernels_match_one_row_sweeps(kernel):
+    prob = ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), kernel, fp_tol=1e-12)
+    grid = [np.array([t, 0.0]) for t in (-0.4, -0.1, 0.0, 0.2, 0.35)]
+    rows = assert_rows_match_one_row_sweeps(prob, grid)
+    assert all(row.error is None for row in rows)
+
+
+@st.composite
+def hyperbolic_sweeps(draw):
+    dim = draw(st.integers(1, 4))
+    n_in = draw(st.integers(1, dim))
+    inside = draw(st.lists(st.floats(0.05, 0.8), min_size=n_in, max_size=n_in))
+    outside = draw(st.lists(st.floats(1.2, 3.0), min_size=dim - n_in, max_size=dim - n_in))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 6))
+    return np.array(inside + outside), seed, rows
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=hyperbolic_sweeps())
+def test_stacked_rows_equal_one_row_sweeps_property(case):
+    moduli, seed, n_rows = case
+    rng = np.random.default_rng(seed)
+    a = matrix_with_moduli(rng, moduli, shear=0.2)
+    prob = ManifoldProblem(a, saturation_map(0.2 / circle_sup_resolvent(a, 1.0)), fp_tol=1e-12)
+    grid = [0.5 * prob.split.proj_stable @ random_vector(rng, a.dim) for _ in range(n_rows)]
+    assert_rows_match_one_row_sweeps(prob, grid)

@@ -8,10 +8,12 @@ from specseq import (
     ResolventPlan,
     SpectrumOnCircle,
     Weight,
+    WindowedSequence,
     apply_resolvent_causal,
     apply_resolvent_frequency,
     apply_resolvent_split,
     causality_probe,
+    truncate,
     circle_sup_resolvent,
     equation_residual,
     impulse,
@@ -23,7 +25,7 @@ from specseq import (
     zero_sequence,
 )
 from specseq import resolvent
-from specseq.resolvent import linear_recurrence
+from specseq.resolvent import apply_resolvent_window, linear_recurrence
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 SERIES_SLACK = 1e-11  # 10 * series_tol
@@ -96,6 +98,43 @@ def test_linear_recurrence_matches_power_sums():
         assert np.linalg.norm(forward[k] - want) <= 1e-12 * np.linalg.norm(want)
         want = -sum(power[j - k + 1] @ g[j] for j in range(k, len(g)))
         assert np.linalg.norm(backward[k] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_linear_recurrence_columns_match_column_calls():
+    # a column axis runs every column through the same recurrence
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m /= 1.5 * np.max(np.abs(np.linalg.eigvals(m)))
+    g = rng.standard_normal((9, 5, 4)) + 1j * rng.standard_normal((9, 5, 4))
+    for reverse in (False, True):
+        stacked = linear_recurrence(m, g, reverse=reverse)
+        assert stacked.shape == g.shape
+        for c in range(g.shape[1]):
+            alone = linear_recurrence(m, g[:, c], reverse=reverse)
+            np.testing.assert_allclose(stacked[:, c], alone, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["causal", "split"])
+def test_window_application_equals_truncated_full_window(mode):
+    # every row of a window, including windows that cut through the support
+    # of f, is the same row of the full-window application, bit for bit
+    rng = np.random.default_rng(37)
+    moduli = [0.4, 0.7, 0.8] if mode == "causal" else [0.4, 0.7, 1.6]
+    plan = ResolventPlan(matrix_with_moduli(rng, moduli, shear=0.3), 1.0, mode)
+    apply_full = apply_resolvent_causal if mode == "causal" else apply_resolvent_split
+    f = random_sequence(rng, 3, -4, 11)
+    full = apply_full(plan, f)
+    windows = [(-4, 11), (0, 5), (3, 20), (-30, -2), (9, 9), (12, 12 + plan.tail_cut + 3)]
+    windows.append(full.window)
+    for lo, hi in windows:
+        got = apply_resolvent_window(plan, f.values, f.lo, lo, hi)
+        assert np.array_equal(got, truncate(full, lo, hi).dense(lo, hi))
+    # with a column axis, each column is the full application of its own data
+    stack = np.stack([f.values, 2.0 * f.values[::-1]], axis=1)
+    got = apply_resolvent_window(plan, stack, f.lo, -2, 14)
+    for c in range(2):
+        want = apply_full(plan, WindowedSequence(f.lo, stack[:, c])).dense(-2, 14)
+        np.testing.assert_allclose(got[:, c], want, rtol=1e-13, atol=1e-14)
 
 
 def test_split_anticausal_branch_closed_form():

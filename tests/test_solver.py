@@ -33,6 +33,7 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
+from specseq.solver import fixed_point, forward_orbit
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
@@ -265,3 +266,48 @@ def test_contraction_rate_randomized():
         report = solve_contraction(f, Weight(rho, 2.0), (-3, 50), fp_tol=1e-11)
         assert report.converged
         assert report.contraction_estimate <= operator_norm(b) / rho + 0.05
+
+
+def test_fixed_point_columns_stop_independently():
+    # u <- c u + b per column: column j contracts with factor c_j, so the
+    # columns need different iteration counts, each as if run alone
+    rng = np.random.default_rng(43)
+    factors = np.array([0.1, 0.5, 0.8])
+    b = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    w = Weight(1.0, 2.0)
+
+    def step(u, cols):
+        return factors[cols][None, :, None] * u + b[:, cols]
+
+    stack = fixed_point(step, np.zeros_like(b), 0, w, 1e-11, 200)
+    assert stack.errors == [None, None, None]
+    assert len(set(stack.iterations.tolist())) == 3
+    for j in range(3):
+        alone = fixed_point(lambda u, cols: step(u, np.array([j])), np.zeros_like(b[:, [j]]), 0, w, 1e-11, 200)
+        assert alone.iterations[0] == stack.iterations[j]
+        assert np.array_equal(alone.solution[:, 0], stack.solution[:, j])
+        assert stack.contraction_estimate[j] == pytest.approx(factors[j], abs=0.05)
+        assert stack.residual[j] <= 1e-11
+        assert np.allclose(stack.solution[:, j], b[:, j] / (1.0 - factors[j]))
+
+
+def test_fixed_point_records_column_failures():
+    w = Weight(1.0, 2.0)
+    u0 = np.zeros((4, 3, 1), dtype=np.complex128)
+    u0[2, 1, 0] = np.inf
+    stack = fixed_point(lambda u, cols: 0.5 * u + 1.0, u0, 0, w, 1e-12, 3)
+    assert isinstance(stack.errors[0], NoConvergence) and isinstance(stack.errors[2], NoConvergence)
+    assert str(stack.errors[0]) == "no convergence within 3 iterations"
+    assert isinstance(stack.errors[1], InputError) and stack.iterations[1] == 0
+    assert stack.iterations.tolist() == [3, 0, 3]
+
+
+def test_forward_orbit_columns_match_single_orbits():
+    rng = np.random.default_rng(47)
+    a = matrix_with_moduli(rng, [0.5, 0.9, 1.3], shear=0.2)
+    f = saturation_map(0.05)
+    xs = np.stack([random_vector(rng, 3) for _ in range(4)])
+    stacked = forward_orbit(a, f, xs, 30)
+    for c, x in enumerate(xs):
+        alone = solve_ivp(a, f, x, 30, "recursion")
+        np.testing.assert_allclose(stacked[:, c], alone.dense(0, 30), rtol=1e-12, atol=1e-14)
