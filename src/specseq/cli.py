@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         dest="circle_sup_rho",
-        help="also report sup ||(z-A)^(-1)|| over S_rho",
+        help="also report a certified upper bound on sup ||(z-A)^(-1)|| over S_rho",
     )
     p.add_argument(
         "--resolvent-z",

@@ -48,7 +48,8 @@ class SpectrumHit(SpecseqError):
 
 
 class SpectrumOnCircle(SpecseqError):
-    """An eigenvalue modulus lies within ``GAP_TOL`` of the circle radius."""
+    """An eigenvalue modulus lies within ``GAP_TOL`` of the circle radius, or
+    the resolvent norm on the circle is too large to certify a bound."""
 
     code = "spectrum-on-circle"
     exit_status = 8

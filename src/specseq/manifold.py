@@ -55,7 +55,8 @@ class ManifoldProblem:
     """A stable-manifold computation instance.
 
     ``A`` must be hyperbolic and ``F`` causal with ``F(0) = 0``; the two
-    admissibility bounds are validated at construction.  ``rho`` is the
+    admissibility bounds, against certified upper bounds on ``M_1`` and
+    ``M_rho``, are validated at construction before the split plan is built.  ``rho`` is the
     weight of the outer solution operator (any value above ``r(A)`` gives
     the same projections, so the default just steps past the radius).
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
@@ -80,8 +81,6 @@ class ManifoldProblem:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
         if not self.F.fixes_zero:
             raise AdmissibilityError("the manifold nonlinearity must satisfy F(0) = 0")
-        self.plan = ResolventPlan(self.A, 1.0, "split")
-        self.split = self.plan.split
         radius = spectral_radius(self.A)
         if self.rho is None:
             self.rho = radius + 0.5
@@ -89,8 +88,8 @@ class ManifoldProblem:
             raise AdmissibilityError(
                 f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
             )
-        self.m_one = circle_sup_resolvent(self.A, 1.0, samples=1024)
-        self.m_rho = circle_sup_resolvent(self.A, self.rho, samples=1024)
+        self.m_one = circle_sup_resolvent(self.A, 1.0)
+        self.m_rho = circle_sup_resolvent(self.A, self.rho)
         lip_one = self.F.lip_bound(1.0)
         lip_rho = self.F.lip_bound(self.rho)
         if lip_one >= 1.0 / self.m_one:
@@ -103,6 +102,8 @@ class ManifoldProblem:
                 f"1/M_rho = {1.0 / self.m_rho:.6g}"
             )
         self.contraction_factor = self.m_one * lip_one
+        self.plan = ResolventPlan(self.A, 1.0, "split")
+        self.split = self.plan.split
         r_in = self.split.r_inside
         if self.horizon is None:
             if r_in > 0.0:
@@ -112,12 +113,19 @@ class ManifoldProblem:
             self.horizon = int(min(max(self.horizon, 32), 1024))
 
     def check_stable_range(self, xi) -> np.ndarray:
+        """``xi`` as a vector; raises :class:`RangeViolation` unless
+        ``||P xi - xi|| <= 1e-8 ||xi||``."""
         xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
         if xi.size != self.A.dim:
             raise InputError(f"xi has dimension {xi.size}, expected {self.A.dim}")
-        defect = float(np.linalg.norm(self.split.proj_stable @ xi - xi))
-        if defect > 1e-8 * (1.0 + float(np.linalg.norm(xi))):
-            raise RangeViolation(f"xi is not in the stable range (defect {defect:.3e})")
+        # xi is scaled to a largest entry of 1 so no square overflows
+        scale = float(np.max(np.abs(xi)))
+        if scale == 0.0:
+            return xi
+        x = xi / scale
+        defect = float(np.linalg.norm(self.split.proj_stable @ x - x) / np.linalg.norm(x))
+        if not defect <= 1e-8:
+            raise RangeViolation(f"xi is not in the stable range (relative defect {defect:.3e})")
         return xi
 
 
@@ -189,14 +197,14 @@ def _decay_rate(u: WindowedSequence) -> float:
     return float(np.exp(slope))
 
 
-def _forward_agreement_window(prob: ManifoldProblem, residual: float) -> int:
+def _forward_agreement_window(prob: ManifoldProblem, residual: float, scale: float) -> int:
     # A forward orbit from xi + eta amplifies the eta error like r(A)^n;
-    # only the prefix where that growth stays below the 1e-8 target is
-    # comparable against the fixed point.
+    # only the prefix where that growth stays below the target of 1e-8
+    # times scale = max(1, |xi|) is comparable against the fixed point.
     growth = spectral_radius(prob.A)
     if growth <= 1.0:
         return prob.horizon
-    err0 = max(residual, 10.0 * SERIES_TOL)
+    err0 = max(residual / scale, 10.0 * SERIES_TOL)
     n = int(math.log(1e-8 / (10.0 * err0)) / math.log(growth)) if err0 < 1e-9 else 1
     return max(1, min(prob.horizon, n))
 
@@ -207,8 +215,9 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     One stacked iteration runs every row from its linear profile to
     ``fp_tol``.  Each converged orbit is certified against both
     characterization sums to ``10 * fp_tol``; with ``check_orbit`` the
-    forward solution through ``xi + eta`` must also reproduce it on the
-    error-safe prefix (computed only that far) and the orbit must carry
+    forward solution through ``xi + eta`` must also reproduce it to
+    ``1e-8 max(1, |xi|)`` on the error-safe prefix (computed only that far),
+    and the orbit must carry
     ell_2 tail-decay evidence.  Returns one entry per row: its
     :class:`ManifoldPoint`, or the typed error that stopped that row.
     """
@@ -229,7 +238,10 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     defect = np.maximum(*_characterization_defects(prob, xis[ok], u))
     etas = u[0] @ prob.split.proj_unstable.T
     if check_orbit:
-        n_cmp = np.array([_forward_agreement_window(prob, stack.residual[c]) for c in ok])
+        scale = np.maximum(1.0, np.linalg.norm(xis[ok], axis=1))
+        n_cmp = np.array(
+            [_forward_agreement_window(prob, stack.residual[c], scale[j]) for j, c in enumerate(ok)]
+        )
         fwd = forward_orbit(prob.A, prob.F, xis[ok] + etas, int(np.max(n_cmp)))
         dist = np.linalg.norm(fwd - u[: len(fwd)], axis=-1)
         in_window = np.arange(len(fwd))[:, None] <= n_cmp
@@ -242,7 +254,7 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
             results[c] = InternalInconsistency(
                 f"characterization sums defect {defect[j]:.3e} above {bound:.3e}"
             )
-        elif check_orbit and dev[j] > 1e-8:
+        elif check_orbit and dev[j] > 1e-8 * scale[j]:
             results[c] = InternalInconsistency(
                 f"forward orbit deviates by {dev[j]:.3e} from the fixed point on [0, {n_cmp[j]}]"
             )

@@ -510,7 +510,7 @@ def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):
         rho = radius + 1.0
     if rho <= radius + GAP_TOL:
         raise NotCausalRegime(f"impulse method needs rho > r(A) = {radius}, got {rho}")
-    m_rho = circle_sup_resolvent(A, rho, samples=512)
+    m_rho = circle_sup_resolvent(A, rho)
     lip = F.lip_bound(rho)
     if lip >= 1.0 / m_rho:
         raise NotContractive(

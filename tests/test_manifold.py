@@ -94,6 +94,38 @@ def test_lp_apply_rejects_unstable_xi(desk_problem):
         lp_apply(desk_problem, np.array([0.0, 0.5]), zero_sequence(2))
 
 
+def test_admissibility_gate_sees_resolvent_peak_between_nodes():
+    # |z| = 1 passes 1e-3 from the eigenvalue 1.001 e^(i theta), halfway
+    # between nodes 17 and 18 of 1024: sup ||(z - A)^(-1)|| is about 7.12e4,
+    # while a 1024-node sample reads 2.21e4.  A lip of 3e-5 lies between the
+    # true 1/M_1 (1.40e-5) and the sampled one (4.53e-5).
+    theta = 2 * np.pi * 17.5 / 1024
+    a = BoundedOperator([[1.001 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
+    with pytest.raises(AdmissibilityError, match="1/M_1"):
+        ManifoldProblem(a, saturation_map(3e-5))
+
+
+def test_range_check_is_relative_and_overflow_safe():
+    prob = ManifoldProblem(BoundedOperator([[0.5, 1.0], [0.0, 2.0]]), saturation_map(0.01))
+    with pytest.raises(RangeViolation):
+        prob.check_stable_range([0.0, 1e200])
+    with pytest.raises(RangeViolation):
+        prob.check_stable_range([0.0, 1e-12])
+    prob.check_stable_range([1e-300, 0.0])
+    prob.check_stable_range([0.0, 0.0])
+
+
+def test_forward_orbit_agreement_scales_with_xi():
+    # the forward orbit of (1e150, 0) matches the fixed point to 1e-15
+    # relative, which an absolute 1e-8 bound rejected
+    prob = ManifoldProblem(BoundedOperator([[0.5, 1.0], [0.0, 2.0]]), saturation_map(0.01))
+    small, big = manifold_sweep(prob, [np.array([1.0, 0.0]), np.array([1e150, 0.0])])
+    assert small.error is None and big.error is None
+    eta, point = stable_manifold_point(prob, np.array([1e150, 0.0]))
+    assert np.all(np.isfinite(eta))
+    assert np.linalg.norm(point.orbit.at(0) - [1e150, 0.0] - eta) <= 1e-8 * 1e150
+
+
 def test_lp_apply_contraction_factor(desk_problem):
     prob = desk_problem
     rng = np.random.default_rng(2)

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from specseq import (
     riesz_split,
     spectral_radius,
 )
-from specseq.operators import circle_resolvents
+from specseq import operators
+from specseq.operators import MAX_SUP_NODES, SUP_REL_TOL, SpectralSplit, circle_resolvents
 from testutil import matrix_with_moduli
 
 
@@ -81,31 +85,127 @@ def test_resolvent_rejects_spectrum_hit():
         resolvent_at(BoundedOperator([[0.5]]), 0.5 + 1e-12)
 
 
+def _sigma_min(a, z):
+    eye = np.eye(a.shape[0])
+    return np.linalg.svd(np.asarray(z)[:, None, None] * eye - a, compute_uv=False)[:, -1]
+
+
+def level_set_sup(a, rho, iters=50):
+    """sup ||(z - a)^(-1)|| over |z| = rho by the level-set method.
+
+    ``sigma`` is a singular value of ``z I - a`` at some ``|z| = rho`` exactly
+    when ``z`` is an eigenvalue of the pencil
+    ``z [[I, 0], [sigma I, a^H]] - [[a, sigma I], [0, rho^2 I]]``; for
+    invertible ``a`` that is the matrix below.  Each step finds the angles
+    where some singular value crosses just below the least ``sigma_min`` seen
+    and samples the midpoints between them (Boyd & Balakrishnan 1990); with
+    no crossing left, no ``sigma_min`` on the circle is below that level.
+    """
+    eye = np.eye(a.shape[0])
+    ah_inv = np.linalg.inv(a.conj().T)
+    theta = 2 * np.pi * np.arange(64) / 64
+    best = float(np.min(_sigma_min(a, rho * np.exp(1j * theta))))
+    for _ in range(iters):
+        sigma = best * (1 - 1e-9)
+        mat = np.block([[a, sigma * eye], [-sigma * ah_inv @ a, (rho**2 - sigma**2) * ah_inv]])
+        z = np.linalg.eigvals(mat)
+        ang = np.sort(np.angle(z[np.abs(np.abs(z) - rho) <= 1e-6 * rho]))
+        if ang.size == 0:
+            break
+        mids = (ang + np.append(ang[1:], ang[0] + 2 * np.pi)) / 2
+        best = min(best, float(np.min(_sigma_min(a, rho * np.exp(1j * mids)))))
+    return 1 / best
+
+
 def test_circle_sup_scalar():
-    assert circle_sup_resolvent(BoundedOperator([[0.5]]), 1.0) == pytest.approx(2.0)
+    # the supremum 2 is attained at z = 1; the bound certifies it from above
+    sup = circle_sup_resolvent(BoundedOperator([[0.5]]), 1.0)
+    assert 2.0 <= sup <= 2.0 * (1 + SUP_REL_TOL)
 
 
 def test_circle_sup_diagonal():
     a = BoundedOperator(np.diag([0.5, 2.0]))
-    assert circle_sup_resolvent(a, 1.0) == pytest.approx(2.0)
+    assert 2.0 <= circle_sup_resolvent(a, 1.0) <= 2.0 * (1 + SUP_REL_TOL)
 
 
 def test_circle_sup_refinement_oracle():
+    # every starting grid certifies the supremum to the same tolerance
     rng = np.random.default_rng(9)
     a = matrix_with_moduli(rng, rng.uniform(0.3, 1.5, 4), shear=0.3)
     rho = spectral_radius(a) + 0.5
-    coarse = circle_sup_resolvent(a, rho, samples=64)
-    dense = circle_sup_resolvent(a, rho, samples=640)
-    assert coarse <= dense * (1 + 1e-12)
-    assert dense <= coarse * 1.05
+    reference = level_set_sup(a.entries, rho)
+    for samples in (16, 64, 640):
+        sup = circle_sup_resolvent(a, rho, samples=samples)
+        assert reference <= sup <= (1 + SUP_REL_TOL) * reference
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_circle_sup_certified_against_level_set_oracle(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    a = matrix_with_moduli(rng, rng.uniform(0.2, 2.0, dim), shear=0.6)
+    for rho in (1.0, spectral_radius(a) + 0.5):
+        oracle = level_set_sup(a.entries, rho)
+        sup = circle_sup_resolvent(a, rho)
+        assert oracle <= sup <= (1 + SUP_REL_TOL) * oracle
+
+
+def test_circle_sup_certifies_peak_between_nodes():
+    # eigenvalue 1e-3 outside the unit circle at an angle halfway between
+    # nodes 17 and 18 of 1024: a 1024-node sample reads 2.2e4 of about 7.1e4
+    theta = 2 * np.pi * 17.5 / 1024
+    a = np.array([[1.001 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
+    oracle = level_set_sup(a, 1.0)
+    assert oracle > 7.1e4
+    sup = circle_sup_resolvent(BoundedOperator(a), 1.0)
+    assert oracle <= sup <= (1 + SUP_REL_TOL) * oracle
 
 
 def test_circle_sup_preconditions():
     a = BoundedOperator([[0.5]])
     with pytest.raises(PreconditionViolation):
         circle_sup_resolvent(a, 1.0, samples=8)
+    with pytest.raises(PreconditionViolation):
+        circle_sup_resolvent(a, 1.0, samples=MAX_SUP_NODES + 1)
     with pytest.raises(SpectrumOnCircle):
         circle_sup_resolvent(a, 0.5)
+    # sigma_min(z - A) is about 2.5e-9 on |z| = 1, below what the SVD's
+    # rounding margin of about 3.6e-7 can certify
+    with pytest.raises(SpectrumOnCircle):
+        circle_sup_resolvent(BoundedOperator([[0.5, 1e8], [0.0, 0.5]]), 1.0)
+
+
+def test_circle_sup_flat_jordan_block_stops_at_node_cap(monkeypatch):
+    # e^{i theta} I - c N is unitarily similar to e^{i theta} (I - c N), so
+    # sigma_min(z I - A) is the constant s on |z| = 1 and every arc needs
+    # refining; the node cap ends it with a looser bound or a typed error
+    nodes = []
+    sigma_min = operators._sigma_min
+
+    def counted(a, z):
+        nodes.append(len(z))
+        return sigma_min(a, z)
+
+    monkeypatch.setattr(operators, "_sigma_min", counted)
+    for dim, c in ((8, 3.0), (16, 2.0)):
+        jordan = c * np.eye(dim, k=1)
+        s = float(np.linalg.svd(np.eye(dim) - jordan, compute_uv=False)[-1])
+        nodes.clear()
+        if dim == 8:
+            # s = 4.1e-4 would take pi / (SUP_REL_TOL s) = 7.7e6 nodes to certify
+            assert 1 / s <= circle_sup_resolvent(BoundedOperator(jordan), 1.0) < 2 / s
+        else:
+            # s = 2.3e-5 is below half the arc length 2 pi / MAX_SUP_NODES
+            with pytest.raises(SpectrumOnCircle, match="certify no bound"):
+                circle_sup_resolvent(BoundedOperator(jordan), 1.0)
+        assert sum(nodes) <= MAX_SUP_NODES
+
+
+def test_names_bound_by_bench_tracer_exist():
+    # bench/tracing.py reads these by name to count circle and quadrature nodes
+    assert "samples" in inspect.signature(circle_sup_resolvent).parameters
+    assert "quad_points" in inspect.signature(riesz_split).parameters
+    assert "quad_points" in {f.name for f in dataclasses.fields(SpectralSplit)}
 
 
 def test_circle_resolvents_blocks_match_pointwise_resolvents():
@@ -125,7 +225,7 @@ def test_circle_resolvents_blocks_match_pointwise_resolvents():
         for zi, ri in zip(z, res):
             assert np.array_equal(ri, resolvent_at(a, zi))
     reference = max(operator_norm(resolvent_at(a, z)) for z in nodes)
-    assert circle_sup_resolvent(a, 1.2, samples=n) == reference
+    assert reference <= circle_sup_resolvent(a, 1.2, samples=n) <= (1 + SUP_REL_TOL) * reference
 
 
 def test_circle_resolvents_rejects_spectrum_on_circle():

@@ -213,6 +213,16 @@ def test_solve_ivp_impulse_smallness_guard():
         solve_ivp(a, saturation_map(2.0 / m_rho), [0.1, 0.1], 10, "impulse", rho=2.5)
 
 
+def test_solve_ivp_impulse_smallness_sees_resolvent_peak_between_nodes():
+    # eigenvalue 1e-3 inside |z| = 2, halfway between nodes 17 and 18 of 512:
+    # sup ||(z - A)^(-1)|| is about 2.9e4, a 512-node sample reads 2.4e3, and
+    # lip 1e-4 lies between the two reciprocals
+    theta = 2 * np.pi * 17.5 / 512
+    a = BoundedOperator([[1.999 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
+    with pytest.raises(NotContractive):
+        solve_ivp(a, saturation_map(1e-4), [1.0, 0.0], 10, "impulse", rho=2.0)
+
+
 def test_solve_ivp_forcing_must_be_one_sided():
     f = zero_map(forcing=impulse(-3, [1.0]))
     with pytest.raises(InputError):
