@@ -184,12 +184,14 @@ def _characterization_defects(prob: ManifoldProblem, xis: np.ndarray, u: np.ndar
     )
 
 
-def _decay_rate(u: WindowedSequence) -> float:
+def _decay_rate(u: WindowedSequence, fp_tol: float) -> float:
+    # Least-squares slope of log |u_n| over the entries an iteration stopped
+    # at fp_tol resolves: those above 1e3 fp_tol times the peak.
     mags = np.linalg.norm(u.values, axis=1)
     top = float(np.max(mags)) if mags.size else 0.0
     if top == 0.0:
         return 0.0
-    idx = np.flatnonzero(mags > 1e-13 * top)
+    idx = np.flatnonzero(mags > 1e3 * fp_tol * top)
     if idx.size < 3:
         return 0.0
     n = np.arange(u.lo, u.hi + 1)[idx]
@@ -268,7 +270,7 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
                 xi=xis[c],
                 eta=etas[j],
                 orbit=orbit,
-                decay_rate_estimate=_decay_rate(orbit),
+                decay_rate_estimate=_decay_rate(orbit, prob.fp_tol),
                 iterations=int(stack.iterations[c]),
                 residual=float(stack.residual[c]),
                 contraction_estimate=float(stack.contraction_estimate[c]),

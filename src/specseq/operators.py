@@ -2,8 +2,9 @@
 Riesz spectral projections.
 
 Operator norms throughout are spectral 2-norms (largest singular value).
-The Riesz quadrature and frequency-mode solves reduce over the node blocks
-of :func:`circle_resolvents`.  The circle supremum
+The Riesz quadrature (against the identity) and the frequency-mode solves
+(against the transformed data) reduce over the node blocks of
+:func:`circle_resolvents`.  The circle supremum
 ``M_r = sup_{|z| = r} ||(z - A)^{-1}||`` that gates admissibility is a
 certified upper bound, within a factor ``1 + SUP_REL_TOL`` of the true
 value: smallest singular values of ``z I - A`` on an adaptive grid, with a
@@ -185,19 +186,21 @@ def _shifted_blocks(A: BoundedOperator, nodes: np.ndarray):
         yield start, z, mats
 
 
-def circle_resolvents(A: BoundedOperator, rho: float, n: int):
-    """Resolvents ``(z I - A)^{-1}`` at the ``n`` uniform nodes of S_rho, in blocks.
+def circle_resolvents(A: BoundedOperator, rho: float, n: int, rhs: np.ndarray):
+    """Solves ``(z_j I - A) x_j = rhs_j`` at the ``n`` uniform nodes of S_rho, in blocks.
 
-    Yields ``(start, z, R)`` with nodes ``z = rho e^{2 pi i j / n}`` from
-    ``j = start`` and ``R[i] = (z[i] I - A)^{-1}``, one stacked solve per block
-    of ``max(1, 2**14 // d**2)`` nodes.  Raises :class:`SpectrumOnCircle` when
-    an eigenvalue modulus is within :data:`GAP_TOL` of ``rho``.
+    ``rhs`` is ``(n, d, k)``, one right-hand side block per node (a
+    broadcast view, such as the identity at every node for the resolvents
+    themselves, costs no memory).  Yields ``(start, z, X)`` with nodes
+    ``z = rho e^{2 pi i j / n}`` from ``j = start`` and
+    ``X[i] = (z[i] I - A)^{-1} rhs[start + i]``, one stacked solve per block
+    of ``max(1, 2**14 // d**2)`` nodes.  Raises :class:`SpectrumOnCircle`
+    when an eigenvalue modulus is within :data:`GAP_TOL` of ``rho``.
     """
     _check_circle(A, rho)
     nodes = rho * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-    eye = np.eye(A.dim, dtype=np.complex128)
     for start, z, mats in _shifted_blocks(A, nodes):
-        yield start, z, np.linalg.solve(mats, eye)
+        yield start, z, np.linalg.solve(mats, rhs[start : start + len(z)])
 
 
 def _sigma_min(A: BoundedOperator, z: np.ndarray) -> np.ndarray:
@@ -275,7 +278,8 @@ def _contour_projection(A: BoundedOperator, gamma: float, n_points: int) -> np.n
     # over S_gamma; with z = gamma e^(i theta) this is the mean of z (z-A)^(-1).
     # Summed node by node so the rounding does not depend on the block length.
     acc = np.zeros((A.dim, A.dim), dtype=np.complex128)
-    for _, z, res in circle_resolvents(A, gamma, n_points):
+    eye = np.broadcast_to(np.eye(A.dim, dtype=np.complex128), (n_points, A.dim, A.dim))
+    for _, z, res in circle_resolvents(A, gamma, n_points, eye):
         for zi, ri in zip(z, res):
             acc += zi * ri
     return acc / n_points

@@ -10,13 +10,15 @@ Three routes are provided and cross-checked:
   anticausal branch ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with
   ``M_Q = (QAQ + P)^{-1} Q``, the inverse of ``A`` on range(Q) and zero on
   range(P); a forward and a backward recurrence in C^d.
-* ``frequency``: multiplication by ``(z - A)^{-1}`` on circle samples,
-  conjugated by the Z-transform.
+* ``frequency``: one solve ``(z - A) x = f^(z)`` per circle sample,
+  conjugated by the Z-transform, over the output window of the causal
+  route when ``rho > r(A)`` and of the split route otherwise.
 
-Infinite tails are truncated at a certified length: each cut is the first
-``K`` with ``||M^K|| w^K <= SERIES_TOL`` for the matrix ``M`` that acts on
-``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with ``w = rho``), so
-every dropped power bounds its terms relative to ``||f||_{2,rho}``.
+Infinite tails are truncated at a certified length in every mode: each cut
+is the first ``K`` with ``||M^K|| w^K <= SERIES_TOL`` for the matrix ``M``
+that acts on ``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with
+``w = rho``), so every dropped power bounds its terms relative to
+``||f||_{2,rho}``.
 
 The time-domain routes share one array-level application,
 :func:`apply_resolvent_window`, which fills only a requested output window
@@ -68,25 +70,42 @@ TAIL_CAP = 20000
 _MODES = ("causal", "split", "frequency")
 
 
+#: Slack, in logs, for the rounding of the Frobenius norm in the step search.
+_LOG_SLACK = 1e-9
+
+
 def _decay_steps(mat: np.ndarray, weight: float) -> int:
     """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs).
 
     As ``||mat^K|| >= r(mat)^K``, a rate ``r(mat) * weight`` too slow for
-    ``TAIL_CAP`` steps raises before any power is formed.
+    ``TAIL_CAP`` steps raises before any power is formed.  The powers are
+    formed one by one, since ``||mat^K||`` need not be monotone in ``K``;
+    the 2-norm (an SVD) is taken only where the lower bound
+    ``||P||_F / sqrt(d) <= ||P||_2`` does not already fail the test by more
+    than :data:`_LOG_SLACK`, so ``K`` is that of an SVD at every step.
     """
     if mat.size == 0:
         return 0
     log_tol = math.log(SERIES_TOL)
     log_w = math.log(weight)
+    log_sqrt_d = 0.5 * math.log(len(mat))
     radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
     rate = math.log(radius) + log_w if radius > 0.0 else -math.inf
-    if rate < 0.0 and log_tol / rate <= TAIL_CAP:
-        power = mat.copy()
-        for k in range(1, TAIL_CAP + 1):
+    predicted = math.ceil(log_tol / rate) if rate < 0.0 else math.inf
+    if predicted > TAIL_CAP:
+        raise PreconditionViolation(
+            f"series tail cut needs at least {predicted} terms by the spectral radius "
+            f"alone, above the cap of {TAIL_CAP}; the spectral gap is too small"
+        )
+    power = mat.copy()
+    for k in range(1, TAIL_CAP + 1):
+        fro = float(np.linalg.norm(power))
+        floor = math.log(fro) - log_sqrt_d if 0.0 < fro < math.inf else -math.inf
+        if floor + k * log_w <= log_tol + _LOG_SLACK:  # else k fails without an SVD
             nrm = operator_norm(power)
             if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
                 return k
-            power = power @ mat
+        power = power @ mat
     raise PreconditionViolation(
         f"series tail cut exceeded {TAIL_CAP} terms; the spectral gap is too small"
     )
@@ -121,19 +140,19 @@ def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np
 class ResolventPlan:
     """Reusable recipe for applying ``(tau - A)^{-1}`` on ell_{2,rho}.
 
-    ``mode`` picks the route.  ``split`` is computed, not supplied: the Riesz
-    splitting at ``gamma = rho`` in mode "split", whose anticausal branch is
-    ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with ``M_Q = (QAQ + P)^{-1} Q``.
-    ``tail_cut`` is computed: the certified series truncation length of the
-    route; in mode "split" it is the longer of the causal cut (through
-    ``PAP``) and the anticausal cut (through ``M_Q``), both bounding the
-    dropped terms relative to ``||f||_{2,rho}``.  A spectral gap
-    so small that the certified length would exceed ``TAIL_CAP`` terms
-    raises ``PreconditionViolation``.
-
-    The time-domain modes carry their branches: a causal branch
-    ``(M, projection or None, tail)`` and, in mode "split", an anticausal
-    branch ``(M_Q, tail)``; a branch on a zero-rank range is ``None``.
+    ``mode`` picks the route.  Every mode carries the branches of a
+    time-domain route, which fix its certified output window: in mode
+    "causal", and in mode "frequency" when ``rho > r(A) + GAP_TOL``, the
+    causal branch ``(A, None, tail)``; otherwise the branches of the Riesz
+    splitting at ``gamma = rho``, a causal branch ``(PAP, P, tail)`` and an
+    anticausal branch ``(M_Q, tail)`` for
+    ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with ``M_Q = (QAQ + P)^{-1} Q``;
+    a branch on a zero-rank range is ``None``.  ``split`` is computed, not
+    supplied: that splitting, or ``None`` where no branch needs it.
+    ``tail_cut`` is computed: the longer of the branch cuts, each bounding
+    the dropped terms relative to ``||f||_{2,rho}``.  A spectral gap so
+    small that a certified cut would exceed ``TAIL_CAP`` terms raises
+    ``PreconditionViolation``.
     """
 
     A: BoundedOperator
@@ -147,28 +166,24 @@ class ResolventPlan:
             raise InputError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise InputError(f"rho must be positive and finite, got {self.rho!r}")
-        moduli = np.abs(self.A.eigenvalues)
         radius = spectral_radius(self.A)
+        causal_regime = self.rho > radius + GAP_TOL
         self._causal = self._anticausal = None
-        if self.mode == "causal":
-            if self.rho <= radius + GAP_TOL:
-                raise NotCausalRegime(
-                    f"causal application needs rho > r(A) + {GAP_TOL}; "
-                    f"rho = {self.rho}, r(A) = {radius}"
-                )
-            self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho)
-            self._causal = (self.A.entries, None, self.tail_cut)
-            return
-
-        if float(np.min(np.abs(moduli - self.rho))) <= GAP_TOL:
-            raise SpectrumOnCircle(
-                f"spectrum within {GAP_TOL} of the circle |z| = {self.rho}"
+        if self.mode == "causal" and not causal_regime:
+            raise NotCausalRegime(
+                f"causal application needs rho > r(A) + {GAP_TOL}; "
+                f"rho = {self.rho}, r(A) = {radius}"
             )
-        if self.mode == "split":
+        if self.mode == "split" or not causal_regime:
+            if float(np.min(np.abs(np.abs(self.A.eigenvalues) - self.rho))) <= GAP_TOL:
+                raise SpectrumOnCircle(
+                    f"spectrum within {GAP_TOL} of the circle |z| = {self.rho}"
+                )
             self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
-        else:  # frequency
-            self._prepare_frequency(moduli)
+        else:
+            self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho)
+            self._causal = (self.A.entries, None, self.tail_cut)
 
     def _prepare_split(self):
         split = self.split
@@ -189,22 +204,6 @@ class ResolventPlan:
             self._anticausal = (mq, _decay_steps(mq, self.rho))
         branches = (self._causal, self._anticausal)
         self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
-
-    def _prepare_frequency(self, moduli):
-        inside = moduli[moduli < self.rho]
-        outside = moduli[moduli > self.rho]
-        rates = []
-        if inside.size:
-            rates.append(float(np.max(inside)) / self.rho)
-        if outside.size:
-            rates.append(self.rho / float(np.min(outside)))
-        rate = max(rates)
-        k_eig = math.ceil(math.log(SERIES_TOL) / math.log(rate)) if rate > 0 else self.A.dim
-        self.tail_cut = int(1.5 * k_eig) + 2 * self.A.dim + 8
-
-    @property
-    def is_causal_regime(self) -> bool:
-        return self.rho > spectral_radius(self.A) + GAP_TOL
 
 
 def apply_resolvent_window(
@@ -253,13 +252,19 @@ def apply_resolvent_window(
     return out
 
 
-def _apply_full(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
-    # The whole certified output window of a time-domain plan.
-    if f.is_zero:
-        return zero_sequence(f.dim)
+def _output_window(plan: ResolventPlan, f: WindowedSequence) -> tuple[int, int]:
+    # The whole certified output window: [lo - tail_Q, hi + tail_P + 1], with
+    # a missing branch contributing no rows beyond the data's side.
     causal, anticausal = plan._causal, plan._anticausal  # tails come last
     out_lo = f.lo - anticausal[-1] if anticausal else f.lo + 1
     out_hi = f.hi + causal[-1] + 1 if causal else f.hi
+    return out_lo, out_hi
+
+
+def _apply_full(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
+    if f.is_zero:
+        return zero_sequence(f.dim)
+    out_lo, out_hi = _output_window(plan, f)
     return WindowedSequence(out_lo, apply_resolvent_window(plan, f.values, f.lo, out_lo, out_hi))
 
 
@@ -290,28 +295,26 @@ def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedS
 def apply_resolvent_frequency(
     plan: ResolventPlan, f: WindowedSequence, n_samples: int | None = None
 ) -> WindowedSequence:
-    """Frequency-domain application: divide by ``(z - A)`` on circle samples.
+    """Frequency-domain application: solve ``(z - A) x = f^(z)`` on circle samples.
 
-    Agrees with the mode-appropriate time-domain route to well below the
-    cross-method tolerance once the sample count covers the output window.
+    The output window is that of the time-domain route whose branches the
+    plan carries, ``[lo(f) + 1, hi(f) + tail_cut + 1]`` in the causal regime
+    and ``[lo(f) - tail_Q, hi(f) + tail_P + 1]`` otherwise, so the dropped
+    tail is certified as there.  The sample count, a power of two, is at
+    least twice the window length, so the periodic images of the solution
+    overlap the window only where they are below the certified cut; it
+    agrees with the time-domain route up to the rounding of the transforms.
     """
     if plan.mode != "frequency":
         raise InputError(f"plan mode is {plan.mode!r}, expected 'frequency'")
     if f.is_zero:
         return zero_sequence(f.dim)
-    tail = plan.tail_cut
-    lo, hi = f.window
-    if plan.is_causal_regime:
-        out_lo, out_hi = lo + 1, hi + tail
-    else:
-        out_lo, out_hi = lo - tail, hi + tail
-    width = f.width
-    n = next_pow2(max(4 * width, 2 * (out_hi - out_lo + 1) + 8, n_samples or 0))
+    out_lo, out_hi = _output_window(plan, f)
+    n = next_pow2(max(4 * f.width, 2 * (out_hi - out_lo + 1) + 8, n_samples or 0))
     fhat = ztransform(f, plan.rho, n)
     out = np.empty_like(fhat.samples)
-    for start, _, res in circle_resolvents(plan.A, fhat.rho, n):
-        rows = slice(start, start + len(res))
-        out[rows] = (res @ fhat.samples[rows, :, None])[:, :, 0]
+    for start, _, x in circle_resolvents(plan.A, fhat.rho, n, fhat.samples[:, :, None]):
+        out[start : start + len(x)] = x[:, :, 0]
     return inverse_ztransform(CircleFunction(plan.rho, out), (out_lo, out_hi))
 
 

@@ -11,6 +11,7 @@ from specseq import (
     PreconditionViolation,
     RangeViolation,
     Weight,
+    WindowedSequence,
     impulse,
     implicit_euler_map,
     linear_map,
@@ -26,6 +27,7 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
+from specseq.manifold import _decay_rate
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
@@ -69,6 +71,25 @@ def brute_force_characterization(prob, xi, orbit):
             acc_q -= qaq_negative_power(k + 1 - n, q @ fu.at(k))
         defect_q = max(defect_q, float(np.linalg.norm(q @ orbit.at(n) - acc_q)))
     return defect_p, defect_q
+
+
+def test_decay_rate_ignores_noise_below_iteration_tolerance():
+    # the fit reads only entries the iteration resolves, so noise at the
+    # rounding level of the orbit's peak barely moves it; a fit down to
+    # 1e-13 of the peak moved by ~1e-4 here
+    prob = ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), saturation_map(0.01))
+    orbit = lp_fixed_point(prob, [1.0, 0.0]).orbit
+    rate = _decay_rate(orbit, prob.fp_tol)
+    assert rate == pytest.approx(0.5, rel=1e-3)
+    rng = np.random.default_rng(3)
+    peak = float(np.max(np.abs(orbit.values)))
+    shape = orbit.values.shape
+    for _ in range(10):
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noisy = WindowedSequence(0, orbit.values + 1e-15 * peak * noise)
+        assert abs(_decay_rate(noisy, prob.fp_tol) - rate) <= 1e-9 * rate
+    # at least 3 resolved entries are needed for a slope
+    assert _decay_rate(WindowedSequence(0, [[1.0], [1e-8], [1e-9]]), 1e-10) == 0.0
 
 
 def test_lp_apply_linear_part_only(desk_problem):

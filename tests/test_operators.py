@@ -9,6 +9,7 @@ from specseq import (
     IndeterminateHyperbolic,
     InputError,
     PreconditionViolation,
+    ResolventPlan,
     SpectrumHit,
     SpectrumOnCircle,
     circle_sup_resolvent,
@@ -206,6 +207,12 @@ def test_names_bound_by_bench_tracer_exist():
     assert "samples" in inspect.signature(circle_sup_resolvent).parameters
     assert "quad_points" in inspect.signature(riesz_split).parameters
     assert "quad_points" in {f.name for f in dataclasses.fields(SpectralSplit)}
+    # ... and the tail cut of every plan, in each mode and regime
+    assert "tail_cut" in {f.name for f in dataclasses.fields(ResolventPlan)}
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    for mode, rho in (("causal", 3.0), ("split", 1.0), ("frequency", 1.0), ("frequency", 3.0)):
+        cut = ResolventPlan(a, rho, mode).tail_cut
+        assert isinstance(cut, int) and cut >= 1
 
 
 def test_circle_resolvents_blocks_match_pointwise_resolvents():
@@ -214,7 +221,8 @@ def test_circle_resolvents_blocks_match_pointwise_resolvents():
     a = matrix_with_moduli(rng, [0.4, 0.9, 1.6], shear=0.3)
     n = 4096
     nodes = 1.2 * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-    blocks = list(circle_resolvents(a, 1.2, n))
+    eye = np.broadcast_to(np.eye(3, dtype=np.complex128), (n, 3, 3))
+    blocks = list(circle_resolvents(a, 1.2, n, eye))
     assert [(start, len(z), len(res)) for start, z, res in blocks] == [
         (0, 1820, 1820),
         (1820, 1820, 1820),
@@ -226,12 +234,17 @@ def test_circle_resolvents_blocks_match_pointwise_resolvents():
             assert np.array_equal(ri, resolvent_at(a, zi))
     reference = max(operator_norm(resolvent_at(a, z)) for z in nodes)
     assert reference <= circle_sup_resolvent(a, 1.2, samples=n) <= (1 + SUP_REL_TOL) * reference
+    # per-node right-hand sides are solved against directly
+    rhs = rng.standard_normal((n, 3, 1)) + 1j * rng.standard_normal((n, 3, 1))
+    for start, z, x in circle_resolvents(a, 1.2, n, rhs):
+        for i, (zi, xi) in enumerate(zip(z, x)):
+            np.testing.assert_allclose(xi, resolvent_at(a, zi) @ rhs[start + i], rtol=1e-12)
 
 
 def test_circle_resolvents_rejects_spectrum_on_circle():
     a = BoundedOperator(np.diag([0.5, 2.0]))
     with pytest.raises(SpectrumOnCircle):
-        next(circle_resolvents(a, 2.0, 64))
+        next(circle_resolvents(a, 2.0, 64, np.zeros((64, 2, 1))))
 
 
 def test_riesz_diagonal_split():

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from specseq import (
     BoundedOperator,
     NotCausalRegime,
     PreconditionViolation,
+    QuadratureError,
     ResolventPlan,
     SpectrumOnCircle,
     Weight,
@@ -25,8 +29,14 @@ from specseq import (
     zero_sequence,
 )
 from specseq import resolvent
-from specseq.resolvent import apply_resolvent_window, linear_recurrence
-from testutil import matrix_with_moduli, random_sequence, random_vector
+from specseq.resolvent import (
+    SERIES_TOL,
+    TAIL_CAP,
+    _decay_steps,
+    apply_resolvent_window,
+    linear_recurrence,
+)
+from testutil import matrix_with_moduli, random_sequence, random_unitary, random_vector
 
 SERIES_SLACK = 1e-11  # 10 * series_tol
 
@@ -80,9 +90,68 @@ def test_tail_cut_overflow_is_a_precondition_violation(monkeypatch):
     with pytest.raises(PreconditionViolation):
         ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
     assert calls == []
-    # a nilpotent A (r(A) = 0) still takes the step search
+    # a nilpotent A (r(A) = 0) still takes the step search: K = 1 fails on
+    # the Frobenius lower bound alone (||A||_F / sqrt(2) * 2 = sqrt(2)), and
+    # the zero power A^2 takes the one SVD that returns K = 2
     assert ResolventPlan(BoundedOperator([[0.0, 1.0], [0.0, 0.0]]), 0.5, "causal").tail_cut == 2
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_tail_cut_violation_states_predicted_length():
+    with pytest.raises(PreconditionViolation) as info:
+        ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
+    predicted = math.ceil(math.log(SERIES_TOL) / (math.log(0.9) + math.log(1.0 / 0.9001)))
+    assert predicted == 248694
+    assert f"{predicted} terms" in str(info.value)
+    assert f"cap of {TAIL_CAP}" in str(info.value)
+
+
+def _decay_steps_every_svd(mat, weight):
+    # Reference search: the 2-norm of every power, the first K that passes.
+    log_tol, log_w = math.log(SERIES_TOL), math.log(weight)
+    power = mat.copy()
+    for k in range(1, TAIL_CAP + 1):
+        nrm = float(np.linalg.norm(power, 2))
+        if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
+            return k
+        power = power @ mat
+    return None
+
+
+def _jordan(dim, eig, sup):
+    return np.diag(np.full(dim, eig, dtype=np.complex128)) + np.diag(np.full(dim - 1, sup), 1)
+
+
+def _tail_search_fixtures():
+    rng = np.random.default_rng(41)
+    for dim in (2, 3, 5, 8, 13, 21, 32):
+        for shear in (0.3, 1.0):
+            moduli = rng.uniform(0.05, 0.95, dim)
+            yield matrix_with_moduli(rng, moduli, shear=shear).entries, 1.0
+            yield matrix_with_moduli(rng, moduli, shear=shear).entries, 1.0 / 0.97
+    # transient growth: ||J^k|| climbs by orders of magnitude before it decays
+    for dim, eig, sup in ((12, 0.8, 2.0), (8, 0.9, 4.0), (6, 0.5, 3.0), (32, 0.6, 1.0)):
+        yield _jordan(dim, eig, sup), 1.0
+        yield _jordan(dim, eig, sup), 0.5  # the anticausal side's weight rho < 1
+    # a scaled unitary, where the Frobenius bound is tight at every step
+    for dim in (1, 4, 16):
+        yield 0.9 * random_unitary(rng, dim), 1.0
+    # nilpotent: the powers vanish at K = d
+    yield np.triu(rng.standard_normal((6, 6)), 1).astype(np.complex128), 2.0
+
+
+def test_tail_cut_search_equals_every_step_svd_scan(monkeypatch):
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    steps = 0
+    for mat, weight in _tail_search_fixtures():
+        want = _decay_steps_every_svd(mat, weight)
+        assert want is not None
+        assert _decay_steps(mat, weight) == want
+        steps += want
+    # the Frobenius bound rules out most steps before an SVD is taken
+    assert len(calls) < steps / 4
 
 
 def test_linear_recurrence_matches_power_sums():
@@ -235,6 +304,66 @@ def test_frequency_zero():
 def test_frequency_rejects_spectrum_on_circle():
     with pytest.raises(SpectrumOnCircle):
         ResolventPlan(BoundedOperator([[1.0]]), 1.0, "frequency")
+
+
+def test_frequency_certified_on_jordan_block():
+    # ||J^k|| grows to ~1e11 before it decays, so a cut from the eigenvalue
+    # moduli alone drops an O(||f||) tail; the certified causal cut does not.
+    # The remaining residual is the rounding of the transforms against the
+    # solution's peak, above the causal route's but far below ||f||.
+    a = BoundedOperator(_jordan(12, 0.8, 2.0))
+    f = random_sequence(np.random.default_rng(0), 12, 0, 63)
+    norm_f = weighted_norm(f, Weight(1.0, 2.0))
+    causal = ResolventPlan(a, 1.0, "causal")
+    plan = ResolventPlan(a, 1.0, "frequency")
+    assert plan.tail_cut == causal.tail_cut
+    u_time = apply_resolvent_causal(causal, f)
+    u = apply_resolvent_frequency(plan, f)
+    assert u.window == u_time.window
+    assert equation_residual(u_time, a, f, 1.0) <= 1e-6 * norm_f
+    assert equation_residual(u, a, f, 1.0) <= 1e-4 * norm_f
+
+
+def test_frequency_window_equals_split_window():
+    # two non-normal Jordan blocks, inside and outside the unit circle
+    a = np.zeros((8, 8), dtype=np.complex128)
+    a[:4, :4], a[4:, 4:] = _jordan(4, 0.5, 1.0), _jordan(4, 2.0, 1.0)
+    a = BoundedOperator(a)
+    f = random_sequence(np.random.default_rng(43), 8, -6, 9)
+    split = ResolventPlan(a, 1.0, "split")
+    plan = ResolventPlan(a, 1.0, "frequency")
+    assert plan.tail_cut == split.tail_cut == max(split._causal[-1], split._anticausal[-1])
+    u_split = apply_resolvent_split(split, f)
+    u = apply_resolvent_frequency(plan, f)
+    assert u.window == u_split.window == (-6 - split._anticausal[-1], 9 + split._causal[-1] + 1)
+    assert max_abs_diff(u, u_split) <= 1e-12 * np.max(np.abs(u_split.values))
+    norm_f = weighted_norm(f, Weight(1.0, 2.0))
+    assert equation_residual(u, a, f, 1.0) <= SERIES_SLACK * norm_f
+
+
+def test_frequency_gap_beyond_tail_cap_raises_at_once(monkeypatch):
+    # r(A) = 0.9999 at rho = 1 needs about 2.8e5 terms; a heuristic cut
+    # built a 4e5-row window here instead of raising
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionViolation):
+        ResolventPlan(BoundedOperator.diagonal([0.9999, 0.5]), 1.0, "frequency")
+    assert time.perf_counter() - start < 0.1
+    assert calls == []
+
+
+def test_frequency_outside_causal_regime_needs_the_riesz_split():
+    # Known limitation: off the causal regime the frequency route takes the
+    # split plan's certified cuts, so it raises where the trapezoid Riesz
+    # quadrature does (defect ~1e-9 after its 4096 nodes here), as mode
+    # "split" does; the causal regime needs no split
+    a = BoundedOperator([[0.995, 0.3], [0.0, 2.0]])
+    for mode in ("split", "frequency"):
+        with pytest.raises(QuadratureError):
+            ResolventPlan(a, 1.0, mode)
+    assert ResolventPlan(a, 2.5, "frequency").split is None
 
 
 def test_causality_probe_unstable_scalar():
