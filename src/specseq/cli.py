@@ -59,7 +59,7 @@ def _cmd_spectrum(args):
 
 def _cmd_riesz(args):
     A = io.matrix_from_json(io.load_json(args.A), "A")
-    split = riesz_split(A, args.gamma, args.quad_points)
+    split = riesz_split(A, args.gamma)
     _emit(
         {
             "gamma": split.gamma,
@@ -69,7 +69,7 @@ def _cmd_riesz(args):
             "r_outside_inv": split.r_outside_inv,
             "idempotency_defect": split.idempotency_defect,
             "commutation_defect": split.commutation_defect,
-            "quad_points": split.quad_points,
+            "sign_steps": split.quad_points,
         },
         args.out,
     )
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riesz", help="Riesz projections at a circle")
     p.add_argument("--A", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--quad-points", type=int, default=256, dest="quad_points")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_riesz)
 

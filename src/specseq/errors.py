@@ -56,7 +56,7 @@ class SpectrumOnCircle(SpecseqError):
 
 
 class QuadratureError(SpecseqError):
-    """Contour quadrature failed to produce a projection within tolerance."""
+    """The sign iteration of a Riesz split gave no projection that passes its gates."""
 
     code = "riesz-quadrature"
     exit_status = 9

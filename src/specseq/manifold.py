@@ -61,7 +61,7 @@ class ManifoldProblem:
     the same projections, so the default just steps past the radius).
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
     A supplied ``horizon`` must lie in ``[0, TAIL_CAP]``; by default it is
-    twice the certified decay length of the stable range, within [32, 1024].
+    twice the certified decay length of the stable range, within [32, TAIL_CAP].
     """
 
     A: BoundedOperator
@@ -110,7 +110,7 @@ class ManifoldProblem:
                 self.horizon = 2 * math.ceil(math.log(SERIES_TOL) / math.log(r_in))
             else:
                 self.horizon = 2 * self.A.dim + 4
-            self.horizon = int(min(max(self.horizon, 32), 1024))
+            self.horizon = int(min(max(self.horizon, 32), TAIL_CAP))
 
     def check_stable_range(self, xi) -> np.ndarray:
         """``xi`` as a vector; raises :class:`RangeViolation` unless

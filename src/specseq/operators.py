@@ -2,8 +2,8 @@
 Riesz spectral projections.
 
 Operator norms throughout are spectral 2-norms (largest singular value).
-The Riesz quadrature (against the identity) and the frequency-mode solves
-(against the transformed data) reduce over the node blocks of
+Riesz projections are the matrix sign function of a Cayley transform, and
+frequency-mode solves reduce over the node blocks of
 :func:`circle_resolvents`.  The circle supremum
 ``M_r = sup_{|z| = r} ||(z - A)^{-1}||`` that gates admissibility is a
 certified upper bound, within a factor ``1 + SUP_REL_TOL`` of the true
@@ -11,7 +11,7 @@ value: smallest singular values of ``z I - A`` on an adaptive grid, with a
 Lipschitz bound between nodes and a margin for the SVD's rounding (the
 level-set method of Boyd & Balakrishnan 1990 is the test oracle).
 Circles ``S_r = {|z| = r}`` are always assumed to avoid the spectrum by at
-least :data:`GAP_TOL`; quadrature accuracy degrades as the gap closes.
+least :data:`GAP_TOL`.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ GAP_TOL = 1e-6
 #: Default exclusion radius around eigenvalues for pointwise resolvents.
 EIG_TOL = 1e-9
 
-#: Hard cap on contour quadrature nodes.
-MAX_QUAD_POINTS = 4096
+#: Most Newton steps for the matrix sign function of a Riesz split.
+MAX_SIGN_STEPS = 100
 
 #: Idempotency defect ``||P^2 - P||`` a Riesz projection must reach.
 PROJ_TOL = 1e-10
@@ -124,11 +124,11 @@ class BoundedOperator:
 class SpectralSplit:
     """Riesz projection pair at circle radius ``gamma``.
 
-    ``proj_stable`` projects onto the invariant subspace of eigenvalues
-    inside ``S_gamma`` along the complementary invariant subspace;
-    ``proj_unstable`` is the complement.  ``r_inside`` is the largest inside
-    modulus (0 when nothing is inside) and ``r_outside_inv`` the largest
-    reciprocal modulus outside (0 when nothing is outside).
+    ``proj_stable`` projects onto the invariant subspace of eigenvalues inside
+    ``S_gamma`` along the complementary invariant subspace; ``proj_unstable`` is the
+    complement.  ``r_inside`` is the largest inside modulus (0 when nothing is inside)
+    and ``r_outside_inv`` the largest reciprocal modulus outside (0 when nothing is
+    outside).  ``quad_points`` counts the Newton sign steps (named for the bench tracer).
     """
 
     gamma: float
@@ -190,8 +190,7 @@ def circle_resolvents(A: BoundedOperator, rho: float, n: int, rhs: np.ndarray):
     """Solves ``(z_j I - A) x_j = rhs_j`` at the ``n`` uniform nodes of S_rho, in blocks.
 
     ``rhs`` is ``(n, d, k)``, one right-hand side block per node (a
-    broadcast view, such as the identity at every node for the resolvents
-    themselves, costs no memory).  Yields ``(start, z, X)`` with nodes
+    broadcast view costs no memory).  Yields ``(start, z, X)`` with nodes
     ``z = rho e^{2 pi i j / n}`` from ``j = start`` and
     ``X[i] = (z[i] I - A)^{-1} rhs[start + i]``, one stacked solve per block
     of ``max(1, 2**14 // d**2)`` nodes.  Raises :class:`SpectrumOnCircle`
@@ -273,40 +272,45 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 32) -> f
     return 1.0 / bound
 
 
-def _contour_projection(A: BoundedOperator, gamma: float, n_points: int) -> np.ndarray:
-    # Trapezoid rule for (2 pi i)^(-1) * contour integral of (z-A)^(-1) dz
-    # over S_gamma; with z = gamma e^(i theta) this is the mean of z (z-A)^(-1).
-    # Summed node by node so the rounding does not depend on the block length.
-    acc = np.zeros((A.dim, A.dim), dtype=np.complex128)
-    eye = np.broadcast_to(np.eye(A.dim, dtype=np.complex128), (n_points, A.dim, A.dim))
-    for _, z, res in circle_resolvents(A, gamma, n_points, eye):
-        for zi, ri in zip(z, res):
-            acc += zi * ri
-    return acc / n_points
+def _matrix_sign(x: np.ndarray) -> tuple[np.ndarray, int]:
+    # sign(x) and the step count of X <- (mu X + (mu X)^{-1}) / 2, with mu = |det X|^{-1/d}
+    # until a step moves X by at most 1e-2 of its norm, then 1 (Higham 2008, ch. 5).  It
+    # stops once the next error, about ||X^{-1}|| ||dX||^2 / 2, is below d eps ||X|| (section
+    # 5.8), or once an unscaled step fails to halve ||dX||: only rounding is left.
+    eta, scale, last = len(x) * np.finfo(np.float64).eps, True, math.inf
+    for step in range(1, MAX_SIGN_STEPS + 1):
+        inv = np.linalg.inv(x)
+        mu = math.exp(-np.linalg.slogdet(x)[1] / len(x)) if scale else 1.0
+        new = (mu * x + inv / mu) / 2.0
+        delta, size = np.linalg.norm(new - x), np.linalg.norm(new)
+        if delta**2 <= 2.0 * eta * size / np.linalg.norm(inv) or (not scale and delta > last / 2):
+            return new, step
+        x, last, scale = new, delta, scale and delta > 1e-2 * size
+    return x, MAX_SIGN_STEPS
 
 
 def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> SpectralSplit:
     """Spectral splitting of ``A`` at the circle ``S_gamma``.
 
-    The stable projection is the contour integral of the resolvent over
-    ``S_gamma`` by the trapezoid rule, which is spectrally accurate for
-    this periodic analytic integrand.  The node count doubles adaptively
-    until the idempotency defect ``||P^2 - P||`` falls below :data:`PROJ_TOL`
-    or the cap of :data:`MAX_QUAD_POINTS` is reached.
+    The Cayley map ``C = (A - gamma I)^{-1} (A + gamma I)`` sends ``|z| < gamma`` to
+    ``Re z < 0``, so ``P = (I - sign(C)) / 2``; the sign takes at most
+    :data:`MAX_SIGN_STEPS` scaled Newton steps.  A singular step, or a ``P`` that misses
+    ``||P^2 - P|| <= PROJ_TOL``, ``tr P`` = the number of eigenvalues inside, or
+    ``||PA - AP|| <= PROJ_TOL max(1, ||P||) max(1, ||A||)``, raises :class:`QuadratureError`.
+    ``quad_points`` has no effect; it stays only for the bench tracer, which binds it.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive and finite, got {gamma!r}")
-    used = min(max(16, int(quad_points)), MAX_QUAD_POINTS)
-    while True:
-        proj = _contour_projection(A, gamma, used)
-        defect = operator_norm(proj @ proj - proj)
-        if defect <= PROJ_TOL or used >= MAX_QUAD_POINTS:
-            break
-        used = min(2 * used, MAX_QUAD_POINTS)
-    if defect > PROJ_TOL:
-        raise QuadratureError(
-            f"projection defect {defect:.3e} above {PROJ_TOL} after {used} nodes"
-        )
+    _check_circle(A, gamma)
+    eye = np.eye(A.dim, dtype=np.complex128)
+    try:
+        sign, steps = _matrix_sign(np.linalg.solve(A.entries - gamma * eye, A.entries + gamma * eye))
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureError(f"sign iteration met a singular matrix: {exc}") from exc
+    proj = (eye - sign) / 2.0
+    defect = operator_norm(proj @ proj - proj)
+    if not defect <= PROJ_TOL:
+        raise QuadratureError(f"projection defect {defect:.3e} > {PROJ_TOL} after {steps} steps")
 
     moduli = np.abs(A.eigenvalues)
     inside = moduli < gamma
@@ -317,18 +321,19 @@ def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> Spe
             f"{n_inside} eigenvalues inside |z| = {gamma}"
         )
     comm = operator_norm(proj @ A.entries - A.entries @ proj)
+    if not comm <= PROJ_TOL * max(1.0, operator_norm(proj)) * max(1.0, A.norm()):
+        raise QuadratureError(f"commutation defect {comm:.3e} after {steps} steps")
     r_inside = float(np.max(moduli[inside])) if n_inside else 0.0
     r_outside_inv = float(np.max(1.0 / moduli[~inside])) if n_inside < A.dim else 0.0
-    complement = np.eye(A.dim, dtype=np.complex128) - proj
     return SpectralSplit(
         gamma=float(gamma),
         proj_stable=proj,
-        proj_unstable=complement,
+        proj_unstable=eye - proj,
         r_inside=r_inside,
         r_outside_inv=r_outside_inv,
         idempotency_defect=defect,
         commutation_defect=comm,
-        quad_points=used,
+        quad_points=steps,
     )
 
 

@@ -38,7 +38,6 @@ from .errors import (
     InternalInconsistency,
     NotCausalRegime,
     PreconditionViolation,
-    SpectrumOnCircle,
 )
 from .operators import (
     GAP_TOL,
@@ -175,10 +174,6 @@ class ResolventPlan:
                 f"rho = {self.rho}, r(A) = {radius}"
             )
         if self.mode == "split" or not causal_regime:
-            if float(np.min(np.abs(np.abs(self.A.eigenvalues) - self.rho))) <= GAP_TOL:
-                raise SpectrumOnCircle(
-                    f"spectrum within {GAP_TOL} of the circle |z| = {self.rho}"
-                )
             self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
         else:

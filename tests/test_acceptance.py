@@ -38,6 +38,7 @@ from specseq import (
     zero_map,
 )
 from test_manifold import brute_force_characterization
+from test_operators import assert_matches_trapezoid
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
@@ -168,6 +169,9 @@ def test_c06_riesz_suite():
         p_lo = riesz_split(a, lo_gamma).proj_stable
         p_hi = riesz_split(a, hi_gamma).proj_stable
         assert operator_norm(p_lo - p_hi) <= 1e-8
+        # the sign iteration against an independent trapezoid contour sum
+        for gamma, proj in ((1.0, p), (lo_gamma, p_lo), (hi_gamma, p_hi)):
+            assert_matches_trapezoid(a, gamma, proj)
         # split-resolvent residual
         plan = ResolventPlan(a, 1.0, "split")
         f = random_sequence(rng, dim, -4, 4)

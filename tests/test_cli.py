@@ -125,6 +125,7 @@ def test_riesz_output(files, capsys):
     assert np.allclose(data["proj_stable"]["re"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
     assert data["r_inside"] == pytest.approx(0.5)
     assert data["idempotency_defect"] <= 1e-10
+    assert data["sign_steps"] >= 1 and "quad_points" not in data
 
 
 def test_resolve_causal(files, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,12 +391,31 @@ def test_stacked_sweep_isolates_no_convergence():
 
 
 def test_forward_check_runs_only_over_its_comparison_window():
-    # horizon 1024 with growth 3: an orbit over the whole horizon overflows,
+    # horizon 1078 with growth 3: an orbit over the whole horizon overflows,
     # the prefix the check compares on does not
     prob = ManifoldProblem(BoundedOperator(np.diag([0.95, 3.0])), saturation_map(0.01))
-    assert prob.horizon == 1024
+    assert prob.horizon == 1078
     (row,) = manifold_sweep(prob, [np.array([0.3, 0.0])])
     assert row.error is None and np.all(np.isfinite(row.eta))
+
+
+@pytest.mark.parametrize("r, horizon", [(0.99, 5500), (0.998, 20000)])
+def test_default_horizon_reaches_decay_evidence_near_the_circle(r, horizon):
+    # a default horizon clipped to 1024 turned every row into a failed
+    # tail-decay check once r_inside passed about 0.987; at 0.998 the Riesz
+    # split also needed more than 4096 trapezoid nodes
+    prob = ManifoldProblem(BoundedOperator(np.diag([r, 2.0])), saturation_map(1e-6))
+    assert prob.horizon == horizon
+    (row,) = manifold_sweep(prob, [np.array([0.1, 0.0])])
+    assert row.error is None and np.all(np.isfinite(row.eta))
+
+
+def test_decay_length_beyond_tail_cap_fails_fast():
+    # the certified cut of the stable range needs 27 618 terms, above TAIL_CAP
+    start = time.perf_counter()
+    with pytest.raises(PreconditionViolation, match="27618 terms"):
+        ManifoldProblem(BoundedOperator(np.diag([0.999, 2.0])), saturation_map(1e-6))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_block_failure_becomes_each_rows_error():

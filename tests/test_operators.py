@@ -9,6 +9,7 @@ from specseq import (
     IndeterminateHyperbolic,
     InputError,
     PreconditionViolation,
+    QuadratureError,
     ResolventPlan,
     SpectrumHit,
     SpectrumOnCircle,
@@ -247,6 +248,30 @@ def test_circle_resolvents_rejects_spectrum_on_circle():
         next(circle_resolvents(a, 2.0, 64, np.zeros((64, 2, 1))))
 
 
+#: Trapezoid nodes of the reference projection; spectrally accurate for every
+#: fixture here, whose spectra keep at least 0.05 from the circle.
+ORACLE_NODES = 4096
+
+
+def trapezoid_projection(a: BoundedOperator, gamma: float) -> np.ndarray:
+    """Reference Riesz projection: the trapezoid rule for the contour integral
+    of ``(z - A)^{-1}`` over ``S_gamma``, the mean of ``z (z - A)^{-1}`` over
+    :data:`ORACLE_NODES` nodes, summed node by node."""
+    n = ORACLE_NODES
+    acc = np.zeros((a.dim, a.dim), dtype=np.complex128)
+    eye = np.broadcast_to(np.eye(a.dim, dtype=np.complex128), (n, a.dim, a.dim))
+    for _, z, res in circle_resolvents(a, gamma, n, eye):
+        for zi, ri in zip(z, res):
+            acc += zi * ri
+    return acc / n
+
+
+def assert_matches_trapezoid(a: BoundedOperator, gamma: float, proj: np.ndarray):
+    ref = trapezoid_projection(a, gamma)
+    assert operator_norm(ref @ ref - ref) <= 1e-10  # the reference itself converged
+    assert operator_norm(proj - ref) <= 1e-10 * max(1.0, operator_norm(ref))
+
+
 def test_riesz_diagonal_split():
     split = riesz_split(BoundedOperator(np.diag([0.5, 2.0])), 1.0)
     assert np.allclose(split.proj_stable, np.diag([1.0, 0.0]), atol=1e-12)
@@ -268,6 +293,7 @@ def test_riesz_matches_eigenprojector_oracle():
     split = riesz_split(BoundedOperator([[0.5, 1.0], [0.0, 2.0]]), 1.0)
     oracle = np.array([[1.0, -2.0 / 3.0], [0.0, 0.0]])
     assert np.allclose(split.proj_stable, oracle, atol=1e-10)
+    assert_matches_trapezoid(BoundedOperator([[0.5, 1.0], [0.0, 2.0]]), 1.0, split.proj_stable)
 
 
 def test_riesz_idempotence_commutation_random():
@@ -279,8 +305,9 @@ def test_riesz_idempotence_commutation_random():
             [rng.uniform(0.2, 0.85, n_in), rng.uniform(1.15, 2.5, dim - n_in)]
         )
         a = matrix_with_moduli(rng, moduli, shear=0.2)
-        split = riesz_split(a, 1.0, quad_points=256)
+        split = riesz_split(a, 1.0)
         p = split.proj_stable
+        assert_matches_trapezoid(a, 1.0, p)
         assert operator_norm(p @ p - p) <= 1e-8
         assert operator_norm(p @ a.entries - a.entries @ p) <= 1e-8
         assert operator_norm(p + split.proj_unstable - np.eye(dim)) <= 1e-12
@@ -294,11 +321,43 @@ def test_riesz_radius_independence_across_annulus():
     p1 = riesz_split(a, 0.8).proj_stable
     p2 = riesz_split(a, 1.7).proj_stable
     assert operator_norm(p1 - p2) <= 1e-8
+    assert_matches_trapezoid(a, 0.8, p1)
+    assert_matches_trapezoid(a, 1.7, p2)
 
 
 def test_riesz_rejects_spectrum_on_circle():
     with pytest.raises(SpectrumOnCircle):
         riesz_split(BoundedOperator([[1.0]]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "entries, exact",
+    [
+        # a 4096-node trapezoid sum left projection defects 1.7e-2, 1.3e-9, 5.6e-7
+        (np.diag([0.999, 2.0]), np.diag([1.0, 0.0])),
+        ([[0.995, 0.3], [0.0, 2.0]], [[1.0, -0.3 / 1.005], [0.0, 0.0]]),
+        (np.diag([0.9] * 8) + 2.0 * np.eye(8, k=1), np.eye(8)),
+    ],
+)
+def test_riesz_sign_iteration_near_circle_and_non_normal(entries, exact):
+    split = riesz_split(BoundedOperator(entries), 1.0)
+    assert operator_norm(split.proj_stable - np.asarray(exact)) <= 1e-12
+    assert 1 <= split.quad_points <= 10
+
+
+def test_riesz_gate_miss_raises_quadrature_error(monkeypatch):
+    a = BoundedOperator(np.diag([0.999, 2.0]))  # needs 3 sign steps
+    monkeypatch.setattr(operators, "MAX_SIGN_STEPS", 1)
+    with pytest.raises(QuadratureError, match="after 1 steps"):
+        riesz_split(a, 1.0)
+    monkeypatch.undo()
+
+    def singular(x):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(QuadratureError, match="singular"):
+        riesz_split(a, 1.0)
 
 
 def test_is_hyperbolic():

@@ -8,7 +8,6 @@ from specseq import (
     BoundedOperator,
     NotCausalRegime,
     PreconditionViolation,
-    QuadratureError,
     ResolventPlan,
     SpectrumOnCircle,
     Weight,
@@ -302,8 +301,10 @@ def test_frequency_zero():
 
 
 def test_frequency_rejects_spectrum_on_circle():
-    with pytest.raises(SpectrumOnCircle):
-        ResolventPlan(BoundedOperator([[1.0]]), 1.0, "frequency")
+    # the Riesz split owns the check, for both modes that build one
+    for mode in ("split", "frequency"):
+        with pytest.raises(SpectrumOnCircle):
+            ResolventPlan(BoundedOperator([[1.0]]), 1.0, mode)
 
 
 def test_frequency_certified_on_jordan_block():
@@ -316,12 +317,28 @@ def test_frequency_certified_on_jordan_block():
     norm_f = weighted_norm(f, Weight(1.0, 2.0))
     causal = ResolventPlan(a, 1.0, "causal")
     plan = ResolventPlan(a, 1.0, "frequency")
-    assert plan.tail_cut == causal.tail_cut
+    split = ResolventPlan(a, 1.0, "split")
+    assert plan.tail_cut == causal.tail_cut == split.tail_cut
     u_time = apply_resolvent_causal(causal, f)
     u = apply_resolvent_frequency(plan, f)
-    assert u.window == u_time.window
+    u_split = apply_resolvent_split(split, f)
+    assert u.window == u_time.window == u_split.window
+    assert max_abs_diff(u_split, u_time) <= 1e-12 * np.max(np.abs(u_time.values))
     assert equation_residual(u_time, a, f, 1.0) <= 1e-6 * norm_f
     assert equation_residual(u, a, f, 1.0) <= 1e-4 * norm_f
+
+
+def test_split_plan_on_jordan_block_matches_causal():
+    # eigenvalue 0.9 with superdiagonal 2: only non-normality stands between
+    # the spectrum and the unit circle; a 4096-node trapezoid Riesz sum left
+    # a projection defect of 5.6e-7 here
+    a = BoundedOperator(_jordan(8, 0.9, 2.0))
+    f = random_sequence(np.random.default_rng(8), 8, -5, 20)
+    split = ResolventPlan(a, 1.0, "split")
+    causal = ResolventPlan(a, 1.0, "causal")
+    u_split, u_time = apply_resolvent_split(split, f), apply_resolvent_causal(causal, f)
+    assert u_split.window == u_time.window
+    assert max_abs_diff(u_split, u_time) <= 1e-12 * np.max(np.abs(u_time.values))
 
 
 def test_frequency_window_equals_split_window():
@@ -355,14 +372,17 @@ def test_frequency_gap_beyond_tail_cap_raises_at_once(monkeypatch):
 
 
 def test_frequency_outside_causal_regime_needs_the_riesz_split():
-    # Known limitation: off the causal regime the frequency route takes the
-    # split plan's certified cuts, so it raises where the trapezoid Riesz
-    # quadrature does (defect ~1e-9 after its 4096 nodes here), as mode
-    # "split" does; the causal regime needs no split
+    # off the causal regime the frequency route takes the split plan's
+    # certified cuts; an eigenvalue 0.005 inside the circle needs no special
+    # care from the sign iteration, and both routes agree (the causal regime
+    # needs no split)
     a = BoundedOperator([[0.995, 0.3], [0.0, 2.0]])
-    for mode in ("split", "frequency"):
-        with pytest.raises(QuadratureError):
-            ResolventPlan(a, 1.0, mode)
+    split, plan = ResolventPlan(a, 1.0, "split"), ResolventPlan(a, 1.0, "frequency")
+    assert plan.split is not None and plan.tail_cut == split.tail_cut
+    f = random_sequence(np.random.default_rng(9), 2, -4, 12)
+    u_split, u = apply_resolvent_split(split, f), apply_resolvent_frequency(plan, f)
+    assert u.window == u_split.window
+    assert max_abs_diff(u, u_split) <= 1e-12 * np.max(np.abs(u_split.values))
     assert ResolventPlan(a, 2.5, "frequency").split is None
 
 
