@@ -336,14 +336,14 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
 
     The grid is one stacked Lyapunov-Perron iteration, with the same checks
     per row as :func:`stable_manifold_point`: rows converge and stop
-    independently.  Rows go in blocks of ``max(1, 2**14 // ((horizon + 1) d))``,
-    so a stacked array holds about 2**14 complex entries (or one row) as
-    the node blocks of :func:`~specseq.operators.circle_resolvents` do,
-    which bounds peak memory whatever the grid size.  Rows are independent;
-    per-row failures (a vector off the stable range, no convergence, a
-    failed certificate, a non-finite iterate) are recorded in the ``error``
-    field with the same code and message as a one-row run, and the other
-    rows are unaffected.  Output order follows the grid.
+    independently.  Rows go in blocks of ``max(1, 2**15 // ((horizon + 1) d))``,
+    so a stacked array holds about 2**15 complex entries (or one row), which
+    bounds peak memory whatever the grid size, while each step of the
+    recurrence spreads its fixed Python overhead over several rows.
+    Rows are independent; per-row failures (a vector off the stable range,
+    no convergence, a failed certificate, a non-finite iterate) are recorded
+    in the ``error`` field with the same code and message as a one-row run,
+    and the other rows are unaffected.  Output order follows the grid.
     """
     grid = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in xi_grid]
     results: list = [None] * len(grid)
@@ -354,7 +354,7 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
             valid.append(i)
         except Exception as exc:  # per-row isolation
             results[i] = exc
-    block = max(1, 2**14 // ((prob.horizon + 1) * prob.A.dim))
+    block = max(1, 2**15 // ((prob.horizon + 1) * prob.A.dim))
     for start in range(0, len(valid), block):
         rows = valid[start : start + block]
         for i, result in zip(rows, _block_points(prob, np.array([grid[i] for i in rows]))):

@@ -7,9 +7,10 @@ frequency-mode solves reduce over the node blocks of
 :func:`circle_resolvents`.  The circle supremum
 ``M_r = sup_{|z| = r} ||(z - A)^{-1}||`` that gates admissibility is a
 certified upper bound, within a factor ``1 + SUP_REL_TOL`` of the true
-value: smallest singular values of ``z I - A`` on an adaptive grid, with a
-Lipschitz bound between nodes and a margin for the SVD's rounding (the
-level-set method of Boyd & Balakrishnan 1990 is the test oracle).
+value: smallest singular values of ``z I - A`` on an adaptive grid, bounded
+between nodes by the larger of a Lipschitz (first-order) and a concavity
+(second-order) bound, less a margin for the SVD's rounding (the level-set
+method of Boyd & Balakrishnan 1990 is the test oracle only).
 Circles ``S_r = {|z| = r}`` are always assumed to avoid the spectrum by at
 least :data:`GAP_TOL`.
 """
@@ -210,31 +211,77 @@ def _sigma_min(A: BoundedOperator, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 32) -> float:
+def _sup_margins(A: BoundedOperator, rho: float) -> tuple[float, float]:
+    # (margin, curve) of circle_sup_resolvent: the SVD and node rounding
+    # margin of a sampled sigma_min, and rho ||A||_up / 4 with a relative
+    # slack of 8 eps, where ||A||_up covers the rounding of A.norm().
+    eps = np.finfo(np.float64).eps
+    norm_f = float(np.linalg.norm(A.entries))
+    margin = 8 * A.dim * eps * (rho + norm_f)
+    curve = rho * (A.norm() + 8 * A.dim * eps * norm_f) / 4.0 * (1.0 + 8 * eps)
+    return margin, curve
+
+
+def _arc_lower(s: np.ndarray, arc: np.ndarray, rho: float, margin: float, curve: float):
+    # Certified lower bound on sigma_min over each arc, from the node with
+    # sample s[j] through the angle arc[j] to the next node (cyclically):
+    # the larger of the first- and second-order bounds of circle_sup_resolvent.
+    s_next = np.roll(s, -1)
+    low = np.maximum(np.minimum(s, s_next) - margin, 0.0)
+    squared = low * low * (1.0 - 8 * np.finfo(np.float64).eps) - curve * arc * arc
+    return np.maximum((s + s_next - rho * arc) / 2.0 - margin, np.sqrt(np.maximum(squared, 0.0)))
+
+
+def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> float:
     """Certified upper bound on ``sup ||(z - A)^{-1}||`` over the circle S_rho.
 
-    ``||(z - A)^{-1}|| = 1 / s(z)`` with ``s(z) = sigma_min(z I - A)``, which
-    is 1-Lipschitz in ``z`` (Weyl).  ``s`` is sampled by batched SVDs, no
-    solve, from ``samples`` uniform angles; on the arc of length ``L``
-    between neighbouring nodes ``w, w'`` it is at least
-    ``lower = (s(w) + s(w') - L) / 2 - margin``, where
-    ``margin = 8 d eps (rho + ||A||_F)`` bounds the backward error of the SVD
-    (a modest multiple of ``d eps ||z I - A||``) and the rounding of the
-    nodes.  Each arc with ``(1 + SUP_REL_TOL) lower`` below the least sampled
-    ``s`` is bisected, until none is left; only arcs near a peak are.  The
-    result is ``1 / min(lower)``: never below the true supremum, and at most
+    ``||(z - A)^{-1}|| = 1 / s(z)`` with ``s(z) = sigma_min(z I - A)``,
+    sampled by batched SVDs, no solve, from ``samples`` uniform angles.  A
+    sampled ``s_hat`` is within ``margin = 8 d eps (rho + ||A||_F)`` of the
+    true ``s``: a modest multiple of the SVD's backward error
+    ``d eps ||z I - A||``, plus the rounding of the node.  So ``s >= l``
+    at a node, with ``l = max(s_hat - margin, 0)``.  On the arc of angle
+    ``L`` between neighbouring nodes, ``s`` is bounded below twice over:
+
+    * first order: ``s`` is 1-Lipschitz in ``z`` (Weyl), so
+      ``s >= (s_hat + s_hat' - rho L) / 2 - margin`` on the arc;
+    * second order: ``s^2`` is ``f(cos t, sin t)`` for
+      ``f(x, y) = lambda_min(rho^2 I + A^H A - 2 rho (x B1 + y B2))``,
+      ``B1 = (A + A^H) / 2``, ``B2 = i (A^H - A) / 2``.  ``f`` is a minimum
+      of affine functions, so concave, and each has gradient
+      ``-2 rho (v^H B1 v, v^H B2 v)`` of length ``2 rho |v^H A v|``, so
+      ``f`` is ``2 rho ||A||``-Lipschitz.  Every arc point lies within
+      ``1 - cos(L / 2) <= L^2 / 8`` of a chord point (``L <= pi``), where
+      concavity gives ``f >= min(l, l')^2``; hence
+      ``s >= sqrt(max(0, min(l, l')^2 - rho ||A||_up L^2 / 4))``.
+
+    The margin is taken off ``s_hat`` before squaring: the error of a
+    squared sample, ``2 s delta + delta^2`` for an SVD error ``delta``,
+    grows with ``s``, while a lower bound ``l >= 0`` on ``s`` squares to a
+    lower bound on ``s^2`` as it is.  ``||A||_up`` is ``A.norm()`` plus the
+    same multiple of ``d eps ||A||_F`` for its own SVD, and both squares
+    carry a relative slack of ``8 eps``, so the rounding of the difference
+    cannot lift the bound.  Near a flat minimum ``s_min`` the second-order
+    bound passes arcs up to about ``sqrt(8 SUP_REL_TOL / (rho ||A||)) s_min``,
+    the first-order one only up to ``2 SUP_REL_TOL s_min / rho``.
+
+    ``lower`` is the larger of the two bounds.  Each arc with
+    ``(1 + SUP_REL_TOL) lower`` below the least sampled ``s`` is bisected,
+    until none is left; only arcs near a peak are.  The result is
+    ``1 / min(lower)``: never below the true supremum, and at most
     ``1 + SUP_REL_TOL`` times the largest sampled ``1 / s``, so within that
-    factor of the supremum.  Where ``s`` is nearly flat at a small minimum
-    ``s_min`` the arcs must shrink below ``2 SUP_REL_TOL s_min`` all round,
-    about ``pi rho / (SUP_REL_TOL s_min)`` nodes; refinement stops within
-    :data:`MAX_SUP_NODES`, and the result is then ``1 / min(lower)`` of the
-    grid reached, still an upper bound but looser than the tolerance.
+    factor of the supremum.  Refinement stops within
+    :data:`MAX_SUP_NODES`; the result is then ``1 / min(lower)`` of the
+    grid reached, still an upper bound but looser than the tolerance.  A
+    scaled Jordan block ``c N`` reaches the cap: ``s`` is constant on
+    ``|z| = 1`` at a tiny ``s_min``, so every arc must be that short.
 
     Raises :class:`SpectrumOnCircle` when an eigenvalue modulus is within
     :data:`GAP_TOL` of ``rho``, when the sampled ``s`` falls so low that
     ``margin`` leaves no room for the tolerance (the circle then meets the
     spectrum of a perturbation of ``A`` at the rounding level), or when
-    ``min(lower) <= 0`` at the node cap, so that no bound is certified.
+    ``min(lower) <= 0`` at the node cap, so that no bound is certified;
+    that message gives the spectrum's distance from the circle.
     """
     if not 16 <= samples <= MAX_SUP_NODES:
         raise PreconditionViolation(
@@ -243,7 +290,7 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 32) -> f
     if not (math.isfinite(rho) and rho > 0):
         raise InputError(f"rho must be positive and finite, got {rho!r}")
     _check_circle(A, rho)
-    margin = 8 * A.dim * np.finfo(np.float64).eps * (rho + float(np.linalg.norm(A.entries)))
+    margin, curve = _sup_margins(A, rho)
     theta = 2.0 * np.pi * np.arange(samples) / samples
     s = _sigma_min(A, rho * np.exp(1j * theta))
     while True:
@@ -256,7 +303,7 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 32) -> f
                 f"what the rounding margin {margin:.1e} certifies to {SUP_REL_TOL}"
             )
         ends = np.append(theta[1:], 2.0 * np.pi)
-        lower = (s + np.roll(s, -1) - rho * (ends - theta)) / 2.0 - margin
+        lower = _arc_lower(s, ends - theta, rho, margin, curve)
         open_ = np.flatnonzero((1.0 + SUP_REL_TOL) * lower < floor)
         if not open_.size or theta.size + open_.size > MAX_SUP_NODES:
             break
@@ -265,9 +312,12 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 32) -> f
         s = np.insert(s, open_ + 1, _sigma_min(A, rho * np.exp(1j * mid)))
     bound = float(np.min(lower))
     if bound <= 0.0:
+        gap = float(np.min(np.abs(np.abs(A.eigenvalues) - rho)))
         raise SpectrumOnCircle(
             f"||(z - A)^(-1)|| reaches {1.0 / floor:.3e} on |z| = {rho}; {theta.size} "
-            f"nodes certify no bound, and the cap is {MAX_SUP_NODES}"
+            f"nodes certify no bound, and the cap is {MAX_SUP_NODES}: the node cap, "
+            f"not the spectrum, ends the certificate (the spectrum is {gap:.1e} from "
+            "the circle)"
         )
     return 1.0 / bound
 

@@ -69,10 +69,6 @@ def _csat(z: np.ndarray) -> np.ndarray:
     return np.tanh(z.real) + 1j * np.tanh(z.imag)
 
 
-def _roll_components(a: np.ndarray) -> np.ndarray:
-    return np.roll(a, -1, axis=1) if a.shape[1] > 1 else a
-
-
 #: Pointwise vector fields usable inside the implicit Euler stencil,
 #: as name -> (callable, Lipschitz constant).
 FIELD_TABLE = {
@@ -96,7 +92,21 @@ def _kernel_linear(args, params):
 
 
 def _kernel_saturation(args, params):
-    return params["eps"] * _csat(_roll_components(args[0]))
+    # eps * _csat(a rolled left by one component), written into one array:
+    # tanh of the rotated parts lands in place and is scaled in place.  The
+    # complex sum in _csat keeps a real -0.0 only where the imaginary part
+    # has its sign bit set, and turns an imaginary -0.0 into +0.0; the two
+    # fixes below repeat that.  eps stays the first operand, as in
+    # eps * _csat, since a fused complex product rounds an underflow to a
+    # signed zero by operand order.  The output is the same bit for bit.
+    a = args[0]
+    out = np.empty(a.shape, dtype=np.complex128)
+    for part, dst in ((a.real, out.real), (a.imag, out.imag)):
+        np.tanh(part[:, 1:], out=dst[:, :-1])
+        np.tanh(part[:, :1], out=dst[:, -1:])
+    out.real[(out.real == 0.0) & ~np.signbit(out.imag)] = 0.0
+    out.imag += 0.0
+    return np.multiply(params["eps"], out, out=out)
 
 
 def _kernel_polynomial(args, params):

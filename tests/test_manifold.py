@@ -353,7 +353,7 @@ def assert_rows_match_one_row_sweeps(prob, grid, rows=None):
 
 @pytest.mark.parametrize("horizon", [None, 2000], ids=["one-block", "column-blocks"])
 def test_stacked_sweep_matches_one_row_sweeps(horizon):
-    # a long horizon splits the 16 rows into blocks of 2 (2**14 // (2001 * 4))
+    # a long horizon splits the 16 rows into blocks of 4 (2**15 // (2001 * 4))
     rng = np.random.default_rng(41)
     a = matrix_with_moduli(rng, [0.4, 0.6, 1.5, 2.2], shear=0.2)
     prob = ManifoldProblem(a, saturation_map(0.01), fp_tol=1e-12, horizon=horizon)

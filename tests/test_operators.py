@@ -177,10 +177,8 @@ def test_circle_sup_preconditions():
         circle_sup_resolvent(BoundedOperator([[0.5, 1e8], [0.0, 0.5]]), 1.0)
 
 
-def test_circle_sup_flat_jordan_block_stops_at_node_cap(monkeypatch):
-    # e^{i theta} I - c N is unitarily similar to e^{i theta} (I - c N), so
-    # sigma_min(z I - A) is the constant s on |z| = 1 and every arc needs
-    # refining; the node cap ends it with a looser bound or a typed error
+def _counted_sigma_min(monkeypatch):
+    # patches operators._sigma_min to record the nodes of each call
     nodes = []
     sigma_min = operators._sigma_min
 
@@ -189,6 +187,14 @@ def test_circle_sup_flat_jordan_block_stops_at_node_cap(monkeypatch):
         return sigma_min(a, z)
 
     monkeypatch.setattr(operators, "_sigma_min", counted)
+    return nodes
+
+
+def test_circle_sup_flat_jordan_block_stops_at_node_cap(monkeypatch):
+    # e^{i theta} I - c N is unitarily similar to e^{i theta} (I - c N), so
+    # sigma_min(z I - A) is the constant s on |z| = 1 and every arc needs
+    # refining; the node cap ends it with a looser bound or a typed error
+    nodes = _counted_sigma_min(monkeypatch)
     for dim, c in ((8, 3.0), (16, 2.0)):
         jordan = c * np.eye(dim, k=1)
         s = float(np.linalg.svd(np.eye(dim) - jordan, compute_uv=False)[-1])
@@ -383,3 +389,77 @@ def test_eigenvalues_cached_and_accurate():
     for i in range(5):
         resid = np.linalg.norm(a.entries @ v[:, i] - w[i] * v[:, i])
         assert resid <= 1e-10 * a.norm() * np.linalg.norm(v[:, i])
+
+
+def test_circle_sup_arc_bound_holds_inside_random_arcs():
+    # the second-order lemma, and the bound the code takes (the larger of
+    # both orders, with the rounding margin), against sigma_min sampled
+    # 400 times inside random arcs of random non-normal operators
+    rng = np.random.default_rng(31)
+    decided = 0
+    for _ in range(60):
+        dim = int(rng.integers(2, 9))
+        a = matrix_with_moduli(rng, rng.uniform(0.2, 2.0, dim), shear=rng.uniform(0.0, 1.0))
+        rho = float(rng.uniform(0.5, 3.0))
+        if np.min(np.abs(np.abs(a.eigenvalues) - rho)) < 0.05:
+            continue
+        start, length = rng.uniform(0.0, 2 * np.pi), rng.uniform(1e-3, np.pi / 8)
+        inside = rho * np.exp(1j * (start + length * np.linspace(0.0, 1.0, 400)))
+        sampled = _sigma_min(a.entries, inside)
+        ends = sampled[[0, -1]]
+        margin, curve = operators._sup_margins(a, rho)
+        low = np.min(ends) - margin
+        second = np.sqrt(max(0.0, low**2 - rho * a.norm() * length**2 / 4))
+        arcs = np.array([length, 2 * np.pi - length])
+        lower = operators._arc_lower(ends, arcs, rho, margin, curve)
+        assert np.min(sampled) >= second
+        assert np.min(sampled) >= lower[0]
+        decided += lower[0] > (np.sum(ends) - rho * length) / 2 - margin
+    assert decided >= 20
+
+
+def test_circle_sup_certified_on_hundred_fixtures():
+    # d from 2 to 32 and shears up to 2, scaled by 2 / d: a fixed shear's
+    # non-normality grows with d (||A|| near 800 at d = 16 and shear 0.7),
+    # until the node cap ends refinement with a looser bound, as documented
+    for seed in range(100):
+        rng = np.random.default_rng([11, seed])
+        dim = 32 if seed % 25 == 24 else (2, 3, 4, 6, 8, 12, 16)[seed % 7]
+        shear = rng.uniform(0.0, 2.0) * 2 / dim
+        a = matrix_with_moduli(rng, rng.uniform(0.2, 2.0, dim), shear=shear)
+        for rho in (1.0, spectral_radius(a) + 0.5):
+            oracle = level_set_sup(a.entries, rho)
+            assert oracle <= circle_sup_resolvent(a, rho) <= (1 + SUP_REL_TOL) * oracle
+
+
+def test_circle_sup_flat_minimum_takes_few_nodes(monkeypatch):
+    # sigma_min is constant on the circle; the first-order bound alone needs
+    # arcs below 2 SUP_REL_TOL s_min all round (4096 and 996 nodes)
+    nodes = _counted_sigma_min(monkeypatch)
+    for a, sup in ((np.zeros((1, 1)), 1.0), (0.01 * np.eye(8), 1 / 0.99)):
+        nodes.clear()
+        assert sup <= circle_sup_resolvent(BoundedOperator(a), 1.0) <= (1 + SUP_REL_TOL) * sup
+        assert sum(nodes) <= 64
+
+
+def test_circle_sup_node_count_on_bench_like_operator(monkeypatch):
+    # d = 32 hyperbolic operators built like the benchmark's, which take
+    # about 200 nodes per call with a first-order bound only
+    nodes = _counted_sigma_min(monkeypatch)
+    spaced = (np.arange(16) + 0.5) / 16
+    moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
+    for seed in range(3):
+        a = matrix_with_moduli(np.random.default_rng([7, seed]), moduli, shear=0.5 / np.sqrt(32))
+        nodes.clear()
+        circle_sup_resolvent(a, 1.0)
+        assert sum(nodes) <= 80
+
+
+def test_circle_sup_node_cap_error_names_the_cap():
+    # the spectrum is 5e-4 from the circle, yet the supremum of about 2e8
+    # is a peak too sharp for the node cap
+    a = BoundedOperator([[0.999, 50.0], [0.0, 0.999]])
+    with pytest.raises(SpectrumOnCircle, match="certify no bound") as err:
+        circle_sup_resolvent(a, 0.9995)
+    assert "the node cap, not the spectrum" in str(err.value)
+    assert "spectrum is 5.0e-04 from the circle" in str(err.value)

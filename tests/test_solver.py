@@ -321,3 +321,26 @@ def test_forward_orbit_columns_match_single_orbits():
     for c, x in enumerate(xs):
         alone = solve_ivp(a, f, x, 30, "recursion")
         np.testing.assert_allclose(stacked[:, c], alone.dense(0, 30), rtol=1e-12, atol=1e-14)
+
+
+def test_saturation_kernel_matches_complex_formula_bit_for_bit():
+    # the in-place kernel against eps * (tanh(re) + 1j tanh(im)) of the
+    # components rotated by one, signed zeros and underflow included
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.3, -0.3, 40.0, -40.0, np.inf, -np.inf]
+    re, im = np.meshgrid(parts, parts)
+    z = re.ravel() + 1j * 0.0
+    z.imag = im.ravel()
+    rng = np.random.default_rng(53)
+    noisy = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    noisy.real[rng.random(noisy.shape) < 0.3] = -0.0
+    noisy.imag[rng.random(noisy.shape) < 0.3] = -0.0
+    for eps in (0.05, 1e-300):
+        kernel = saturation_map(eps)
+        for a in [z[:, None], np.stack([z, np.roll(z, 7), np.roll(z, 3)], axis=1), noisy]:
+            before, rolled = a.copy(), np.roll(a, -1, axis=1)
+            expected = eps * (np.tanh(rolled.real) + 1j * np.tanh(rolled.imag))
+            got = kernel.apply_rows(a, 0, 0, len(a) - 1)
+            assert np.array_equal(np.signbit(got.real), np.signbit(expected.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(a.view(np.int64), before.view(np.int64))
