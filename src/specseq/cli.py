@@ -1,8 +1,8 @@
 """Batch command line front-end.
 
 One entry point with subcommands; every run is deterministic given its
-configuration and ``--seed``.  Module errors surface as a structured JSON
-diagnostic on stderr plus a distinct nonzero exit status.
+configuration.  Module errors surface as a structured JSON diagnostic on
+stderr plus a distinct nonzero exit status.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _cmd_solve_contraction(args):
 
 def _cmd_stability(args):
     A = io.matrix_from_json(io.load_json(args.A), "A")
-    report = stability_classify(A, args.horizon, args.probes, args.seed)
+    report = stability_classify(A)
     _emit(
         {
             "verdict": report.verdict,
@@ -217,7 +217,7 @@ def _cmd_stable_manifold(args):
 def _cmd_escape_check(args):
     A = io.matrix_from_json(io.load_json(args.A), "A")
     x = io.vector_from_json(io.load_json(args.x), "x")
-    _emit({"escapes": spectrum_escape_check(A, x, args.horizon)}, args.out)
+    _emit({"escapes": spectrum_escape_check(A, x)}, args.out)
     return 0
 
 
@@ -293,11 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_solve_contraction)
 
-    p = sub.add_parser("stability", help="exponential stability classification")
+    p = sub.add_parser("stability", help="certified exponential stability verdict")
     p.add_argument("--A", required=True)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_stability)
 
@@ -307,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(fn=_cmd_stable_manifold)
 
-    p = sub.add_parser("escape-check", help="unstable-spectrum escape evidence")
+    p = sub.add_parser("escape-check", help="unstable-spectrum escape certificate")
     p.add_argument("--A", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_escape_check)
 

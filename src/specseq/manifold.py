@@ -45,7 +45,14 @@ from .operators import (
     is_hyperbolic,
     spectral_radius,
 )
-from .resolvent import SERIES_TOL, TAIL_CAP, ResolventPlan, apply_resolvent_window
+from .resolvent import (
+    CERT_CAP,
+    SERIES_TOL,
+    TAIL_CAP,
+    ResolventPlan,
+    _decay_steps,
+    apply_resolvent_window,
+)
 from .sequences import Weight, WindowedSequence
 from .solver import StencilMap, check_iteration_limits, fixed_point, forward_orbit
 
@@ -384,17 +391,17 @@ def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
     )
 
 
-def spectrum_escape_check(A: BoundedOperator, x, horizon: int = 50) -> bool:
+def spectrum_escape_check(A: BoundedOperator, x) -> bool:
     """Numerical rendering of: spectrum outside the closed unit disk forces
     every square-summable orbit to start at 0.
 
-    Requires all eigenvalue moduli above ``1 + GAP_TOL``.  Returns True
-    when ``x`` is (numerically) zero or the partial sums of ``|A^n x|^2``
-    show monotone growth; either way the orbit cannot be square-summable
-    unless ``x = 0``.  Raises :class:`InputError` when ``horizon < 1``.
+    Requires all eigenvalue moduli above ``1 + GAP_TOL``.  The power search
+    on ``A^{-1}`` finds an ``n`` with ``||A^{-n}|| <= 1/2``, so that
+    ``|A^{qn} x| >= 2^q |x|`` for every ``x``: no orbit but the zero one is
+    square-summable, and the answer is True.  Without such an ``n`` within
+    ``CERT_CAP`` steps it raises :class:`PreconditionViolation`, at once
+    when the spectral radius of ``A^{-1}`` alone rules the cap out.
     """
-    if horizon < 1:
-        raise InputError(f"escape check needs horizon >= 1, got {horizon}")
     moduli = np.abs(A.eigenvalues)
     if float(np.min(moduli)) <= 1.0 + GAP_TOL:
         raise PreconditionViolation(
@@ -403,17 +410,5 @@ def spectrum_escape_check(A: BoundedOperator, x, horizon: int = 50) -> bool:
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != A.dim:
         raise InputError(f"vector has dimension {x.size}, expected {A.dim}")
-    if float(np.linalg.norm(x)) <= 1e-12:
-        return True
-    norms = [float(np.linalg.norm(x))]
-    y = x.copy()
-    for _ in range(int(horizon)):
-        y = A.entries @ y
-        nrm = float(np.linalg.norm(y))
-        norms.append(nrm)
-        if nrm > 1e100:
-            return True
-    window = max(3, len(norms) // 4)
-    recent = norms[-window:]
-    increasing = all(b > a for a, b in zip(recent, recent[1:]))
-    return increasing and norms[-1] > norms[0]
+    _decay_steps(np.linalg.inv(A.entries), 1.0, 0.5, CERT_CAP, "escape certificate")
+    return True

@@ -66,48 +66,64 @@ SERIES_TOL = 1e-12
 #: Longest certified series tail, in terms; also the longest manifold horizon.
 TAIL_CAP = 20000
 
+#: Longest power search behind the stability and escape certificates, in steps.
+CERT_CAP = 10**5
+
 _MODES = ("causal", "split", "frequency")
 
 
-#: Slack, in logs, for the rounding of the Frobenius norm in the step search.
+#: Slack, in logs, for rounding in the power search's Frobenius test and bound M.
 _LOG_SLACK = 1e-9
 
 
-def _decay_steps(mat: np.ndarray, weight: float) -> int:
-    """Smallest K >= 1 with ||mat^K|| * weight^K <= SERIES_TOL (checked in logs).
+def _decay_steps(
+    mat: np.ndarray, weight: float, level: float, cap: int, what: str
+) -> tuple[int, float]:
+    """Smallest K >= 1 with ||mat^K|| * weight^K <= level (checked in logs), and
+    an upper bound M on ``max_{n < K} ||mat^n|| weight^n`` (n = 0 counts as 1).
 
     As ``||mat^K|| >= r(mat)^K``, a rate ``r(mat) * weight`` too slow for
-    ``TAIL_CAP`` steps raises before any power is formed.  The powers are
-    formed one by one, since ``||mat^K||`` need not be monotone in ``K``;
-    the 2-norm (an SVD) is taken only where the lower bound
-    ``||P||_F / sqrt(d) <= ||P||_2`` does not already fail the test by more
-    than :data:`_LOG_SLACK`, so ``K`` is that of an SVD at every step.
+    ``cap`` steps raises :class:`PreconditionViolation` (naming ``what``)
+    before any power is formed.  The powers are formed one by one, since
+    ``||mat^K||`` need not be monotone in ``K``; the 2-norm (an SVD) is
+    taken only where the lower bound ``||P||_F / sqrt(d) <= ||P||_2`` does
+    not already fail the test by more than :data:`_LOG_SLACK`, so ``K`` is
+    that of an SVD at every step.  ``M`` is the running maximum of the
+    weighted norms the search already has (the SVD where it took one, else
+    the Frobenius norm), widened by :data:`_LOG_SLACK` for rounding.
     """
     if mat.size == 0:
-        return 0
-    log_tol = math.log(SERIES_TOL)
+        return 0, 1.0
+    log_level = math.log(level)
     log_w = math.log(weight)
     log_sqrt_d = 0.5 * math.log(len(mat))
     radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
     rate = math.log(radius) + log_w if radius > 0.0 else -math.inf
-    predicted = math.ceil(log_tol / rate) if rate < 0.0 else math.inf
-    if predicted > TAIL_CAP:
+    predicted = math.ceil(log_level / rate) if rate < 0.0 else math.inf
+    if predicted > cap:
         raise PreconditionViolation(
-            f"series tail cut needs at least {predicted} terms by the spectral radius "
-            f"alone, above the cap of {TAIL_CAP}; the spectral gap is too small"
+            f"{what} needs at least {predicted} terms by the spectral radius "
+            f"alone, above the cap of {cap}; the spectral gap is too small"
         )
+    log_peak = 0.0
     power = mat.copy()
-    for k in range(1, TAIL_CAP + 1):
+    for k in range(1, cap + 1):
         fro = float(np.linalg.norm(power))
-        floor = math.log(fro) - log_sqrt_d if 0.0 < fro < math.inf else -math.inf
-        if floor + k * log_w <= log_tol + _LOG_SLACK:  # else k fails without an SVD
+        log_top = math.log(fro) if 0.0 < fro < math.inf else -math.inf
+        # an SVD only where the Frobenius lower bound does not already fail k
+        if log_top - log_sqrt_d + k * log_w <= log_level + _LOG_SLACK:
             nrm = operator_norm(power)
-            if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
-                return k
+            if nrm == 0.0 or math.log(nrm) + k * log_w <= log_level:
+                return k, math.exp(log_peak + _LOG_SLACK)
+            log_top = math.log(nrm)
+        log_peak = max(log_peak, log_top + k * log_w)
         power = power @ mat
-    raise PreconditionViolation(
-        f"series tail cut exceeded {TAIL_CAP} terms; the spectral gap is too small"
-    )
+    raise PreconditionViolation(f"{what} exceeded {cap} terms; the spectral gap is too small")
+
+
+def _tail_cut(mat: np.ndarray, weight: float) -> int:
+    """The certified series tail cut: :func:`_decay_steps` at SERIES_TOL, TAIL_CAP."""
+    return _decay_steps(mat, weight, SERIES_TOL, TAIL_CAP, "series tail cut")[0]
 
 
 def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -177,7 +193,7 @@ class ResolventPlan:
             self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
         else:
-            self.tail_cut = _decay_steps(self.A.entries, 1.0 / self.rho)
+            self.tail_cut = _tail_cut(self.A.entries, 1.0 / self.rho)
             self._causal = (self.A.entries, None, self.tail_cut)
 
     def _prepare_split(self):
@@ -186,7 +202,7 @@ class ResolventPlan:
         a = self.A.entries
         if split.rank_stable:
             pap = p @ a @ p
-            self._causal = (pap, p, _decay_steps(pap, 1.0 / self.rho))
+            self._causal = (pap, p, _tail_cut(pap, 1.0 / self.rho))
         if split.rank_unstable:
             # M_Q = (QAQ + P)^{-1} Q: A^{-1} on range(Q), zero on range(P)
             try:
@@ -196,7 +212,7 @@ class ResolventPlan:
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._anticausal = (mq, _decay_steps(mq, self.rho))
+            self._anticausal = (mq, _tail_cut(mq, self.rho))
         branches = (self._causal, self._anticausal)
         self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
 

@@ -44,9 +44,10 @@ from .errors import (
     NormOverflow,
     NotCausalRegime,
     NotContractive,
+    PreconditionViolation,
 )
 from .operators import GAP_TOL, BoundedOperator, circle_sup_resolvent, operator_norm, spectral_radius
-from .resolvent import ResolventPlan, apply_resolvent_window
+from .resolvent import CERT_CAP, ResolventPlan, _decay_steps, apply_resolvent_window
 from .sequences import (
     Weight,
     WindowedSequence,
@@ -565,84 +566,43 @@ def solve_ivp_all(A, F, x, horizon, rho=None, fp_tol=FP_TOL, max_iter=MAX_ITER):
 
 @dataclass
 class StabilityReport:
-    """Verdict of the exponential-stability classifier."""
+    """Verdict of the exponential-stability classifier.
+
+    ``probes_consistent`` is True exactly when the verdict carries a
+    certificate: for ``not_stable`` the eigenpair of largest modulus, for
+    ``exponentially_stable`` the envelope ``||A^n|| <= probe_bound *
+    rho_star^n`` for every ``n >= 0``.  ``probe_bound`` is 0.0 without one.
+    """
 
     verdict: str
     r: float
     rho_star: float | None
     probes_consistent: bool
     probe_bound: float
-    horizon: int
-    probe_count: int
 
 
-def stability_classify(
-    A: BoundedOperator,
-    horizon: int = 100,
-    probe_count: int = 8,
-    seed: int = 0,
-) -> StabilityReport:
+def stability_classify(A: BoundedOperator) -> StabilityReport:
     """Classify ``u_{n+1} = A u_n`` as exponentially stable or not.
 
     The verdict is ``r(A) < 1``.  When stable, ``rho_star = (1 + r) / 2``
-    and random impulse orbits are checked for membership evidence in
-    ell_{2,rho*} and for the pointwise bound ``|u_n| <= M rho_star^n``;
-    when unstable, orbits are checked for growth past 10x their start.
-    Raises :class:`InputError` unless ``horizon`` and ``probe_count`` are
-    at least 1: no probe is no evidence.
+    and the power search finds the first ``K`` with ``||A^K|| <= rho_star^K
+    / 2`` and a bound ``M >= ||A^n|| rho_star^{-n}`` for ``n < K``; writing
+    ``n = qK + j`` gives ``||A^n|| <= M 2^{-q} rho_star^n`` for every ``n``.
+    A search the spectral radius alone puts past ``CERT_CAP`` steps is not
+    run, and then, as when the search itself passes the cap, the spectral
+    verdict stands without a certificate.
     """
-    if probe_count < 1 or horizon < 1:
-        raise InputError(
-            f"stability needs probe_count >= 1 and horizon >= 1, "
-            f"got {probe_count} and {horizon}"
-        )
     r = spectral_radius(A)
     if abs(r - 1.0) <= GAP_TOL:
         raise IndeterminateStability(f"spectral radius {r} within {GAP_TOL} of 1")
-    rng = np.random.default_rng(seed)
-    stable = r < 1.0
-    rho_star = (1.0 + r) / 2.0 if stable else None
-    consistent = True
-    probe_bound = 0.0
-    for _ in range(probe_count):
-        x = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-        x /= np.linalg.norm(x)
-        if stable:
-            steps = max(horizon, math.ceil(math.log(1e-3) / math.log(r / rho_star)) if r > 0 else horizon)
-            steps = min(steps, 100000)
-            y = x.copy()
-            weighted = [1.0]
-            for n in range(1, steps + 1):
-                y = A.entries @ y
-                weighted.append(float(np.linalg.norm(y)) * rho_star ** (-n))
-            arr = np.array(weighted)
-            probe_bound = max(probe_bound, float(np.max(arr)))
-            sq = arr * arr
-            tail_ok = float(np.sum(sq[len(sq) // 2 :])) <= 1e-3 * float(np.sum(sq)) + 1e-300
-            decay_ok = arr[-1] <= 1e-2 * float(np.max(arr)) + 1e-300
-            consistent = consistent and tail_ok and decay_ok
-        else:
-            target = 10.0
-            steps = max(horizon, math.ceil(math.log(target * 1e3) / math.log(r)))
-            steps = min(steps, 100000)
-            y = x.copy()
-            grew = False
-            for _n in range(steps):
-                y = A.entries @ y
-                nrm = float(np.linalg.norm(y))
-                if nrm >= target:
-                    grew = True
-                    break
-            consistent = consistent and grew
-    return StabilityReport(
-        verdict="exponentially_stable" if stable else "not_stable",
-        r=r,
-        rho_star=rho_star,
-        probes_consistent=bool(consistent),
-        probe_bound=probe_bound,
-        horizon=horizon,
-        probe_count=probe_count,
-    )
+    if r > 1.0:
+        return StabilityReport("not_stable", r, None, True, 0.0)
+    rho_star = (1.0 + r) / 2.0
+    try:
+        _, bound = _decay_steps(A.entries, 1.0 / rho_star, 0.5, CERT_CAP, "stability certificate")
+    except PreconditionViolation:
+        return StabilityReport("exponentially_stable", r, rho_star, False, 0.0)
+    return StabilityReport("exponentially_stable", r, rho_star, True, bound)
 
 
 def lipschitz_probe(

@@ -193,7 +193,7 @@ def test_c07_stability_equivalences():
             moduli[int(rng.integers(0, dim))] = rng.uniform(1.1, 2.5)
             moduli = np.where(np.abs(moduli - 1.0) < 0.1, 1.15, moduli)
         a = matrix_with_moduli(rng, moduli, shear=0.2)
-        report = stability_classify(a, seed=trial)
+        report = stability_classify(a)
         assert (report.verdict == "exponentially_stable") == (report.r < 1.0)
         assert report.probes_consistent
         if report.verdict == "exponentially_stable":

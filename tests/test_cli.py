@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import specseq
+from specseq import resolvent
 from specseq.cli import main
 from specseq.errors import all_error_types
 from specseq.operators import SUP_REL_TOL
+from specseq.resolvent import CERT_CAP
 
 
 def write_json(path, obj):
@@ -266,7 +269,7 @@ def test_solve_contraction_cli(files, tmp_path, capsys):
 
 
 def test_stability_cli(files, capsys):
-    code, out, _ = run_cli(["stability", "--A", files["A_half"], "--seed", "1"], capsys)
+    code, out, _ = run_cli(["stability", "--A", files["A_half"]], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] == "exponentially_stable"
@@ -314,6 +317,24 @@ def test_escape_check_cli(files, tmp_path, capsys):
     assert json.loads(out)["escapes"] is True
 
 
+def test_escape_check_certificate_past_cap_fails_fast(tmp_path, capsys, monkeypatch):
+    # moduli 1 + 2e-6 pass GAP_TOL, but ||A^-n|| <= 1/2 needs about 3.5e5
+    # steps by the radius alone, past the cap: exit 20 before any power
+    a = write_json(tmp_path / "a.json", {"dim": 2, "re": [[1.0 + 2e-6, 0.0], [0.0, 1.0 + 2e-6]]})
+    x = write_json(tmp_path / "x.json", {"dim": 2, "re": [1.0, 0.0]})
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    start = time.perf_counter()
+    code, out, err = run_cli(["escape-check", "--A", a, "--x", x], capsys)
+    assert time.perf_counter() - start < 0.1
+    assert code == 20 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "precondition-violated"
+    assert f"cap of {CERT_CAP}" in diag["message"]
+    assert calls == []
+
+
 SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
 CONTRACTION = ["solve-contraction", "--rho", "2.0", "--window", "0", "4", "--dim", "1", "--F"]
 ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]
@@ -336,12 +357,6 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "max_iter": 0}),
         (MANIFOLD, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": -1}),
         (["solve-contraction", "--max-iter", "0"] + CONTRACTION[1:], SAT),
-        (["stability", "--probes", "0", "--A"], STABLE),
-        (["stability", "--horizon", "0", "--A"], STABLE),
-        (
-            ["escape-check", "--horizon", "0", "--x", "x.json", "--A"],
-            {"dim": 2, "re": [[1.5, 0.3], [0.0, 2.0]]},
-        ),
         # JSON reads 1e999 as inf, which no integer field can hold
         (ZCHECK, '{"dim": 1e999, "lo": 0, "values": [[[1.0], [0.0]]]}'),
         (ZCHECK, '{"dim": 1, "lo": 1e999, "values": [[[1.0], [0.0]]]}'),
@@ -369,9 +384,6 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         "zero-max-iter",
         "negative-fp-tol",
         "contraction-zero-max-iter",
-        "zero-probes",
-        "zero-stability-horizon",
-        "zero-escape-horizon",
         "infinite-dim",
         "infinite-lo",
         "infinite-horizon",

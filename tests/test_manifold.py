@@ -323,7 +323,17 @@ def test_spectrum_escape_check_random_direction():
             np.hypot(abs(1.5**n * x[0]), abs(3.0**n * x[1])) for n in range(50)
         ]
         assert norms[-1] > norms[0]  # oracle confirms growth
-        assert spectrum_escape_check(a, x, horizon=50)
+        assert spectrum_escape_check(a, x)
+
+
+def test_spectrum_escape_check_certifies_a_shrinking_start():
+    # |A^50 x| = 3e-4 |x| along the weakest right singular vector of A^50,
+    # so a 50-step orbit looks square-summable; ||A^-n|| <= 1/2 at n = 1248
+    # still forces |A^{1248 q} x| >= 2^q |x|
+    a = np.array([[1.01, 100.0], [0.0, 1.01]])
+    x = np.linalg.svd(np.linalg.matrix_power(a, 50))[2][-1].conj()
+    assert np.linalg.norm(np.linalg.matrix_power(a, 50) @ x) < 1e-3
+    assert spectrum_escape_check(BoundedOperator(a), x)
 
 
 def test_spectrum_escape_check_precondition():

@@ -106,15 +106,18 @@ def test_tail_cut_violation_states_predicted_length():
 
 
 def _decay_steps_every_svd(mat, weight):
-    # Reference search: the 2-norm of every power, the first K that passes.
+    # Reference search: the 2-norm of every power, the first K that passes,
+    # and the weighted norms ||mat^n|| w^n of the powers n < K before it.
     log_tol, log_w = math.log(SERIES_TOL), math.log(weight)
     power = mat.copy()
+    seen = [1.0]
     for k in range(1, TAIL_CAP + 1):
         nrm = float(np.linalg.norm(power, 2))
         if nrm == 0.0 or math.log(nrm) + k * log_w <= log_tol:
-            return k
+            return k, seen
+        seen.append(nrm * weight**k)
         power = power @ mat
-    return None
+    return None, seen
 
 
 def _jordan(dim, eig, sup):
@@ -145,9 +148,12 @@ def test_tail_cut_search_equals_every_step_svd_scan(monkeypatch):
     monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
     steps = 0
     for mat, weight in _tail_search_fixtures():
-        want = _decay_steps_every_svd(mat, weight)
+        want, seen = _decay_steps_every_svd(mat, weight)
         assert want is not None
-        assert _decay_steps(mat, weight) == want
+        cut, bound = _decay_steps(mat, weight, SERIES_TOL, TAIL_CAP, "series tail cut")
+        assert cut == want
+        # the running maximum bounds every weighted power before the cut
+        assert max(seen) <= bound
         steps += want
     # the Frobenius bound rules out most steps before an SVD is taken
     assert len(calls) < steps / 4

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     BoundedOperator,
@@ -33,6 +37,7 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
+from specseq import resolvent
 from specseq.solver import fixed_point, forward_orbit
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
@@ -255,13 +260,88 @@ def test_stability_classify_indeterminate_near_one():
 def test_stability_probe_bound_is_finite_envelope():
     rng = np.random.default_rng(6)
     a = matrix_with_moduli(rng, np.array([0.6, 0.85]), shear=0.3)
-    report = stability_classify(a, probe_count=4)
-    # |u_n| <= M rho_star^n held with the reported envelope constant
+    report = stability_classify(a)
+    # |u_n| <= M rho_star^n holds with the reported envelope constant
     x = random_vector(rng, 2)
     y = x.copy()
-    for n in range(60):
-        assert np.linalg.norm(y) <= (report.probe_bound + 1.0) * report.rho_star**n
+    for n in range(2000):
+        assert np.linalg.norm(y) <= report.probe_bound * report.rho_star**n
         y = a.entries @ y
+
+
+def _scaled_power_norms(a, rho_star, steps):
+    # ||A^n|| rho_star^{-n} for n = 0 .. steps - 1, one batched SVD
+    powers = np.empty((steps, a.dim, a.dim), dtype=np.complex128)
+    power = np.eye(a.dim, dtype=np.complex128)
+    for n in range(steps):
+        powers[n] = power
+        power = power @ a.entries
+    norms = np.linalg.svd(powers, compute_uv=False)[:, 0]
+    return norms * rho_star ** -np.arange(steps, dtype=np.float64)
+
+
+def test_stability_unstable_verdict_is_certified_at_once():
+    # growth by 10x from the radius 1.00001 takes about 2.3e5 steps, past
+    # any orbit probe; the eigenpair of largest modulus is the witness
+    start = time.perf_counter()
+    report = stability_classify(BoundedOperator.diagonal([1.00001, 0.5]))
+    assert time.perf_counter() - start < 0.5
+    assert report.verdict == "not_stable"
+    assert report.probes_consistent
+    assert report.probe_bound == 0.0
+
+
+def test_stability_envelope_covers_jordan_transient():
+    # ||A^n|| rho_star^{-n} climbs to about 3.7e4 near n = 2000 before it decays
+    a = BoundedOperator([[0.999, 50.0], [0.0, 0.999]])
+    report = stability_classify(a)
+    assert report.verdict == "exponentially_stable"
+    assert report.probes_consistent
+    scaled = _scaled_power_norms(a, report.rho_star, 60000)
+    # the envelope holds at every step, and is the scan's peak up to rounding
+    assert float(np.max(scaled)) <= report.probe_bound <= (1.0 + 1e-6) * float(np.max(scaled))
+
+
+def test_stability_certificate_past_cap_fails_fast(monkeypatch):
+    # r = 1 - 2e-6 passes GAP_TOL, but ||A^K|| <= rho_star^K / 2 needs
+    # about 6.9e5 steps by the radius alone: no power is formed
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    start = time.perf_counter()
+    report = stability_classify(BoundedOperator.diagonal([1.0 - 2e-6, 0.5]))
+    assert time.perf_counter() - start < 0.1
+    assert report.verdict == "exponentially_stable"
+    assert not report.probes_consistent
+    assert report.probe_bound == 0.0
+    assert calls == []
+
+
+@st.composite
+def stable_nonnormal(draw):
+    dim = draw(st.integers(1, 8))
+    moduli = draw(st.lists(st.floats(0.1, 0.99), min_size=dim, max_size=dim))
+    shear = draw(st.floats(0.0, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.array(moduli), shear, seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=stable_nonnormal())
+def test_stability_envelope_property(case):
+    moduli, shear, seed = case
+    a = matrix_with_moduli(np.random.default_rng(seed), moduli, shear=shear)
+    start = time.perf_counter()
+    report = stability_classify(a)
+    assert time.perf_counter() - start < 2.0
+    assert report.verdict == "exponentially_stable"
+    assert report.probes_consistent
+    # the same search the classifier ran, for its K
+    cut, _ = resolvent._decay_steps(
+        a.entries, 1.0 / report.rho_star, 0.5, resolvent.CERT_CAP, "stability certificate"
+    )
+    scaled = _scaled_power_norms(a, report.rho_star, 4 * cut + 1)
+    assert np.all(scaled <= report.probe_bound)
 
 
 def test_contraction_rate_randomized():
