@@ -13,6 +13,11 @@ Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
 Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizon"?}
              a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000].
 Sequence CSV rows: (n, component, re, im).
+
+dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
+booleans, fractions and text are InputError.  Every JSON result is written
+as json.dumps(result, indent=2, sort_keys=True) + "\n", byte for byte
+(dump_json).
 """
 
 from __future__ import annotations
@@ -41,11 +46,114 @@ def load_json(path):
 
 
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    also written to ``path`` when one is given.
+
+    The stdlib encodes with an indent in pure Python, one generator step
+    per float.  Here every list of numbers nested to one depth is encoded
+    by a single call of the C encoder and then re-indented
+    (``_numeric_array``); dicts and other lists are walked in Python, with
+    each key and scalar still encoded by the C encoder."""
+    chunks = []
+    _write(obj, 0, chunks.append)
+    chunks.append("\n")
+    text = "".join(chunks)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+_encode = json.JSONEncoder().encode
+_NUMBERS = {int, float}
+
+
+def _write(obj, level, out):
+    """Append the indented encoding of ``obj`` at nesting ``level``."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        depth = _numeric_depth(obj)
+        if depth:
+            out(_numeric_array(obj, depth, level))
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out("\n" + "  " * level + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out(sep)
+            out(_encode(_key(key)))
+            out(": ")
+            _write(value, level + 1, out)
+            sep = "," + inner
+        out("\n" + "  " * level + "}")
+    else:
+        out(_encode(obj))
+
+
+def _key(key):
+    """A dict key as the stdlib writes it: a string, with numbers, booleans
+    and None spelled as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _numeric_depth(seq) -> int:
+    """``k`` when ``seq`` is a list of nonempty lists nested ``k`` deep whose
+    leaves are all ``int`` or ``float`` (not ``bool``), else 0."""
+    if type(seq) is not list or not seq:
+        return 0
+    kinds = set(map(type, seq))
+    if kinds <= _NUMBERS:
+        return 1
+    if kinds != {list}:
+        return 0
+    depths = set(map(_numeric_depth, seq))
+    if len(depths) != 1:
+        return 0
+    depth = depths.pop()
+    return depth + 1 if depth else 0
+
+
+def _numeric_array(seq, depth, level):
+    """The ``indent=2`` layout at nesting ``level`` of a list with
+    ``_numeric_depth`` ``depth``, from one call of the C encoder.
+
+    The encoder already puts the indented separator between numbers.  Number
+    tokens contain no ``[`` or ``]``, so between two sublists that separator
+    sits in a run ``"]" * j + sep + "[" * j`` that closes and reopens ``j``
+    levels.  Runs are replaced longest first, so a shorter run never matches
+    inside a longer one.  The runs of ``depth`` brackets left are the outer
+    ones, at the two ends.  Every step is one ``str.replace``, so at most two
+    copies of the text are alive at once."""
+    pad = ["\n" + "  " * (level + i) for i in range(depth + 1)]
+
+    def closes(j):
+        return "".join(pad[depth - 1 - i] + "]" for i in range(j))
+
+    def opens(j):
+        return "".join(pad[depth - j + i] + "[" for i in range(j)) + pad[depth]
+
+    sep = "," + pad[depth]
+    text = json.JSONEncoder(separators=(sep, ": ")).encode(seq)
+    for j in range(depth - 1, 0, -1):
+        text = text.replace("]" * j + sep + "[" * j, closes(j) + "," + opens(j))
+    text = text.replace("[" * depth, "[" + opens(depth - 1), 1)
+    return text.replace("]" * depth, closes(depth))
 
 
 def _require(obj, key, context):
@@ -67,8 +175,19 @@ def _floats(value, what) -> np.ndarray:
     return _parse(lambda v: np.asarray(v, dtype=np.float64), value, what)
 
 
+def _integer(value, what) -> int:
+    """A JSON integer, or a float with an integral value such as ``2.0``.
+    Booleans, fractions, infinities and non-numbers are InputError, so a
+    ``"lo": 2.9`` never shifts a sequence silently."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _dim(obj, context) -> int:
-    dim = _parse(int, _require(obj, "dim", context), f"{context} dim")
+    dim = _integer(_require(obj, "dim", context), f"{context} dim")
     if dim < 1:
         raise InputError(f"{context} dim must be positive, got {dim}")
     return dim
@@ -108,7 +227,7 @@ def vector_to_json(vec: np.ndarray) -> dict:
 
 def sequence_from_json(obj, context="sequence") -> WindowedSequence:
     dim = _dim(obj, context)
-    lo = _parse(int, _require(obj, "lo", context), f"{context} lo")
+    lo = _integer(_require(obj, "lo", context), f"{context} lo")
     raw = _require(obj, "values", context)
     if not isinstance(raw, list):
         raise InputError(f"{context} values must be a list")
@@ -179,7 +298,7 @@ def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
             kwargs[key] = _parse(float, obj[key], f"{context} {key}")
     for key in ("max_iter", "horizon"):
         if key in obj:
-            kwargs[key] = _parse(int, obj[key], f"{context} {key}")
+            kwargs[key] = _integer(obj[key], f"{context} {key}")
     return ManifoldProblem(
         A=matrix_from_json(_require(obj, "A", context), f"{context}.A"),
         F=stencil_from_json(_require(obj, "F", context), f"{context}.F"),

@@ -42,8 +42,17 @@ def files(tmp_path):
         },
     )
     paths["x_vec"] = write_json(tmp_path / "x.json", {"dim": 2, "re": [0.3, 0.1]})
+    paths["x_one"] = write_json(tmp_path / "x1.json", {"dim": 1, "re": [1.0]})
     paths["F_sat"] = write_json(
         tmp_path / "fsat.json", {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
+    )
+    paths["F_lin"] = write_json(
+        tmp_path / "flin.json",
+        {
+            "kernel": "linear",
+            "params": {"matrix": {"dim": 1, "re": [[0.5]], "im": [[0.0]]}},
+            "forcing": {"dim": 1, "lo": -1, "values": [[[1.0], [0.0]]]},
+        },
     )
     paths["tmp"] = tmp_path
     return paths
@@ -408,6 +417,63 @@ def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
     code, _, err = run_cli(argv + [str(path)], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, good",
+    [
+        (ZCHECK, {"dim": True, "lo": 0, "values": [[[1.0], [0.0]]]}, {"dim": 1.0}),
+        (ZCHECK, {"dim": 2.7, "lo": 0, "values": [[[1.0, 0.0], [0.0, 0.0]]]}, {"dim": 2.0}),
+        (ZCHECK, {"dim": 1, "lo": 2.9, "values": [[[1.0], [0.0]]]}, {"lo": 2.0}),
+        (ZCHECK, {"dim": 1, "lo": False, "values": [[[1.0], [0.0]]]}, {"lo": -3}),
+        (MANIFOLD, {"A": STABLE, "F": SAT, "max_iter": 50.5}, {"max_iter": 50.0}),
+        (MANIFOLD, {"A": STABLE, "F": SAT, "horizon": True}, {"horizon": 64.0}),
+    ],
+    ids=["bool-dim", "fractional-dim", "fractional-lo", "bool-lo", "fractional-max-iter", "bool-horizon"],
+)
+def test_integer_fields_reject_booleans_and_fractions(tmp_path, capsys, argv, bad, good, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "grid.json", {"vectors": [{"dim": 1, "re": [0.1]}]})
+    path = tmp_path / "in.json"
+    (field,) = good
+    path.write_text(json.dumps(bad))
+    code, _, err = run_cli(argv + [str(path)], capsys)
+    assert code == 3
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert f"{field} must be an integer" in diag["message"]
+    # the same field holding an integer, or an integral float, is accepted
+    path.write_text(json.dumps({**bad, **good}))
+    assert run_cli(argv + [str(path)], capsys)[0] == 0
+
+
+LAYOUT = {
+    "spectrum": ["spectrum", "--A", "A_half", "--circle-sup-rho", "1.0", "--resolvent-z", "1.0", "0.5"],
+    "riesz": ["riesz", "--A", "A_diag", "--gamma", "1.0"],
+    "ztransform-check": ["ztransform-check", "--u", "u_seq", "--rho", "1.0", "--N", "16"],
+    **{
+        f"resolve-{mode}": ["resolve", "--A", "A_half", "--f", "u_seq", "--rho", "1.0", "--mode", mode]
+        for mode in ("causal", "split", "frequency")
+    },
+    "solve-ivp": [
+        "solve-ivp", "--A", "A_diag", "--F", "F_sat", "--x", "x_vec",
+        "--method", "all", "--horizon", "16", "--rho", "2.5",
+    ],
+    "solve-contraction": ["solve-contraction", "--F", "F_lin", "--rho", "1.0", "--window", "-4", "20"],
+    "stability": ["stability", "--A", "A_half"],
+    "escape-check": ["escape-check", "--A", "A_two", "--x", "x_one"],
+    "error": ["resolve", "--A", "A_two", "--f", "f_imp", "--rho", "1.0", "--mode", "causal"],
+}
+
+
+@pytest.mark.parametrize("argv", LAYOUT.values(), ids=LAYOUT.keys())
+def test_json_output_layout_is_stdlib_indent_sorted(files, capsys, argv):
+    # every JSON result, and the error diagnostic on stderr, is laid out as
+    # json.dumps(indent=2, sort_keys=True) + newline, byte for byte
+    code, out, err = run_cli([files.get(arg, arg) for arg in argv], capsys)
+    text, other = (err, out) if code else (out, err)
+    assert other == "" and text
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_error_codes_are_distinct():
