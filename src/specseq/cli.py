@@ -85,7 +85,7 @@ def _cmd_resolve(args):
     elif args.mode == "split":
         u = apply_resolvent_split(plan, f)
     else:
-        u = apply_resolvent_frequency(plan, f, args.N)
+        u = apply_resolvent_frequency(plan, f)
     if args.csv_out:
         io.write_sequence_csv(u, args.csv_out)
     _emit(
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="forcing sequence JSON file")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--mode", choices=("causal", "split", "frequency"), required=True)
-    p.add_argument("--N", type=int, default=None, help="frequency-mode sample count")
     p.add_argument("--csv-out", default=None, dest="csv_out", help="also export (n, component, re, im) CSV")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_resolve)

@@ -6,7 +6,6 @@ Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
              one [re-components, im-components] pair per index from lo;
              every pair must have d components (checked before any array
              is allocated)
-Circle data: {"rho": r, "n_samples": N, "samples": [...as vectors...]}
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.

@@ -37,24 +37,17 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
 )
-from .operators import (
-    GAP_TOL,
-    BoundedOperator,
-    SpectralSplit,
-    circle_sup_resolvent,
-    is_hyperbolic,
-    spectral_radius,
+from .operators import GAP_TOL, BoundedOperator, SpectralSplit, is_hyperbolic, spectral_radius
+from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, _decay_steps
+from .sequences import WindowedSequence
+from .solver import (
+    StencilMap,
+    check_iteration_limits,
+    forward_orbit,
+    impulse_fixed_point,
+    impulse_image,
+    smallness_gate,
 )
-from .resolvent import (
-    CERT_CAP,
-    SERIES_TOL,
-    TAIL_CAP,
-    ResolventPlan,
-    _decay_steps,
-    apply_resolvent_window,
-)
-from .sequences import Weight, WindowedSequence
-from .solver import StencilMap, check_iteration_limits, fixed_point, forward_orbit
 
 
 @dataclass
@@ -95,19 +88,8 @@ class ManifoldProblem:
             raise AdmissibilityError(
                 f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
             )
-        self.m_one = circle_sup_resolvent(self.A, 1.0)
-        self.m_rho = circle_sup_resolvent(self.A, self.rho)
-        lip_one = self.F.lip_bound(1.0)
-        lip_rho = self.F.lip_bound(self.rho)
-        if lip_one >= 1.0 / self.m_one:
-            raise AdmissibilityError(
-                f"lip bound {lip_one:.6g} on ell_2 is not below 1/M_1 = {1.0 / self.m_one:.6g}"
-            )
-        if lip_rho >= 1.0 / self.m_rho:
-            raise AdmissibilityError(
-                f"lip bound {lip_rho:.6g} on ell_(2,rho) is not below "
-                f"1/M_rho = {1.0 / self.m_rho:.6g}"
-            )
+        self.m_one, lip_one = smallness_gate(self.A, self.F, 1.0, AdmissibilityError)
+        self.m_rho, _ = smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
         self.contraction_factor = self.m_one * lip_one
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
@@ -158,23 +140,9 @@ def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence
     horizon truncation are norm-nonexpansive.
     """
     xi = prob.check_stable_range(xi)
-    return WindowedSequence(0, _lp_image(prob, xi[None], u.dense(0, prob.horizon)[:, None])[:, 0])
-
-
-def _lp_image(prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Rows [0, horizon] of (tau - A)^{-1} (F(u) + delta_{-1} xi) for the
-    # columns of u, (horizon + 1, G, d), and xis, (G, d); they read the
-    # data on [-1, horizon].
     h = prob.horizon
-    g = np.concatenate([xis[None], prob.F.apply_rows(u, 0, 0, h)])
-    return apply_resolvent_window(prob.plan, g, -1, 0, h)
-
-
-def _linear_profile(prob: ManifoldProblem, xis: np.ndarray) -> np.ndarray:
-    # u_n = (PAP)^n xi, which is A^n xi for xi in range(P), on [0, horizon]:
-    # the image of delta_{-1} xi alone.  Unlike A, PAP does not amplify the
-    # roundoff part of xi in range(Q), which overflows on long horizons.
-    return apply_resolvent_window(prob.plan, xis[None], -1, 0, prob.horizon)
+    image = impulse_image(prob.plan, prob.F, xi[None], u.dense(0, h)[:, None], h)
+    return WindowedSequence(0, image[:, 0])
 
 
 def _characterization_defects(prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray):
@@ -182,7 +150,7 @@ def _characterization_defects(prob: ManifoldProblem, xis: np.ndarray, u: np.ndar
     # (tau - A)^{-1} (F(u) + delta_{-1} xi): the causal sum
     # (PAP)^n xi + sum_{k<n} (PAP)^{n-1-k} P F(u)_k and the anticausal sum
     # -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k.  One largest defect per column.
-    diff = u - _lp_image(prob, xis, u)
+    diff = u - impulse_image(prob.plan, prob.F, xis, u, prob.horizon)
     rows = diff.reshape(-1, diff.shape[-1])
     split = prob.split
     return tuple(
@@ -231,14 +199,7 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     :class:`ManifoldPoint`, or the typed error that stopped that row.
     """
     h = prob.horizon
-    stack = fixed_point(
-        lambda u, cols: _lp_image(prob, xis[cols], u),
-        _linear_profile(prob, xis),
-        0,
-        Weight(1.0, 2.0),
-        prob.fp_tol,
-        prob.max_iter,
-    )
+    stack = impulse_fixed_point(prob.plan, prob.F, xis, h, prob.fp_tol, prob.max_iter)
     results = list(stack.errors)
     ok = np.flatnonzero([e is None for e in results])
     if not ok.size:

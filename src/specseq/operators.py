@@ -80,10 +80,6 @@ class BoundedOperator:
         self._norm = None
 
     @classmethod
-    def identity(cls, dim: int) -> "BoundedOperator":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
     def diagonal(cls, diag) -> "BoundedOperator":
         return cls(np.diag(np.asarray(diag, dtype=np.complex128)))
 

@@ -303,9 +303,7 @@ def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedS
     return _apply_full(plan, f)
 
 
-def apply_resolvent_frequency(
-    plan: ResolventPlan, f: WindowedSequence, n_samples: int | None = None
-) -> WindowedSequence:
+def apply_resolvent_frequency(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
     """Frequency-domain application: solve ``(z - A) x = f^(z)`` on circle samples.
 
     The output window is that of the time-domain route whose branches the
@@ -321,7 +319,7 @@ def apply_resolvent_frequency(
     if f.is_zero:
         return zero_sequence(f.dim)
     out_lo, out_hi = _output_window(plan, f)
-    n = next_pow2(max(4 * f.width, 2 * (out_hi - out_lo + 1) + 8, n_samples or 0))
+    n = next_pow2(max(4 * f.width, 2 * (out_hi - out_lo + 1) + 8))
     fhat = ztransform(f, plan.rho, n)
     out = np.empty_like(fhat.samples)
     for start, _, x in circle_resolvents(plan.A, fhat.rho, n, fhat.samples[:, :, None]):

@@ -515,52 +515,79 @@ def _ivp_variation_of_constants(A, F, x, horizon):
     return WindowedSequence(0, vals)
 
 
+def impulse_image(
+    plan: ResolventPlan, F: StencilMap, xis: np.ndarray, u: np.ndarray, hi: int
+) -> np.ndarray:
+    """Rows ``[0, hi]`` of ``(tau - A)^{-1} (F(u) + delta_{-1} xi)`` for the
+    columns of ``u``, ``(hi + 1, G, d)``, and ``xis``, ``(G, d)``: the impulse
+    method's map in a causal plan, the Lyapunov-Perron map in a split one."""
+    f = np.concatenate([xis[None], F.apply_rows(u, 0, 0, hi)])
+    return apply_resolvent_window(plan, f, -1, 0, hi)
+
+
+def impulse_fixed_point(
+    plan: ResolventPlan, F: StencilMap, xis: np.ndarray, hi: int, fp_tol: float, max_iter: int
+) -> StackedReport:
+    """Fixed points of :func:`impulse_image`, one column per row of ``xis``.
+
+    Iterates in ell_{2,rho} at the plan's rho from the image of ``F = 0``,
+    exact when ``F = 0``: ``A^n xi`` in a causal plan, ``(PAP)^n xi`` in a
+    split one, which unlike ``A^n`` does not amplify the roundoff part of
+    ``xi`` in range(Q) on long horizons.
+    """
+    return fixed_point(
+        lambda u, cols: impulse_image(plan, F, xis[cols], u, hi),
+        apply_resolvent_window(plan, xis[None], -1, 0, hi),
+        0,
+        Weight(plan.rho, 2.0),
+        fp_tol,
+        max_iter,
+    )
+
+
+def smallness_gate(A: BoundedOperator, F: StencilMap, rho: float, error) -> tuple[float, float]:
+    """``(M_rho, lip)``, the certified ``sup_{|z| = rho} ||(z - A)^{-1}||`` and
+    ``F``'s bound on ell_{2,rho}; raises ``error`` unless ``lip < 1/M_rho``."""
+    m_rho = circle_sup_resolvent(A, rho)
+    lip = F.lip_bound(rho)
+    if lip >= 1.0 / m_rho:
+        raise error(
+            f"lip bound {lip:.6g} on ell_(2,rho) is not below 1/M_{rho:g} = {1.0 / m_rho:.6g} "
+            f"at rho = {rho!r}"
+        )
+    return m_rho, lip
+
+
 def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):
     radius = spectral_radius(A)
     if rho is None:
         rho = radius + 1.0
     if rho <= radius + GAP_TOL:
         raise NotCausalRegime(f"impulse method needs rho > r(A) = {radius}, got {rho}")
-    m_rho = circle_sup_resolvent(A, rho)
-    lip = F.lip_bound(rho)
-    if lip >= 1.0 / m_rho:
-        raise NotContractive(
-            f"impulse-method smallness fails: lip {lip:.6g} >= 1/M_rho = {1.0 / m_rho:.6g}"
-        )
+    smallness_gate(A, F, rho, NotContractive)
     plan = ResolventPlan(A, rho, "causal")
-    cap = horizon + plan.tail_cut
-
-    def step(u, cols):
-        # rows [0, cap] of (tau - A)^{-1} (F(u) + delta_{-1} x) read f on [-1, cap - 1]
-        f = np.concatenate([x[None, None], F.apply_rows(u, 0, 0, cap - 1)])
-        return apply_resolvent_window(plan, f, -1, 0, cap)
-
-    stack = fixed_point(
-        step, np.zeros((cap + 1, 1, A.dim), dtype=np.complex128), 0, Weight(rho, 2.0), fp_tol, max_iter
-    )
+    stack = impulse_fixed_point(plan, F, x[None], horizon + plan.tail_cut, fp_tol, max_iter)
     return truncate(_one_column(stack, 0).solution, 0, horizon)
 
 
 def solve_ivp_all(A, F, x, horizon, rho=None, fp_tol=FP_TOL, max_iter=MAX_ITER):
     """All three formulations plus pairwise deviations on [0, horizon].
 
-    Deviations are suprema of ``|diff_n| rho_c^{-n}`` with ``rho_c`` the
-    comparison weight (the impulse method's rho when supplied, else 1).
+    Deviations are ell_{inf,rho_c} norms, suprema of ``|diff_n| rho_c^{-n}``,
+    with ``rho_c`` the impulse method's rho (by default ``r(A) + 1``).
     """
     sols = {
         "recursion": solve_ivp(A, F, x, horizon, "recursion"),
         "variation_of_constants": solve_ivp(A, F, x, horizon, "variation_of_constants"),
         "impulse": solve_ivp(A, F, x, horizon, "impulse", rho, fp_tol, max_iter),
     }
-    rho_c = rho if rho is not None else max(1.0, spectral_radius(A) + 1.0)
-    devs = {}
+    w = Weight(rho if rho is not None else spectral_radius(A) + 1.0, math.inf)
     names = list(sols)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            diff = sols[a] - sols[b]
-            mags = np.linalg.norm(diff.values, axis=1)
-            k = np.arange(diff.lo, diff.hi + 1, dtype=np.float64)
-            devs[f"{a}_vs_{b}"] = float(np.max(mags * rho_c ** (-k))) if mags.size else 0.0
+    devs = {
+        f"{a}_vs_{b}": weighted_norm(sols[a] - sols[b], w)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
     return sols, devs
 
 

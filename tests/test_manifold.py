@@ -20,6 +20,7 @@ from specseq import (
     lp_apply,
     lp_fixed_point,
     manifold_sweep,
+    max_abs_diff,
     polynomial_map,
     saturation_map,
     solve_ivp,
@@ -126,6 +127,26 @@ def test_admissibility_gate_sees_resolvent_peak_between_nodes():
     a = BoundedOperator([[1.001 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
     with pytest.raises(AdmissibilityError, match="1/M_1"):
         ManifoldProblem(a, saturation_map(3e-5))
+
+
+def test_admissibility_gate_at_rho_after_passing_at_one():
+    # M_1 = 2 admits eps = 0.01, but the eigenvalue 2 lies 1e-3 inside
+    # |z| = 2.001, so M_rho is about 1e3 and 1/M_rho about 1.0e-3 < eps
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    assert ManifoldProblem(a, saturation_map(0.01)).m_one == pytest.approx(2.0, rel=1e-3)
+    with pytest.raises(AdmissibilityError, match=r"1/M_2\.001 = 0\.0009997"):
+        ManifoldProblem(a, saturation_map(0.01), rho=2.001)
+
+
+def test_lp_fixed_point_is_the_ivp_orbit_when_stable():
+    # r(A) < 1: P = I, the cut-off map is the impulse map, and its fixed
+    # point is the forward orbit from xi
+    a = matrix_with_moduli(np.random.default_rng(3), [0.6, 0.9], shear=0.3)
+    prob = ManifoldProblem(a, saturation_map(0.02), fp_tol=1e-12)
+    xi = np.array([0.3, -0.2j])
+    orbit = lp_fixed_point(prob, xi).orbit
+    assert orbit.window == (0, prob.horizon)
+    assert max_abs_diff(orbit, solve_ivp(a, saturation_map(0.02), xi, prob.horizon)) <= 1e-8
 
 
 def test_range_check_is_relative_and_overflow_safe():

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
 import inspect
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -220,6 +223,28 @@ def test_names_bound_by_bench_tracer_exist():
     for mode, rho in (("causal", 3.0), ("split", 1.0), ("frequency", 1.0), ("frequency", 3.0)):
         cut = ResolventPlan(a, rho, mode).tail_cut
         assert isinstance(cut, int) and cut >= 1
+
+
+def test_callables_keyed_by_bench_tracer_exist():
+    # bench/tracing.py wraps the public callables each specseq module defines
+    # and keys its counters by (module, callable); a key that names nothing
+    # wrapped reads 0 without an error.  StencilMap.eval_at is a known stale key.
+    tracing = runpy.run_path(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"),
+        run_name="not_main",
+    )
+    keys = set(tracing["_HOOKS"]).union(
+        *tracing["_INCLUSIVE_MS"].values(), *tracing["_CALL_COUNTS"].values()
+    )
+    missing = []
+    for module, name in sorted(keys - {("solver", "StencilMap.eval_at")}):
+        mod = importlib.import_module(f"specseq.{module}")
+        owner, _, attr = name.rpartition(".")
+        top = vars(mod).get(owner or attr)
+        fn = vars(top).get(attr) if owner and inspect.isclass(top) else top
+        if not (inspect.isfunction(fn) and getattr(top, "__module__", None) == mod.__name__):
+            missing.append((module, name))
+    assert not missing
 
 
 def test_circle_resolvents_blocks_match_pointwise_resolvents():

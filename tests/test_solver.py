@@ -15,6 +15,7 @@ from specseq import (
     ResolventPlan,
     StencilMap,
     Weight,
+    WindowedSequence,
     apply_resolvent_causal,
     circle_sup_resolvent,
     embed_one_sided,
@@ -226,6 +227,25 @@ def test_solve_ivp_impulse_smallness_sees_resolvent_peak_between_nodes():
     a = BoundedOperator([[1.999 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
     with pytest.raises(NotContractive):
         solve_ivp(a, saturation_map(1e-4), [1.0, 0.0], 10, "impulse", rho=2.0)
+
+
+def test_solve_ivp_impulse_gate_message_names_rho():
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    with pytest.raises(NotContractive, match=r"1/M_2\.5 = .* at rho = 2\.5"):
+        solve_ivp(a, saturation_map(1.0), [0.1, 0.1], 10, "impulse", rho=2.5)
+
+
+def test_solve_ivp_forced_three_methods_agree():
+    # forcing on Z_{>=0} makes F(0) nonzero: the impulse iteration starts
+    # from A^n x, not from the image of F(0), and still meets the recursion
+    rng = np.random.default_rng(8)
+    a = matrix_with_moduli(rng, [0.5, 0.9], shear=0.4)
+    forcing = WindowedSequence(0, 0.1 * rng.standard_normal((6, 2)))
+    f = saturation_map(0.01, forcing=forcing)
+    sols, devs = solve_ivp_all(a, f, np.array([0.3, 0.1]), 40, rho=1.2, fp_tol=1e-12)
+    assert max(devs.values()) <= 1e-8
+    assert max_abs_diff(sols["impulse"], sols["recursion"]) <= 1e-8
+    assert not sols["recursion"].is_zero
 
 
 def test_solve_ivp_forcing_must_be_one_sided():
