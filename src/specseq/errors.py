@@ -92,10 +92,7 @@ class NoConvergence(SpecseqError):
 
     code = "no-convergence"
     exit_status = 13
-
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+    report = None
 
 
 class CausalityRequired(SpecseqError):

@@ -38,7 +38,7 @@ from .errors import (
     RangeViolation,
 )
 from .operators import GAP_TOL, BoundedOperator, SpectralSplit, is_hyperbolic, spectral_radius
-from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, _decay_steps
+from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_steps
 from .sequences import WindowedSequence
 from .solver import (
     StencilMap,
@@ -89,7 +89,7 @@ class ManifoldProblem:
                 f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
             )
         self.m_one, lip_one = smallness_gate(self.A, self.F, 1.0, AdmissibilityError)
-        self.m_rho, _ = smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
+        smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
         self.contraction_factor = self.m_one * lip_one
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
@@ -361,15 +361,16 @@ def spectrum_escape_check(A: BoundedOperator, x) -> bool:
     ``|A^{qn} x| >= 2^q |x|`` for every ``x``: no orbit but the zero one is
     square-summable, and the answer is True.  Without such an ``n`` within
     ``CERT_CAP`` steps it raises :class:`PreconditionViolation`, at once
-    when the spectral radius of ``A^{-1}`` alone rules the cap out.
+    when the spectral radius ``1 / min |lambda|`` of ``A^{-1}`` alone rules
+    the cap out.
     """
-    moduli = np.abs(A.eigenvalues)
-    if float(np.min(moduli)) <= 1.0 + GAP_TOL:
+    least = float(np.min(np.abs(A.eigenvalues)))
+    if least <= 1.0 + GAP_TOL:
         raise PreconditionViolation(
             f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
         )
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != A.dim:
         raise InputError(f"vector has dimension {x.size}, expected {A.dim}")
-    _decay_steps(np.linalg.inv(A.entries), 1.0, 0.5, CERT_CAP, "escape certificate")
+    decay_steps(np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate")
     return True

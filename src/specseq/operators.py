@@ -62,9 +62,10 @@ def operator_norm(mat: np.ndarray) -> float:
 class BoundedOperator:
     """A bounded operator on C^d as a dense complex matrix.
 
-    Eigenvalue data is computed lazily on first use and cached; the Riesz
-    machinery never needs Jordan structure, so no canonical form is ever
-    computed.
+    The eigenvalues are computed lazily on first use and cached, and they are
+    the only decomposition of the spectrum: every spectral radius, split rank
+    and certificate rate is read from them.  No eigenvector or canonical form
+    is ever computed; the Riesz machinery never needs Jordan structure.
     """
 
     def __init__(self, entries):
@@ -94,18 +95,13 @@ class BoundedOperator:
     def _eigendata(self):
         if self._eig is None:
             try:
-                w, v = np.linalg.eig(self._entries)
+                self._eig = np.linalg.eigvals(self._entries)
             except np.linalg.LinAlgError as exc:
                 raise EigenSolverFailure(f"eigen decomposition failed: {exc}") from exc
-            self._eig = (w, v)
         return self._eig
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigendata()[0]
-
-    def eigenpairs(self):
-        """Cached (eigenvalues, eigenvector matrix) pair."""
         return self._eigendata()
 
     def norm(self) -> float:
@@ -125,7 +121,9 @@ class SpectralSplit:
     ``S_gamma`` along the complementary invariant subspace; ``proj_unstable`` is the
     complement.  ``r_inside`` is the largest inside modulus (0 when nothing is inside)
     and ``r_outside_inv`` the largest reciprocal modulus outside (0 when nothing is
-    outside).  ``quad_points`` counts the Newton sign steps (named for the bench tracer).
+    outside).  ``rank_stable`` and ``rank_unstable`` count the eigenvalues inside and
+    outside, which ``riesz_split`` checks against ``tr P``.  ``quad_points`` counts the
+    Newton sign steps (named for the bench tracer).
     """
 
     gamma: float
@@ -133,17 +131,11 @@ class SpectralSplit:
     proj_unstable: np.ndarray
     r_inside: float
     r_outside_inv: float
+    rank_stable: int
+    rank_unstable: int
     idempotency_defect: float = 0.0
     commutation_defect: float = 0.0
     quad_points: int = 0
-
-    @property
-    def rank_stable(self) -> int:
-        return int(round(float(np.trace(self.proj_stable).real)))
-
-    @property
-    def rank_unstable(self) -> int:
-        return int(round(float(np.trace(self.proj_unstable).real)))
 
 
 def spectral_radius(A: BoundedOperator) -> float:
@@ -377,6 +369,8 @@ def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> Spe
         proj_unstable=eye - proj,
         r_inside=r_inside,
         r_outside_inv=r_outside_inv,
+        rank_stable=n_inside,
+        rank_unstable=A.dim - n_inside,
         idempotency_defect=defect,
         commutation_defect=comm,
         quad_points=steps,

@@ -76,28 +76,29 @@ _MODES = ("causal", "split", "frequency")
 _LOG_SLACK = 1e-9
 
 
-def _decay_steps(
-    mat: np.ndarray, weight: float, level: float, cap: int, what: str
+def decay_steps(
+    mat: np.ndarray, radius: float, weight: float, level: float, cap: int, what: str
 ) -> tuple[int, float]:
     """Smallest K >= 1 with ||mat^K|| * weight^K <= level (checked in logs), and
     an upper bound M on ``max_{n < K} ||mat^n|| weight^n`` (n = 0 counts as 1).
 
-    As ``||mat^K|| >= r(mat)^K``, a rate ``r(mat) * weight`` too slow for
-    ``cap`` steps raises :class:`PreconditionViolation` (naming ``what``)
-    before any power is formed.  The powers are formed one by one, since
-    ``||mat^K||`` need not be monotone in ``K``; the 2-norm (an SVD) is
-    taken only where the lower bound ``||P||_F / sqrt(d) <= ||P||_2`` does
-    not already fail the test by more than :data:`_LOG_SLACK`, so ``K`` is
-    that of an SVD at every step.  ``M`` is the running maximum of the
-    weighted norms the search already has (the SVD where it took one, else
-    the Frobenius norm), widened by :data:`_LOG_SLACK` for rounding.
+    ``radius`` is ``r(mat)``, which the caller reads from the cached
+    eigenvalues of its operator: ``r(A)`` for ``A`` itself, ``r_inside`` of
+    the split for ``PAP``, ``r_outside_inv`` for ``M_Q``, and
+    ``1 / min |lambda|`` for ``A^{-1}``.  As ``||mat^K|| >= radius^K``, a rate ``radius * weight``
+    too slow for ``cap`` steps raises :class:`PreconditionViolation` (naming
+    ``what``) before any power is formed; no other step reads ``radius``.
+    The powers are formed one by one, since ``||mat^K||`` need not be
+    monotone in ``K``; the 2-norm (an SVD) is taken only where the lower
+    bound ``||P||_F / sqrt(d) <= ||P||_2`` does not already fail the test by
+    more than :data:`_LOG_SLACK`, so ``K`` is that of an SVD at every step.
+    ``M`` is the running maximum of the weighted norms the search already
+    has (the SVD where it took one, else the Frobenius norm), widened by
+    :data:`_LOG_SLACK` for rounding.
     """
-    if mat.size == 0:
-        return 0, 1.0
     log_level = math.log(level)
     log_w = math.log(weight)
     log_sqrt_d = 0.5 * math.log(len(mat))
-    radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
     rate = math.log(radius) + log_w if radius > 0.0 else -math.inf
     predicted = math.ceil(log_level / rate) if rate < 0.0 else math.inf
     if predicted > cap:
@@ -121,9 +122,9 @@ def _decay_steps(
     raise PreconditionViolation(f"{what} exceeded {cap} terms; the spectral gap is too small")
 
 
-def _tail_cut(mat: np.ndarray, weight: float) -> int:
-    """The certified series tail cut: :func:`_decay_steps` at SERIES_TOL, TAIL_CAP."""
-    return _decay_steps(mat, weight, SERIES_TOL, TAIL_CAP, "series tail cut")[0]
+def _tail_cut(mat: np.ndarray, radius: float, weight: float) -> int:
+    """The certified series tail cut: :func:`decay_steps` at SERIES_TOL, TAIL_CAP."""
+    return decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut")[0]
 
 
 def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -193,7 +194,7 @@ class ResolventPlan:
             self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
         else:
-            self.tail_cut = _tail_cut(self.A.entries, 1.0 / self.rho)
+            self.tail_cut = _tail_cut(self.A.entries, radius, 1.0 / self.rho)
             self._causal = (self.A.entries, None, self.tail_cut)
 
     def _prepare_split(self):
@@ -202,7 +203,7 @@ class ResolventPlan:
         a = self.A.entries
         if split.rank_stable:
             pap = p @ a @ p
-            self._causal = (pap, p, _tail_cut(pap, 1.0 / self.rho))
+            self._causal = (pap, p, _tail_cut(pap, split.r_inside, 1.0 / self.rho))
         if split.rank_unstable:
             # M_Q = (QAQ + P)^{-1} Q: A^{-1} on range(Q), zero on range(P)
             try:
@@ -212,7 +213,7 @@ class ResolventPlan:
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._anticausal = (mq, _tail_cut(mq, self.rho))
+            self._anticausal = (mq, _tail_cut(mq, split.r_outside_inv, self.rho))
         branches = (self._causal, self._anticausal)
         self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
 

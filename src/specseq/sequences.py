@@ -251,21 +251,21 @@ def inner_product(u: WindowedSequence, v: WindowedSequence, rho: float) -> compl
     return out
 
 
-def support(u: WindowedSequence, supp_tol: float = SUPP_TOL):
-    """Minimal interval containing all entries with ``|u_k| > supp_tol``.
+def support(u: WindowedSequence):
+    """Minimal interval containing all entries with ``|u_k| > SUPP_TOL``.
 
     Returns ``None`` for the (numerically) zero sequence.
     """
     mags = np.linalg.norm(u.values, axis=1)
-    idx = np.flatnonzero(mags > supp_tol)
+    idx = np.flatnonzero(mags > SUPP_TOL)
     if idx.size == 0:
         return None
     return (u.lo + int(idx[0]), u.lo + int(idx[-1]))
 
 
-def support_subset_geq(u: WindowedSequence, a: int, supp_tol: float = SUPP_TOL) -> bool:
-    """True when the support of ``u`` (at tolerance) lies in ``Z_{>= a}``."""
-    spt = support(u, supp_tol)
+def support_subset_geq(u: WindowedSequence, a: int) -> bool:
+    """True when the support of ``u`` (at :data:`SUPP_TOL`) lies in ``Z_{>= a}``."""
+    spt = support(u)
     return spt is None or spt[0] >= a
 
 

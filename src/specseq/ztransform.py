@@ -134,16 +134,13 @@ def parseval_check(
     return lhs, rhs
 
 
-def multiplication_equiv_check(
-    u: WindowedSequence, rho: float, n_samples: int | None = None
-) -> float:
+def multiplication_equiv_check(u: WindowedSequence, rho: float) -> float:
     """Defect of the shift/multiplication intertwining.
 
-    Returns the discrete L2 norm of ``Z(tau u) - z * Z(u)`` over the
-    samples; one extra index of slack is budgeted for the shifted window.
+    Returns the discrete L2 norm of ``Z(tau u) - z * Z(u)`` over the default
+    samples of a window one index wider than ``u``'s, the slack for the shift.
     """
-    if n_samples is None:
-        n_samples = default_sample_count(u.width + 2)
+    n_samples = default_sample_count(u.width + 2)
     lhs = ztransform(shift(u, 1), rho, n_samples)
     base = ztransform(u, rho, n_samples)
     diff = lhs.samples - base.points()[:, None] * base.samples

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -11,6 +12,7 @@ from specseq import (
     BoundedOperator,
     IndeterminateHyperbolic,
     InputError,
+    ManifoldProblem,
     PreconditionViolation,
     QuadratureError,
     ResolventPlan,
@@ -21,7 +23,11 @@ from specseq import (
     operator_norm,
     resolvent_at,
     riesz_split,
+    saturation_map,
+    solve_ivp_all,
     spectral_radius,
+    spectrum_escape_check,
+    stability_classify,
 )
 from specseq import operators
 from specseq.operators import MAX_SUP_NODES, SUP_REL_TOL, SpectralSplit, circle_resolvents
@@ -217,6 +223,9 @@ def test_names_bound_by_bench_tracer_exist():
     assert "samples" in inspect.signature(circle_sup_resolvent).parameters
     assert "quad_points" in inspect.signature(riesz_split).parameters
     assert "quad_points" in {f.name for f in dataclasses.fields(SpectralSplit)}
+    # ... and times the eigendata only on the call that fills the cache
+    lazy = BoundedOperator([[2.0]])
+    assert lazy._eig is None and lazy._eigendata() is lazy._eig is lazy.eigenvalues
     # ... and the tail cut of every plan, in each mode and regime
     assert "tail_cut" in {f.name for f in dataclasses.fields(ResolventPlan)}
     a = BoundedOperator(np.diag([0.5, 2.0]))
@@ -245,6 +254,60 @@ def test_callables_keyed_by_bench_tracer_exist():
         if not (inspect.isfunction(fn) and getattr(top, "__module__", None) == mod.__name__):
             missing.append((module, name))
     assert not missing
+
+
+def test_only_eigendata_decomposes_a_spectrum():
+    # every spectral quantity is read from the eigenvalues BoundedOperator
+    # caches, so the library's only eigen solver call is its eigvals
+    src = pathlib.Path(operators.__file__).resolve().parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in ("eig", "eigvals", "eigh", "eigvalsh"):
+                within = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                calls.append((path.name, ast.unparse(node.func), within))
+    assert calls == [("operators.py", "np.linalg.eigvals", ["_eigendata"])]
+
+
+def test_spectrum_decomposed_once_per_operator(monkeypatch):
+    # each entry point on a fresh operator makes one eigvals call and no eig call
+    counts = {"eig": 0, "eigvals": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(53)
+    hyperbolic = [0.4, 0.7, 1.6]
+    cases = {
+        "split plan": (hyperbolic, lambda a: ResolventPlan(a, 1.0, "split")),
+        "causal plan": ([0.4, 0.7, 0.8], lambda a: ResolventPlan(a, 1.0, "causal")),
+        "stability_classify": ([0.4, 0.7, 0.8], stability_classify),
+        "spectrum_escape_check": (
+            [1.5, 2.0, 3.0],
+            lambda a: spectrum_escape_check(a, np.ones(3)),
+        ),
+        "ManifoldProblem": (hyperbolic, lambda a: ManifoldProblem(a, saturation_map(0.01))),
+        "solve_ivp_all": (
+            hyperbolic,
+            lambda a: solve_ivp_all(a, saturation_map(0.01), np.ones(3), 16),
+        ),
+    }
+    seen = {}
+    for label, (moduli, run) in cases.items():
+        a = matrix_with_moduli(rng, moduli, shear=0.3)
+        counts.update(eig=0, eigvals=0)
+        run(a)
+        seen[label] = dict(counts)
+    assert seen == {label: {"eig": 0, "eigvals": 1} for label in cases}
 
 
 def test_circle_resolvents_blocks_match_pointwise_resolvents():
@@ -409,11 +472,11 @@ def test_eigenvalues_cached_and_accurate():
     rng = np.random.default_rng(41)
     mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     a = BoundedOperator(mat)
-    w, v = a.eigenpairs()
-    assert w is a.eigenvalues
-    for i in range(5):
-        resid = np.linalg.norm(a.entries @ v[:, i] - w[i] * v[:, i])
-        assert resid <= 1e-10 * a.norm() * np.linalg.norm(v[:, i])
+    assert a.eigenvalues is a.eigenvalues
+    assert a.eigenvalues.shape == (5,)
+    for lam in a.eigenvalues:
+        sigma_min = np.linalg.svd(a.entries - lam * np.eye(5), compute_uv=False)[-1]
+        assert sigma_min <= 1e-10 * a.norm()
 
 
 def test_circle_sup_arc_bound_holds_inside_random_arcs():

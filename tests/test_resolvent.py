@@ -31,8 +31,8 @@ from specseq import resolvent
 from specseq.resolvent import (
     SERIES_TOL,
     TAIL_CAP,
-    _decay_steps,
     apply_resolvent_window,
+    decay_steps,
     linear_recurrence,
 )
 from testutil import matrix_with_moduli, random_sequence, random_unitary, random_vector
@@ -105,6 +105,21 @@ def test_tail_cut_violation_states_predicted_length():
     assert f"cap of {TAIL_CAP}" in str(info.value)
 
 
+def test_anticausal_tail_overflow_fails_on_outside_radius(monkeypatch):
+    # |1.0001| just outside the unit circle: M_Q has r(M_Q) = 1 / 1.0001, read
+    # from the split's r_outside_inv, and its cut fails before any power of
+    # M_Q; the one SVD is the causal PAP branch's, which is searched first
+    calls = []
+    norm = resolvent.operator_norm
+    monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    with pytest.raises(PreconditionViolation) as info:
+        ResolventPlan(BoundedOperator.diagonal([0.5, 1.0001]), 1.0, "split")
+    predicted = math.ceil(math.log(SERIES_TOL) / math.log(1.0 / 1.0001))
+    assert predicted == 276325
+    assert f"{predicted} terms" in str(info.value)
+    assert len(calls) <= 1
+
+
 def _decay_steps_every_svd(mat, weight):
     # Reference search: the 2-norm of every power, the first K that passes,
     # and the weighted norms ||mat^n|| w^n of the powers n < K before it.
@@ -150,7 +165,8 @@ def test_tail_cut_search_equals_every_step_svd_scan(monkeypatch):
     for mat, weight in _tail_search_fixtures():
         want, seen = _decay_steps_every_svd(mat, weight)
         assert want is not None
-        cut, bound = _decay_steps(mat, weight, SERIES_TOL, TAIL_CAP, "series tail cut")
+        radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+        cut, bound = decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut")
         assert cut == want
         # the running maximum bounds every weighted power before the cut
         assert max(seen) <= bound

@@ -167,9 +167,9 @@ def test_support_ignores_stray_entries_below_tolerance():
     vals[0, 0] = 1e-15  # index -3
     vals[3, 0] = 1.0  # index 0
     u = WindowedSequence(-3, vals)
-    assert support(u, 1e-12) == (0, 0)
-    assert support_subset_geq(u, 0, 1e-12)
-    assert not support_subset_geq(u, 1, 1e-12)
+    assert support(u) == (0, 0)
+    assert support_subset_geq(u, 0)
+    assert not support_subset_geq(u, 1)
 
 
 def test_embed_one_sided_single_entry():

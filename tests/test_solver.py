@@ -302,7 +302,7 @@ def _scaled_power_norms(a, rho_star, steps):
 
 def test_stability_unstable_verdict_is_certified_at_once():
     # growth by 10x from the radius 1.00001 takes about 2.3e5 steps, past
-    # any orbit probe; the eigenpair of largest modulus is the witness
+    # any orbit probe; the eigenvalue of largest modulus is the witness
     start = time.perf_counter()
     report = stability_classify(BoundedOperator.diagonal([1.00001, 0.5]))
     assert time.perf_counter() - start < 0.5
@@ -357,8 +357,13 @@ def test_stability_envelope_property(case):
     assert report.verdict == "exponentially_stable"
     assert report.probes_consistent
     # the same search the classifier ran, for its K
-    cut, _ = resolvent._decay_steps(
-        a.entries, 1.0 / report.rho_star, 0.5, resolvent.CERT_CAP, "stability certificate"
+    cut, _ = resolvent.decay_steps(
+        a.entries,
+        report.r,
+        1.0 / report.rho_star,
+        0.5,
+        resolvent.CERT_CAP,
+        "stability certificate",
     )
     scaled = _scaled_power_norms(a, report.rho_star, 4 * cut + 1)
     assert np.all(scaled <= report.probe_bound)
