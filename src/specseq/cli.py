@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
 
 from . import io
-from .errors import IndeterminateHyperbolic, SpecseqError
+from .errors import IndeterminateHyperbolic, InputError, SpecseqError
 from .manifold import manifold_sweep, spectrum_escape_check
 from .operators import (
     circle_sup_resolvent,
@@ -197,15 +198,18 @@ def _cmd_stable_manifold(args):
         + [f"eta_{i}_{part}" for i in range(dim) for part in ("re", "im")]
         + ["decay_rate", "iterations", "residual", "error"]
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(args.out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             eta = row.eta if row.eta is not None else np.full(dim, np.nan, dtype=np.complex128)
-            record = []
-            for vec in (row.xi, eta):
-                for comp in vec:
-                    record.extend([repr(float(comp.real)), repr(float(comp.imag))])
+            # complex128 viewed as float64 interleaves (re, im) per component
+            parts = np.concatenate((row.xi, eta)).view(np.float64)
+            record = [repr(x) for x in parts.tolist()]
             record.extend(
                 [repr(float(row.decay_rate)), row.iterations, repr(float(row.residual))]
             )
@@ -312,10 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  ``parse_args`` leaves a parser unchanged
+    and fills a fresh ``Namespace`` per call, so every ``main`` call shares
+    it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

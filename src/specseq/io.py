@@ -3,9 +3,11 @@
 Matrices:    {"dim": d, "re": [[..]], "im": [[..]]}        ("im" optional on input)
 Vectors:     {"dim": d, "re": [..], "im": [..]}
 Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
-             one [re-components, im-components] pair per index from lo;
-             every pair must have d components (checked before any array
-             is allocated)
+             one [re-components, im-components] pair per index from lo,
+             each a flat list of d numbers.  The values list is converted
+             by one np.asarray call, an array the size of the parsed input,
+             and its shape is checked before any array sized by d is
+             allocated; an entry that breaks the shape is named.
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.
@@ -16,13 +18,14 @@ Sequence CSV rows: (n, component, re, im).
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
 booleans, fractions and text are InputError.  Every JSON result is written
 as json.dumps(result, indent=2, sort_keys=True) + "\n", byte for byte
-(dump_json).
+(dump_json).  An input that cannot be read or is not UTF-8 JSON, and an
+output that cannot be written, are InputError naming the file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +43,8 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -58,9 +63,18 @@ def dump_json(obj, path=None) -> str:
     chunks.append("\n")
     text = "".join(chunks)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
     return text
+
+
+def _write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated; a path
+    that cannot be written is InputError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 _encode = json.JSONEncoder().encode
@@ -113,19 +127,22 @@ def _key(key):
 
 def _numeric_depth(seq) -> int:
     """``k`` when ``seq`` is a list of nonempty lists nested ``k`` deep whose
-    leaves are all ``int`` or ``float`` (not ``bool``), else 0."""
+    leaves are all ``int`` or ``float`` (not ``bool``), else 0.
+
+    The tree is checked one level at a time, by C-level ``map`` and ``set``
+    over the items of the whole level, so a sublist costs no Python call.
+    Only levels of lists are gathered into a list; the leaf level is
+    only iterated."""
     if type(seq) is not list or not seq:
         return 0
-    kinds = set(map(type, seq))
-    if kinds <= _NUMBERS:
-        return 1
-    if kinds != {list}:
-        return 0
-    depths = set(map(_numeric_depth, seq))
-    if len(depths) != 1:
-        return 0
-    depth = depths.pop()
-    return depth + 1 if depth else 0
+    level, depth = seq, 1
+    kinds = set(map(type, level))
+    while kinds == {list} and all(level):
+        depth += 1
+        kinds = set(map(type, chain.from_iterable(level)))
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+    return depth if kinds <= _NUMBERS else 0
 
 
 def _numeric_array(seq, depth, level):
@@ -230,49 +247,57 @@ def sequence_from_json(obj, context="sequence") -> WindowedSequence:
     raw = _require(obj, "values", context)
     if not isinstance(raw, list):
         raise InputError(f"{context} values must be a list")
-    rows = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InputError(f"{context} values must be [re, im] component pairs")
-        re = _floats(pair[0], f"{context} entry {i}").reshape(-1)
-        im = _floats(pair[1], f"{context} entry {i}").reshape(-1)
-        if re.size != dim or im.size != dim:
-            raise InputError(f"{context} entry {i} must have {dim} components")
-        rows.append(re + 1j * im)
-    if not rows:  # no entry fixes the width: the zero sequence of dimension dim
+    if not raw:  # no entry fixes the width: the zero sequence of dimension dim
         return _parse(zero_sequence, dim, f"{context} dim")
-    return WindowedSequence(lo, np.array(rows))
+    try:
+        values = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError, MemoryError):
+        values = None
+    if values is None or values.shape != (len(raw), 2, dim):
+        _reject_values(raw, dim, context)
+    return WindowedSequence(lo, values[:, 0] + 1j * values[:, 1])
+
+
+def _reject_values(raw, dim, context):
+    """Raise the InputError naming the first entry of ``raw`` that is not a
+    pair of flat lists of ``dim`` numbers.  It is called only once ``raw``
+    failed to convert to a ``(len(raw), 2, dim)`` array, and never returns."""
+    for i, pair in enumerate(raw):
+        what = f"{context} entry {i}"
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InputError(f"{what} must be an [re, im] component pair")
+        for part in pair:
+            if _floats(part, what).shape != (dim,):
+                raise InputError(f"{what} must have {dim} components")
+    raise InputError(f"{context} values are malformed")
 
 
 def sequence_to_json(u: WindowedSequence) -> dict:
     return {
         "dim": u.dim,
         "lo": u.lo,
-        "values": [
-            [row.real.tolist(), row.imag.tolist()] for row in u.values
-        ],
+        "values": np.stack((u.values.real, u.values.imag), axis=1).tolist(),
     }
 
 
 def write_sequence_csv(u: WindowedSequence, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "component", "re", "im"])
-        for offset, row in enumerate(u.values):
-            for comp in range(u.dim):
-                writer.writerow(
-                    [u.lo + offset, comp, repr(float(row[comp].real)), repr(float(row[comp].imag))]
-                )
+    """Rows (n, component, re, im), the bytes ``csv.writer`` writes: float
+    reprs and integers never need quoting."""
+    re, im = u.values.real.tolist(), u.values.imag.tolist()
+    rows = "".join(
+        f"{n},{comp},{x!r},{y!r}\r\n"
+        for n, re_n, im_n in zip(range(u.lo, u.lo + len(re)), re, im)
+        for comp, (x, y) in enumerate(zip(re_n, im_n))
+    )
+    _write_text(path, "n,component,re,im\r\n" + rows)
 
 
 def write_circle_csv(f: CircleFunction, path):
-    """Rows (theta, |f|) for external plotting."""
+    """Rows (theta, |f|) for external plotting, written as by
+    ``write_sequence_csv``."""
     mags = np.linalg.norm(f.samples, axis=1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "abs"])
-        for theta, mag in zip(f.angles(), mags):
-            writer.writerow([repr(float(theta)), repr(float(mag))])
+    rows = "".join(f"{t!r},{m!r}\r\n" for t, m in zip(f.angles().tolist(), mags.tolist()))
+    _write_text(path, "theta,abs\r\n" + rows)
 
 
 def stencil_from_json(obj, context="stencil") -> StencilMap:

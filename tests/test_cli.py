@@ -350,6 +350,8 @@ ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]
 MANIFOLD = ["stable-manifold", "--grid", "grid.json", "--out", "out.csv", "--problem"]
 STABLE = {"dim": 1, "re": [[0.5]]}
 PROBLEM = json.dumps({"A": STABLE, "F": SAT})
+RESOLVE = ["resolve", "--A", "a.json", "--rho", "1.0", "--mode", "causal"]
+IMPULSE = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]]]}
 
 
 @pytest.mark.parametrize(
@@ -380,6 +382,11 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         (ZCHECK, {"dim": 1, "lo": 0, "values": None}),
         (MANIFOLD, 5),
         (MANIFOLD, None),
+        (["spectrum", "--A"], b"\xff\xfe{"),
+        (["spectrum", "--out", "missing/out.json", "--A"], STABLE),
+        (RESOLVE + ["--csv-out", "missing/u.csv", "--f"], IMPULSE),
+        (["ztransform-check", "--rho", "1.0", "--circle-csv", "missing/c.csv", "--u"], IMPULSE),
+        (["stable-manifold", "--grid", "grid.json", "--out", "missing/out.csv", "--problem"], PROBLEM),
     ],
     ids=[
         "not-json",
@@ -405,6 +412,11 @@ PROBLEM = json.dumps({"A": STABLE, "F": SAT})
         "null-values",
         "number-problem",
         "null-problem",
+        "undecodable-input",
+        "unwritable-out",
+        "unwritable-csv-out",
+        "unwritable-circle-csv",
+        "unwritable-manifold-out",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
@@ -412,11 +424,21 @@ def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
     # a valid grid and vector, so a case can fail only on its last file or flags
     write_json(tmp_path / "grid.json", {"vectors": [{"dim": 1, "re": [0.1]}]})
     write_json(tmp_path / "x.json", {"dim": 2, "re": [1.0, 0.0]})
+    write_json(tmp_path / "a.json", STABLE)
     path = tmp_path / "bad.json"
-    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     code, _, err = run_cli(argv + [str(path)], capsys)
     assert code == 3
-    assert json.loads(err)["error"] == "invalid-input"
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    # a case writing under a missing directory fails there, not on its input
+    if any(arg.startswith("missing/") for arg in argv):
+        assert diag["message"].startswith("cannot write missing/")
+    if isinstance(bad, bytes):
+        assert diag["message"].startswith(f"{path} is not UTF-8 text")
 
 
 @pytest.mark.parametrize(
@@ -484,15 +506,56 @@ def test_error_codes_are_distinct():
     assert all(status != 0 for status in statuses)
 
 
-def test_module_entry_point(files):
-    # the child process imports the same specseq as this test, installed or not
+def fresh_run(argv, cwd=None):
+    """``python -m specseq *argv`` in a new process; the child imports the
+    same specseq as this test, installed or not."""
     src = os.path.dirname(os.path.dirname(specseq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "specseq", "spectrum", "--A", files["A_diag"]],
+        [sys.executable, "-m", "specseq", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["r"] == 2.0
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point(files):
+    code, out, _ = fresh_run(["spectrum", "--A", files["A_diag"]])
+    assert code == 0
+    assert json.loads(out)["r"] == 2.0
+
+
+def files_in(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_reused_parser_carries_nothing_between_calls(files, tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process; each call must still print and
+    # write what a fresh process does, with no flag left over from the last
+    resolve = ["resolve", "--A", files["A_half"], "--f", files["f_imp"], "--rho", "1.0"]
+    resolve += ["--mode", "causal"]
+    spectrum = ["spectrum", "--A", files["A_half"]]
+    calls = [
+        resolve + ["--csv-out", "u.csv"],
+        resolve,
+        spectrum + ["--circle-sup-rho", "1.5"],
+        spectrum,
+        ["resolve", "--A", files["A_half"], "--mode", "bogus"],
+        spectrum,
+    ]
+    codes = []
+    for i, argv in enumerate(calls):
+        here, there = tmp_path / f"main{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        code, out, err = run_cli(argv, capsys)
+        fresh_code, fresh_out, fresh_err = fresh_run(argv, there)
+        assert (code, out) == (fresh_code, fresh_out)
+        assert files_in(here) == files_in(there)
+        assert err.startswith("usage: specseq") == fresh_err.startswith("usage: specseq")
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert files_in(tmp_path / "main0").keys() == {"u.csv"}
