@@ -5,9 +5,10 @@ Vectors:     {"dim": d, "re": [..], "im": [..]}
 Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
              one [re-components, im-components] pair per index from lo,
              each a flat list of d numbers.  The values list is converted
-             by one np.asarray call, an array the size of the parsed input,
+             by one struct.pack call, an array the size of the parsed input,
              and its shape is checked before any array sized by d is
-             allocated; an entry that breaks the shape is named.
+             allocated; an entry that breaks the shape or holds anything
+             but JSON numbers is named.
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.
@@ -16,15 +17,21 @@ Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizo
 Sequence CSV rows: (n, component, re, im).
 
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
-booleans, fractions and text are InputError.  Every JSON result is written
-as json.dumps(result, indent=2, sort_keys=True) + "\n", byte for byte
-(dump_json).  An input that cannot be read or is not UTF-8 JSON, and an
-output that cannot be written, are InputError naming the file.
+booleans, fractions and text are InputError.  Every other numeric field
+(matrix, vector and sequence entries, rho, fp_tol and the stencil's eps, h,
+clip_radius and coeffs) holds JSON numbers; text such as "2.0" and booleans
+are InputError.  Complex entries are assembled from their parts bit for
+bit, so a -0.0 in either part is kept.  Every JSON result is written as
+json.dumps(result, indent=2, sort_keys=True) + "\n", byte for byte
+(dump_json).  An input that cannot be read, is not UTF-8 JSON or is nested
+too deeply to decode, and an output that cannot be written, are InputError
+naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from itertools import chain
 
 import numpy as np
@@ -47,6 +54,8 @@ def load_json(path):
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply to decode: {exc}") from exc
 
 
 def dump_json(obj, path=None) -> str:
@@ -188,7 +197,48 @@ def _parse(convert, value, what):
 
 
 def _floats(value, what) -> np.ndarray:
-    return _parse(lambda v: np.asarray(v, dtype=np.float64), value, what)
+    """``value``, a JSON number or a regular nest of lists of them, as a
+    float64 array; text such as ``"2.0"``, booleans, ragged lists and other
+    values are InputError.
+
+    The nest is walked one level at a time by C-level ``map`` and ``chain``,
+    so no level costs a Python call per item, and its leaves are packed by
+    one ``struct.pack``, which takes ints and floats and refuses text.  A
+    level is taken for lists by its first item: an item of another type
+    there has no length or yields text (a string's characters, an object's
+    keys), which the pack refuses.  It packs a boolean as 1 or 0, so the
+    leaves' types are checked only where a 0 or a 1 was packed."""
+    shape, level = [], [value]
+    while level and type(level[0]) is list:
+        lengths = _parse(lambda items: set(map(len, items)), level, what)
+        if len(lengths) > 1:
+            raise InputError(f"{what} is malformed: lists of unequal lengths")
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    try:
+        packed = _parse(lambda items: struct.pack(f"{len(items)}d", *items), level, what)
+    except struct.error as exc:
+        raise InputError(f"{what} must hold JSON numbers only: {exc}") from exc
+    arr = np.frombuffer(packed, dtype=np.float64)
+    if ((arr == 0) | (arr == 1)).any() and not set(map(type, level)) <= _NUMBERS:
+        raise InputError(f"{what} must hold JSON numbers only, not booleans")
+    return _parse(arr.reshape, shape, what)  # numpy allows at most 64 axes
+
+
+def _number(value, what) -> float:
+    """A scalar numeric field: a JSON number, not a boolean or text, as a
+    float."""
+    if type(value) not in _NUMBERS:
+        raise InputError(f"{what} must be a JSON number, got {value!r}")
+    return _parse(float, value, what)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + 1j im`` with both parts kept bit for bit, signed zeros
+    included, which the sum ``re + 1j * im`` does not do."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 def _integer(value, what) -> int:
@@ -209,13 +259,20 @@ def _dim(obj, context) -> int:
     return dim
 
 
+def _parts(obj, context) -> tuple[np.ndarray, np.ndarray]:
+    """The ``re`` and ``im`` arrays of a matrix or vector; a missing ``im``
+    is zero."""
+    re = _floats(_require(obj, "re", context), f"{context} re")
+    im = _floats(obj["im"], f"{context} im") if "im" in obj else np.zeros_like(re)
+    return re, im
+
+
 def matrix_from_json(obj, context="matrix") -> BoundedOperator:
     dim = _dim(obj, context)
-    re = _floats(_require(obj, "re", context), f"{context} re")
-    im = _floats(obj.get("im", np.zeros_like(re)), f"{context} im")
+    re, im = _parts(obj, context)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputError(f"{context} entries must be {dim}x{dim}")
-    return BoundedOperator(re + 1j * im)
+    return BoundedOperator(_complex(re, im))
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -229,11 +286,10 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def vector_from_json(obj, context="vector") -> np.ndarray:
     dim = _dim(obj, context)
-    re = _floats(_require(obj, "re", context), f"{context} re").reshape(-1)
-    im = _floats(obj.get("im", np.zeros_like(re)), f"{context} im").reshape(-1)
+    re, im = _parts(obj, context)
     if re.size != dim or im.size != dim:
         raise InputError(f"{context} components must have length {dim}")
-    return re + 1j * im
+    return _complex(re.reshape(-1), im.reshape(-1))
 
 
 def vector_to_json(vec: np.ndarray) -> dict:
@@ -250,18 +306,19 @@ def sequence_from_json(obj, context="sequence") -> WindowedSequence:
     if not raw:  # no entry fixes the width: the zero sequence of dimension dim
         return _parse(zero_sequence, dim, f"{context} dim")
     try:
-        values = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError, MemoryError):
+        values = _floats(raw, context)
+    except InputError:
         values = None
     if values is None or values.shape != (len(raw), 2, dim):
         _reject_values(raw, dim, context)
-    return WindowedSequence(lo, values[:, 0] + 1j * values[:, 1])
+    return WindowedSequence(lo, _complex(values[:, 0], values[:, 1]))
 
 
 def _reject_values(raw, dim, context):
     """Raise the InputError naming the first entry of ``raw`` that is not a
-    pair of flat lists of ``dim`` numbers.  It is called only once ``raw``
-    failed to convert to a ``(len(raw), 2, dim)`` array, and never returns."""
+    pair of flat lists of ``dim`` JSON numbers.  It is called only once
+    ``raw`` failed to convert to a ``(len(raw), 2, dim)`` array of them, and
+    never returns."""
     for i, pair in enumerate(raw):
         what = f"{context} entry {i}"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -306,6 +363,11 @@ def stencil_from_json(obj, context="stencil") -> StencilMap:
     if not isinstance(params, dict):
         raise InputError(f"{context} params must be an object")
     params = dict(params)
+    for key in ("eps", "h", "clip_radius"):
+        if key in params:
+            params[key] = _number(params[key], f"{context} {key}")
+    if "coeffs" in params:
+        _floats(params["coeffs"], f"{context} coeffs")
     if kernel == "linear" and "matrix" in params:
         params["matrix"] = matrix_from_json(params["matrix"], f"{context}.matrix").entries
     forcing = obj.get("forcing")
@@ -319,7 +381,7 @@ def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
     kwargs = {}
     for key in ("rho", "fp_tol"):
         if key in obj:
-            kwargs[key] = _parse(float, obj[key], f"{context} {key}")
+            kwargs[key] = _number(obj[key], f"{context} {key}")
     for key in ("max_iter", "horizon"):
         if key in obj:
             kwargs[key] = _integer(obj[key], f"{context} {key}")

@@ -3,7 +3,8 @@
 Three routes are provided and cross-checked:
 
 * ``causal``: the one-sided convolution ``u_n = sum_{k <= n-1} A^{n-1-k} f_k``,
-  valid exactly when ``rho > r(A)``; implemented as a forward recurrence.
+  valid exactly when ``rho > r(A)``; the forward recurrence
+  ``s_{k+1} = A s_k + f_k``.
 * ``split``: the two-sided formulas through a Riesz splitting
   ``P + Q = I`` at ``gamma = rho``: the causal branch
   ``sum_{k <= n-1} (PAP)^{n-1-k} P f_k`` on the stable range plus the
@@ -23,7 +24,9 @@ that acts on ``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with
 The time-domain routes share one array-level application,
 :func:`apply_resolvent_window`, which fills only a requested output window
 and accepts a column axis, so many right-hand sides run through one
-recurrence.
+recurrence.  Every recurrence is :func:`linear_recurrence`: a single column
+runs as a chunked doubling scan in about ``log2 L + K / L`` array steps for
+``K`` rows, several columns row by row.
 """
 
 from __future__ import annotations
@@ -127,6 +130,55 @@ def _tail_cut(mat: np.ndarray, radius: float, weight: float) -> int:
     return decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut")[0]
 
 
+#: Bound on ``L d^2`` for a single column's doubling scan: its chunk length
+#: L doubles while ``L d^2`` stays within this.
+_SCAN_BUDGET = 2**12
+
+
+def _scan_powers(M: np.ndarray, rows: int, columns: int) -> list[np.ndarray]:
+    """``[M, M^2, M^4, ..., M^L]`` for the doubling scan of ``rows`` rows.
+
+    ``L`` doubles only for a single column with a finite ``||M||_F``, while
+    ``2L d^2`` stays within :data:`_SCAN_BUDGET`, and only up to the first
+    square whose Frobenius norm exceeds ``max(1, ||M||_F)``: each product
+    of the scan then rounds no worse than one step of the sequential loop.
+    The search stops once ``L >= rows``, as longer chunks change no row; so
+    every row is the same for any longer run with the same ``M``.
+    """
+    powers = [M]
+    if columns > 1:
+        return powers
+    limit = max(1.0, np.vdot(M, M).real)  # squared norms: one vdot each
+    if not limit < math.inf:
+        return powers
+    while 2 ** len(powers) * M.size <= _SCAN_BUDGET and 2 ** (len(powers) - 1) < rows:
+        square = powers[-1] @ powers[-1]
+        if not np.vdot(square, square).real <= limit:
+            break
+        powers.append(square)
+    return powers
+
+
+def _doubling_scan(powers: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Rows ``s_k = sum_{j <= k} M^{k-j} g_j`` of a ``(K, 1, d)`` stack ``g``,
+    with ``powers = [M, M^2, ..., M^L]``: Kogge-Stone doubling steps sum each
+    row's last ``L`` terms, then a stride-``L`` carry adds ``M^L s_{k-L}``.
+
+    Every product is one ``np.matmul`` over a ``(rows, 1, d)`` stack, which
+    rounds each row alone: a flat ``(rows, d)`` product may round a row
+    differently with the number of rows.
+    """
+    s = g.astype(np.complex128)  # a copy, written in place
+    for t, power in enumerate(powers[:-1]):
+        shift = 1 << t
+        s[shift:] += s[:-shift] @ power.T
+    span, carry = 1 << (len(powers) - 1), powers[-1].T
+    for start in range(span, len(s), span):
+        block = s[start : start + span]
+        block += s[start - span : start - span + len(block)] @ carry
+    return s
+
+
 def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Rows of the linear recurrence driven by the rows ``g_k`` of ``g``.
 
@@ -136,11 +188,24 @@ def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np
     ``k`` is ``s_k = -sum_{j >= k} M^{j-k+1} g_j``.
 
     ``g`` is ``(K, d)`` or carries a column axis, ``(K, G, d)``: each column
-    runs the same recurrence, ``M`` acting on the component axis.
+    runs the same recurrence, ``M`` acting on the component axis.  A single
+    column runs as a doubling scan (:func:`_doubling_scan`) in about
+    ``log2 L + K / L`` steps; where :func:`_scan_powers` leaves ``L = 1``,
+    as for several columns, the rows run one by one.  Either way a row
+    depends only on ``M`` and the rows of ``g`` from the first (in reverse,
+    the last) up to it, never on ``K``.
     """
+    columns = g.shape[1] if g.ndim == 3 else 1
+    powers = _scan_powers(M, len(g), columns)
+    mt = M.T  # s @ M.T is M s on the last axis, one product for all columns
+    if len(powers) > 1:
+        stack = g.reshape(len(g), 1, g.shape[-1])
+        if not reverse:
+            return _doubling_scan(powers, stack).reshape(g.shape)
+        # s_k = M r_k for the forward scan r of the rows -g_k taken from the end
+        return (_doubling_scan(powers, -stack[::-1]) @ mt)[::-1].reshape(g.shape)
     out = np.empty(g.shape, dtype=np.complex128)
     state = np.zeros(g.shape[1:], dtype=np.complex128)
-    mt = M.T  # s @ M.T is M s on the last axis, one product for all columns
     if reverse:
         for k in range(len(g) - 1, -1, -1):
             state = (state - g[k]) @ mt
@@ -273,7 +338,10 @@ def _output_window(plan: ResolventPlan, f: WindowedSequence) -> tuple[int, int]:
     return out_lo, out_hi
 
 
-def _apply_full(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
+def _apply_full(plan: ResolventPlan, f: WindowedSequence, mode: str) -> WindowedSequence:
+    # the body of apply_resolvent_causal and apply_resolvent_split
+    if plan.mode != mode:
+        raise InputError(f"plan mode is {plan.mode!r}, expected {mode!r}")
     if f.is_zero:
         return zero_sequence(f.dim)
     out_lo, out_hi = _output_window(plan, f)
@@ -286,9 +354,7 @@ def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> Windowed
     Output window is ``[lo(f) + 1, hi(f) + tail_cut + 1]``; the dropped tail is
     below :data:`SERIES_TOL` in the ell_{2,rho} norm.
     """
-    if plan.mode != "causal":
-        raise InputError(f"plan mode is {plan.mode!r}, expected 'causal'")
-    return _apply_full(plan, f)
+    return _apply_full(plan, f, "causal")
 
 
 def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
@@ -299,9 +365,7 @@ def apply_resolvent_split(plan: ResolventPlan, f: WindowedSequence) -> WindowedS
     unprojected ``f``, on range(Q); the full-window case of
     :func:`apply_resolvent_window`.
     """
-    if plan.mode != "split":
-        raise InputError(f"plan mode is {plan.mode!r}, expected 'split'")
-    return _apply_full(plan, f)
+    return _apply_full(plan, f, "split")
 
 
 def apply_resolvent_frequency(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:

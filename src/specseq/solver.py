@@ -84,29 +84,34 @@ def _kernel_zero(args, params):
 
 def _kernel_linear(args, params):
     mat = params["matrix"]
-    if args[0].shape[1] != mat.shape[0]:
+    if args[0].shape[-1] != mat.shape[0]:
         raise DimensionMismatch(
             f"linear kernel matrix is {mat.shape[0]}x{mat.shape[1]} but sequences "
-            f"have dimension {args[0].shape[1]}"
+            f"have dimension {args[0].shape[-1]}"
         )
     return args[0] @ mat.T
 
 
 def _kernel_saturation(args, params):
-    # eps * _csat(a rolled left by one component), written into one array:
-    # tanh of the rotated parts lands in place and is scaled in place.  The
-    # complex sum in _csat keeps a real -0.0 only where the imaginary part
-    # has its sign bit set, and turns an imaginary -0.0 into +0.0; the two
-    # fixes below repeat that.  eps stays the first operand, as in
-    # eps * _csat, since a fused complex product rounds an underflow to a
-    # signed zero by operand order.  The output is the same bit for bit.
+    # eps * _csat(a rolled left by one component), for any leading shape: one
+    # rotated copy (a take, which unlike a concatenate copies many short
+    # rows as fast as one long one), and one tanh over its float64 view, the
+    # (re, im) pairs side by side.  The complex sum in _csat gives
+    # re + copysign(0, im) and im + 0.0 (a real -0.0 stays only where the
+    # imaginary part has its sign bit set; an imaginary -0.0 becomes +0.0);
+    # the two adds repeat that.  eps stays the first operand of one complex
+    # product, as in eps * _csat, since a fused complex product rounds an
+    # underflow to a signed zero by operand order.  The output is the same
+    # bit for bit.
     a = args[0]
-    out = np.empty(a.shape, dtype=np.complex128)
-    for part, dst in ((a.real, out.real), (a.imag, out.imag)):
-        np.tanh(part[:, 1:], out=dst[:, :-1])
-        np.tanh(part[:, :1], out=dst[:, -1:])
-    out.real[(out.real == 0.0) & ~np.signbit(out.imag)] = 0.0
-    out.imag += 0.0
+    turn = np.arange(1, a.shape[-1] + 1)
+    turn[-1] = 0
+    out = a.take(turn, axis=-1).astype(np.complex128, copy=False)
+    parts = out.view(np.float64)
+    np.tanh(parts, out=parts)
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    re += np.copysign(0.0, im)
+    im += 0.0
     return np.multiply(params["eps"], out, out=out)
 
 
@@ -226,9 +231,9 @@ class StencilMap:
         to every column.
         """
         fn, r = _KERNELS[self.kernel]
-        args = {j: dense_rows(vals, lo, out_lo + j, out_hi + j) for j in range(r + 1)}
+        args = [dense_rows(vals, lo, out_lo + j, out_hi + j) for j in range(r + 1)]
         shape = args[0].shape
-        out = fn({j: a.reshape(-1, shape[-1]) for j, a in args.items()}, self.params)
+        out = fn([a.reshape(-1, shape[-1]) for a in args], self.params)
         out = out.reshape(shape)
         if self.forcing is not None:
             forcing = dense_rows(self.forcing.values, self.forcing.lo, out_lo, out_hi)
@@ -238,9 +243,8 @@ class StencilMap:
 
 def _causal_row(F: StencilMap, n: int, row: np.ndarray) -> np.ndarray:
     """Entry F(u)_n of a causal stencil, which reads only ``u_n = row``
-    (a vector, or a ``(G, d)`` stack of them)."""
-    val = _KERNELS[F.kernel][0]({0: row.reshape(-1, row.shape[-1])}, F.params)
-    val = val.reshape(row.shape)
+    (a vector, or a ``(G, d)`` stack of them): one kernel call on the row."""
+    val = _KERNELS[F.kernel][0]([row], F.params)
     if F.forcing is not None:
         val = val + F.forcing.at(n)
     return val
@@ -493,19 +497,23 @@ def forward_orbit(A: BoundedOperator, F: StencilMap, x: np.ndarray, horizon: int
     vals[0] = x
     at = A.entries.T  # v @ A.T is A v for every row of v
     for n in range(horizon):
-        vals[n + 1] = vals[n] @ at + _causal_row(F, n, vals[n])
+        row = vals[n + 1]  # each product lands in its row
+        np.matmul(vals[n], at, out=row)
+        row += _causal_row(F, n, vals[n])
     return vals
 
 
 def _ivp_variation_of_constants(A, F, x, horizon):
+    a = A.entries
     vals = np.zeros((horizon + 1, A.dim), dtype=np.complex128)
     vals[0] = x
-    power_x = x.copy()  # A^n x
-    conv = np.zeros(A.dim, dtype=np.complex128)  # sum_{k<n} A^{n-1-k} F(u)_k
+    power_x = vals.copy()  # rows A^n x
+    conv = np.zeros_like(vals)  # rows sum_{k<n} A^{n-1-k} F(u)_k
     for n in range(horizon):
-        conv = A.entries @ conv + _causal_row(F, n, vals[n])
-        power_x = A.entries @ power_x
-        vals[n + 1] = power_x + conv
+        np.matmul(a, conv[n], out=conv[n + 1])
+        conv[n + 1] += _causal_row(F, n, vals[n])
+        np.matmul(a, power_x[n], out=power_x[n + 1])
+        np.add(power_x[n + 1], conv[n + 1], out=vals[n + 1])
     return WindowedSequence(0, vals)
 
 

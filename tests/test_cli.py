@@ -387,6 +387,9 @@ IMPULSE = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]]]}
         (RESOLVE + ["--csv-out", "missing/u.csv", "--f"], IMPULSE),
         (["ztransform-check", "--rho", "1.0", "--circle-csv", "missing/c.csv", "--u"], IMPULSE),
         (["stable-manifold", "--grid", "grid.json", "--out", "missing/out.csv", "--problem"], PROBLEM),
+        # numeric fields hold JSON numbers, not text or booleans
+        (["spectrum", "--A"], {"dim": 1, "re": [["2.0"]]}),
+        (ZCHECK, {"dim": 1, "lo": 0, "values": [[[True], [0.0]]]}),
     ],
     ids=[
         "not-json",
@@ -417,6 +420,8 @@ IMPULSE = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]]]}
         "unwritable-csv-out",
         "unwritable-circle-csv",
         "unwritable-manifold-out",
+        "text-matrix-entry",
+        "bool-sequence-entry",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
@@ -519,6 +524,18 @@ def fresh_run(argv, cwd=None):
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_deeply_nested_input_is_invalid_input(tmp_path):
+    # deeper than the JSON decoder's recursion limit: a diagnostic naming the
+    # file, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = fresh_run(["spectrum", "--A", str(path)])
+    assert (code, out) == (3, "")
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert diag["message"].startswith(f"{path} is nested too deeply to decode")
 
 
 def test_module_entry_point(files):

@@ -133,12 +133,12 @@ def test_dump_json_writes_the_bytes_it_returns(tmp_path):
 
 
 def rowwise_sequence(obj):
-    """The per-row decoder: one float conversion per component list."""
-    rows = [
-        np.asarray(re, dtype=np.float64) + 1j * np.asarray(im, dtype=np.float64)
-        for re, im in obj["values"]
-    ]
-    return WindowedSequence(obj["lo"], np.array(rows))
+    """The per-row decoder: one float conversion per component list, each
+    part assigned into a complex row, so every zero keeps its sign."""
+    rows = np.empty((len(obj["values"]), obj["dim"]), dtype=np.complex128)
+    for row, (re, im) in zip(rows, obj["values"]):
+        row.real, row.imag = np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64)
+    return WindowedSequence(obj["lo"], rows)
 
 
 def bits(a):
@@ -158,8 +158,8 @@ def test_sequence_from_json_is_bit_identical_to_rowwise_decoding(dim, width):
     obj = {"dim": dim, "lo": -3, "values": values}
     got, want = io.sequence_from_json(obj), rowwise_sequence(obj)
     assert (got.lo, got.values.shape) == (want.lo, want.values.shape)
-    # re + 1j * im drops some zero signs (1j * -0.0 has imaginary part +0.0);
-    # both decoders use that expression, so they drop the same ones
+    # every zero sign is kept, which re + 1j * im would not do
+    # (1j * -0.0 has imaginary part +0.0)
     for g, w in zip(bits(got.values), bits(want.values)):
         assert np.array_equal(g, w)
 
@@ -244,3 +244,110 @@ def test_csv_writers_match_csv_writer_on_edge_values(tmp_path):
         assert got == (tmp_path / "want.csv").read_bytes()
         for text in ("-0.0", "5e-324", "1e+308", "inf", "nan"):
             assert text.encode() in got
+
+
+def test_signed_zeros_round_trip():
+    # -0.0 in either part, beside +0.0 and nonzero parts, survives decoding
+    zeros = np.array([-0.0, 0.0, -0.0, 1.5])
+    vec = np.empty(4, dtype=np.complex128)
+    vec.real, vec.imag = zeros, zeros[::-1]
+    mat = np.empty((4, 4), dtype=np.complex128)
+    mat.real, mat.imag = np.outer(zeros, [1.0, -1.0, 1.0, 1.0]), np.outer([1.0, 1.0, -1.0, 1.0], zeros)
+    seq = WindowedSequence(-2, np.stack([vec, mat[1], mat[:, 2]]))
+    got = [
+        io.vector_from_json(json.loads(json.dumps(io.vector_to_json(vec)))),
+        io.matrix_from_json(json.loads(json.dumps(io.matrix_to_json(mat)))).entries,
+        io.sequence_from_json(json.loads(json.dumps(io.sequence_to_json(seq)))).values,
+    ]
+    for g, want in zip(got, [vec, mat, seq.values]):
+        assert np.array_equal(g.view(np.int64), want.view(np.int64))
+    assert np.signbit(got[0].imag).tolist() == [False, True, False, True]
+
+
+SEQ = {"dim": 2, "lo": 0, "values": [GOOD, GOOD]}
+SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
+
+
+@pytest.mark.parametrize(
+    "decode, obj, field",
+    [
+        (io.matrix_from_json, {"dim": 1, "re": [["2.0"]]}, "matrix re"),
+        (io.matrix_from_json, {"dim": 1, "re": [[2.0]], "im": [[True]]}, "matrix im"),
+        (io.matrix_from_json, {"dim": 2, "re": [[1.0, True], [0.5, 2]]}, "matrix re"),
+        (io.vector_from_json, {"dim": 2, "re": ["1", 0.0]}, "vector re"),
+        (io.vector_from_json, {"dim": 1, "re": [False]}, "vector re"),
+        (io.sequence_from_json, {**SEQ, "values": [GOOD, [[1.0, "1.5"], [0.5, 0.0]]]}, "sequence entry 1"),
+        (io.sequence_from_json, {**SEQ, "values": [[[True, 2.0], [0.5, 0.0]], GOOD]}, "sequence entry 0"),
+        (io.stencil_from_json, {**SAT, "params": {"eps": "0.01"}}, "stencil eps"),
+        (io.stencil_from_json, {**SAT, "params": {"eps": True}}, "stencil eps"),
+        (io.stencil_from_json, {"kernel": "polynomial_clipped", "params": {"coeffs": ["0.5"], "clip_radius": 1.0}}, "stencil coeffs"),
+        (io.manifold_problem_from_json, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "rho": "0.9"}, "problem rho"),
+        (io.manifold_problem_from_json, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": True}, "problem fp_tol"),
+    ],
+    ids=[
+        "text-matrix-entry",
+        "bool-matrix-im",
+        "bool-among-numbers",
+        "text-vector-entry",
+        "bool-vector-entry",
+        "text-sequence-component",
+        "bool-sequence-component",
+        "text-eps",
+        "bool-eps",
+        "text-coeff",
+        "text-rho",
+        "bool-fp-tol",
+    ],
+)
+def test_numeric_fields_reject_text_and_booleans(decode, obj, field):
+    with pytest.raises(InputError, match=f"^{field} "):
+        decode(obj)
+    # the same object with JSON numbers in the field decodes
+    fixed = json.loads(json.dumps(obj), object_hook=_numbers_for_text)
+    decode(fixed)
+
+
+def _nested(depth):
+    value = [1.0]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "re",
+    [
+        [[0.5], [0.5, 1.0]],
+        [[0.5], 1.0],
+        [1.0, [0.5]],
+        [[{"x": 1.0}]],
+        ["ab"],
+        [[None]],
+        [[10**400]],
+        _nested(100),
+    ],
+    ids=["ragged", "number-after-list", "list-after-number", "object", "text", "null", "huge-int", "100-deep"],
+)
+def test_array_fields_reject_malformed_nests(re):
+    with pytest.raises(InputError, match="^matrix re "):
+        io.matrix_from_json({"dim": 1, "re": re})
+
+
+def _numbers_for_text(obj):
+    """``obj`` with every numeric text or boolean in a list or numeric field
+    replaced by the number it spells."""
+
+    def fix(v):
+        if isinstance(v, list):
+            return [fix(x) for x in v]
+        if isinstance(v, bool):
+            return float(v)
+        if isinstance(v, str):
+            try:
+                return float(v)
+            except ValueError:
+                return v
+        return v
+
+    return {k: fix(v) for k, v in obj.items()}
+

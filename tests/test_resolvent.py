@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     BoundedOperator,
@@ -31,6 +33,7 @@ from specseq import resolvent
 from specseq.resolvent import (
     SERIES_TOL,
     TAIL_CAP,
+    _scan_powers,
     apply_resolvent_window,
     decay_steps,
     linear_recurrence,
@@ -202,6 +205,75 @@ def test_linear_recurrence_columns_match_column_calls():
         for c in range(g.shape[1]):
             alone = linear_recurrence(m, g[:, c], reverse=reverse)
             np.testing.assert_allclose(stacked[:, c], alone, rtol=1e-13, atol=1e-14)
+
+
+def reference_recurrence(m, g, reverse=False):
+    """The recurrence one row at a time: s_{k+1} = M s_k + g_k forward,
+    s_k = M (s_{k+1} - g_k) in reverse."""
+    out = np.empty(g.shape, dtype=np.complex128)
+    state = np.zeros(g.shape[1:], dtype=np.complex128)
+    for k in range(len(g) - 1, -1, -1) if reverse else range(len(g)):
+        state = (state - g[k]) @ m.T if reverse else state @ m.T + g[k]
+        out[k] = state
+    return out
+
+
+@st.composite
+def recurrence_cases(draw):
+    family = draw(st.sampled_from(["normal", "shear", "jordan"]))
+    dim = draw(st.integers(1, 32))
+    rows = draw(st.integers(0, 400))
+    columns = draw(st.sampled_from([None, 1, 3]))  # None: no column axis
+    return family, dim, rows, columns, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=recurrence_cases())
+def test_linear_recurrence_matches_rowwise_loop(case):
+    family, dim, rows, columns, reverse, seed = case
+    rng = np.random.default_rng(seed)
+    if family == "jordan":  # ||J^2|| > ||J||: the scan must keep L = 1
+        m = _jordan(dim, rng.uniform(0.8, 0.95), rng.uniform(2.0, 4.0))
+    else:
+        moduli = rng.uniform(0.05, 0.98, dim)
+        shear = rng.uniform(0.05, 0.3) if family == "shear" else 0.0
+        m = matrix_with_moduli(rng, moduli, shear=shear).entries
+    shape = (rows, dim) if columns is None else (rows, columns, dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, want = linear_recurrence(m, g, reverse), reference_recurrence(m, g, reverse)
+    assert got.shape == g.shape
+    single = columns in (None, 1)
+    powers = _scan_powers(m, rows, 1 if single else columns)
+    if family == "jordan" and dim > 1:
+        assert len(powers) == 1
+    if len(powers) == 1:  # L = 1 is the row-by-row loop itself
+        assert np.array_equal(got, want)
+        return
+    # rounding against the same recurrence in |M| and |g|, which bounds the
+    # terms of every row; both loops stay within a few eps of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = reference_recurrence(np.abs(m), -np.abs(g) if reverse else np.abs(g), reverse)
+    scale = np.linalg.norm(terms, axis=-1)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-14 * scale)
+    # a single column's rows do not depend on how many rows follow (in
+    # reverse, precede) them, bit for bit
+    for cut in {1, rows // 3, rows - 1}:
+        if reverse:
+            assert np.array_equal(linear_recurrence(m, g[cut:], True), got[cut:])
+        else:
+            assert np.array_equal(linear_recurrence(m, g[:cut]), got[:cut])
+
+
+def test_scan_powers_guard_and_budget():
+    # single columns double while L d^2 <= 2**12 and the squares do not grow;
+    # several columns, or a square above max(1, ||M||_F), keep L = 1
+    m = 0.5 * random_unitary(np.random.default_rng(3), 2)
+    assert len(_scan_powers(m, 4000, 1)) == 11  # L = 1024 = 2**12 / 2**2
+    assert len(_scan_powers(m, 160, 1)) == 9  # L = 256 >= 160 rows
+    assert len(_scan_powers(np.kron(np.eye(16), m), 4000, 1)) == 3  # d = 32: L = 4
+    assert len(_scan_powers(m, 4000, 2)) == 1
+    assert len(_scan_powers(_jordan(2, 0.9, 2.0), 4000, 1)) == 1
+    assert len(_scan_powers(np.full((1, 1), np.nan), 4000, 1)) == 1
 
 
 @pytest.mark.parametrize("mode", ["causal", "split"])

@@ -39,7 +39,7 @@ from specseq import (
     zero_sequence,
 )
 from specseq import resolvent
-from specseq.solver import fixed_point, forward_orbit
+from specseq.solver import _causal_row, fixed_point, forward_orbit
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
@@ -426,6 +426,33 @@ def test_forward_orbit_columns_match_single_orbits():
     for c, x in enumerate(xs):
         alone = solve_ivp(a, f, x, 30, "recursion")
         np.testing.assert_allclose(stacked[:, c], alone.dense(0, 30), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_causal_row_is_one_row_of_apply_rows(forced):
+    # every causal kernel, on a vector and on a (G, d) stack, with signed
+    # zeros and tiny parts in the row: the row call and apply_rows agree bit
+    # for bit
+    rng = np.random.default_rng(59)
+    dim = 3
+    forcing = random_sequence(rng, dim, 2, 6) if forced else None
+    maps = [
+        zero_map(forcing),
+        linear_map(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), forcing),
+        saturation_map(0.05, forcing),
+        saturation_map(1e-300, forcing),
+        polynomial_map([0.5, -0.25j, 0.1], 1.5, forcing),
+    ]
+    vec = np.array([-0.0 + 0.3j, 5e-324 - 0.0j, -1.2 + 40.0j])
+    stack = np.stack([vec, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)])
+    for F in maps:
+        assert F.causal
+        for row in (vec, stack):
+            for n in (0, 4):
+                want = F.apply_rows(row[None], n, n, n)[0]
+                got = _causal_row(F, n, row)
+                assert got.shape == row.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_saturation_kernel_matches_complex_formula_bit_for_bit():
