@@ -287,9 +287,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def vector_from_json(obj, context="vector") -> np.ndarray:
     dim = _dim(obj, context)
     re, im = _parts(obj, context)
-    if re.size != dim or im.size != dim:
-        raise InputError(f"{context} components must have length {dim}")
-    return _complex(re.reshape(-1), im.reshape(-1))
+    if re.shape != (dim,) or im.shape != (dim,):
+        raise InputError(f"{context} components must be flat lists of length {dim}")
+    return _complex(re, im)
 
 
 def vector_to_json(vec: np.ndarray) -> dict:

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .operators import GAP_TOL, BoundedOperator, SpectralSplit, is_hyperbolic, spectral_radius
 from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_steps
-from .sequences import WindowedSequence
+from .sequences import WindowedSequence, entry_norms
 from .solver import (
     StencilMap,
     check_iteration_limits,
@@ -48,6 +48,7 @@ from .solver import (
     impulse_image,
     smallness_gate,
 )
+from .workspace import Workspace
 
 
 @dataclass
@@ -145,18 +146,24 @@ def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence
     return WindowedSequence(0, image[:, 0])
 
 
-def _characterization_defects(prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray):
+def _characterization_defects(
+    prob: ManifoldProblem, xis: np.ndarray, u: np.ndarray, ws: Workspace
+):
     # On [0, horizon], P u and Q u must match the P- and Q-parts of
     # (tau - A)^{-1} (F(u) + delta_{-1} xi): the causal sum
     # (PAP)^n xi + sum_{k<n} (PAP)^{n-1-k} P F(u)_k and the anticausal sum
     # -sum_{k>=n} (QAQ)^{n-1-k} Q F(u)_k.  One largest defect per column.
-    diff = u - impulse_image(prob.plan, prob.F, xis, u, prob.horizon)
+    diff = impulse_image(prob.plan, prob.F, xis, u, prob.horizon, ws.take(u.shape), ws)
+    np.subtract(u, diff, out=diff)
     rows = diff.reshape(-1, diff.shape[-1])
-    split = prob.split
-    return tuple(
-        np.max(np.linalg.norm((rows @ proj.T).reshape(diff.shape), axis=-1), axis=0)
-        for proj in (split.proj_stable, split.proj_unstable)
-    )
+    part = ws.take(rows.shape)
+    defects = []
+    for proj in (prob.split.proj_stable, prob.split.proj_unstable):
+        np.matmul(rows, proj.T, out=part)
+        defects.append(np.max(entry_norms(part.reshape(diff.shape), ws=ws), axis=0))
+    ws.give(part)
+    ws.give(diff)
+    return tuple(defects)
 
 
 def _decay_rate(u: WindowedSequence, fp_tol: float) -> float:
@@ -199,13 +206,14 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     :class:`ManifoldPoint`, or the typed error that stopped that row.
     """
     h = prob.horizon
-    stack = impulse_fixed_point(prob.plan, prob.F, xis, h, prob.fp_tol, prob.max_iter)
+    ws = Workspace()  # every LP step and check of the block runs in its arrays
+    stack = impulse_fixed_point(prob.plan, prob.F, xis, h, prob.fp_tol, prob.max_iter, ws)
     results = list(stack.errors)
     ok = np.flatnonzero([e is None for e in results])
     if not ok.size:
         return results
     u = stack.solution if ok.size == len(results) else stack.solution[:, ok]
-    defect = np.maximum(*_characterization_defects(prob, xis[ok], u))
+    defect = np.maximum(*_characterization_defects(prob, xis[ok], u, ws))
     etas = u[0] @ prob.split.proj_unstable.T
     if check_orbit:
         scale = np.maximum(1.0, np.linalg.norm(xis[ok], axis=1))
@@ -216,8 +224,9 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
         dist = np.linalg.norm(fwd - u[: len(fwd)], axis=-1)
         in_window = np.arange(len(fwd))[:, None] <= n_cmp
         dev = np.max(np.where(in_window, dist, 0.0), axis=0)
-        mags = np.linalg.norm(u, axis=-1) ** 2
+        mags = entry_norms(u, ws=ws) ** 2
         total, tail = np.sum(mags, axis=0), np.sum(mags[h // 2 :], axis=0)
+    del ws  # its arrays go before the orbits below copy the columns of u
     bound = 10.0 * prob.fp_tol
     for j, c in enumerate(ok):
         if defect[j] > bound:
@@ -307,27 +316,32 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     independently.  Rows go in blocks of ``max(1, 2**15 // ((horizon + 1) d))``,
     so a stacked array holds about 2**15 complex entries (or one row), which
     bounds peak memory whatever the grid size, while each step of the
-    recurrence spreads its fixed Python overhead over several rows.
+    recurrence spreads its fixed Python overhead over several rows.  A
+    block runs in one :class:`Workspace`, whose arrays its first steps
+    allocate and every later step and certificate reuses; its peak is about
+    4.5 stacked arrays at d = 32 (horizon 148, 6 columns), and each point
+    becomes its row before the next block runs, so the sweep peaks there.
     Rows are independent; per-row failures (a vector off the stable range,
     no convergence, a failed certificate, a non-finite iterate) are recorded
     in the ``error`` field with the same code and message as a one-row run,
     and the other rows are unaffected.  Output order follows the grid.
     """
     grid = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in xi_grid]
-    results: list = [None] * len(grid)
+    table: list = [None] * len(grid)
     valid = []
     for i, xi in enumerate(grid):
         try:
             prob.check_stable_range(xi)
             valid.append(i)
         except Exception as exc:  # per-row isolation
-            results[i] = exc
+            table[i] = _sweep_row(i, xi, exc)
     block = max(1, 2**15 // ((prob.horizon + 1) * prob.A.dim))
     for start in range(0, len(valid), block):
         rows = valid[start : start + block]
-        for i, result in zip(rows, _block_points(prob, np.array([grid[i] for i in rows]))):
-            results[i] = result
-    return [_sweep_row(i, xi, result) for i, (xi, result) in enumerate(zip(grid, results))]
+        points = _block_points(prob, np.array([grid[i] for i in rows]))
+        for i in rows:  # each point becomes its row, and its orbit goes, before the next block
+            table[i] = _sweep_row(i, grid[i], points.pop(0))
+    return table
 
 
 def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .sequences import (
     weighted_norm,
     zero_sequence,
 )
+from .workspace import Workspace
 from .ztransform import CircleFunction, inverse_ztransform, next_pow2, ztransform
 
 #: Target size for truncated series tails, in the weighted norm.
@@ -135,6 +137,12 @@ def _tail_cut(mat: np.ndarray, radius: float, weight: float) -> int:
 _SCAN_BUDGET = 2**12
 
 
+def _scan_length(rows: int, columns: int) -> int:
+    # How many of the powers M, M^2, M^4, ... a scan of rows rows can use: up
+    # to the first L = 2^(n-1) >= rows; several columns run row by row.
+    return 1 if columns > 1 else max(rows - 1, 0).bit_length() + 1
+
+
 def _scan_powers(M: np.ndarray, rows: int, columns: int) -> list[np.ndarray]:
     """``[M, M^2, M^4, ..., M^L]`` for the doubling scan of ``rows`` rows.
 
@@ -143,15 +151,18 @@ def _scan_powers(M: np.ndarray, rows: int, columns: int) -> list[np.ndarray]:
     square whose Frobenius norm exceeds ``max(1, ||M||_F)``: each product
     of the scan then rounds no worse than one step of the sequential loop.
     The search stops once ``L >= rows``, as longer chunks change no row; so
-    every row is the same for any longer run with the same ``M``.
+    every row is the same for any longer run with the same ``M``, and the
+    list for ``rows`` rows is the first :func:`_scan_length` entries of the
+    list for more rows.
     """
     powers = [M]
-    if columns > 1:
+    length = _scan_length(rows, columns)
+    if length == 1:
         return powers
     limit = max(1.0, np.vdot(M, M).real)  # squared norms: one vdot each
     if not limit < math.inf:
         return powers
-    while 2 ** len(powers) * M.size <= _SCAN_BUDGET and 2 ** (len(powers) - 1) < rows:
+    while len(powers) < length and 2 ** len(powers) * M.size <= _SCAN_BUDGET:
         square = powers[-1] @ powers[-1]
         if not np.vdot(square, square).real <= limit:
             break
@@ -159,16 +170,16 @@ def _scan_powers(M: np.ndarray, rows: int, columns: int) -> list[np.ndarray]:
     return powers
 
 
-def _doubling_scan(powers: list[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """Rows ``s_k = sum_{j <= k} M^{k-j} g_j`` of a ``(K, 1, d)`` stack ``g``,
-    with ``powers = [M, M^2, ..., M^L]``: Kogge-Stone doubling steps sum each
+def _doubling_scan(powers: list[np.ndarray], s: np.ndarray) -> None:
+    """Rows ``s_k = sum_{j <= k} M^{k-j} g_j`` of a ``(K, 1, d)`` stack ``s``
+    that holds ``g`` and receives the rows in place, with
+    ``powers = [M, M^2, ..., M^L]``: Kogge-Stone doubling steps sum each
     row's last ``L`` terms, then a stride-``L`` carry adds ``M^L s_{k-L}``.
 
     Every product is one ``np.matmul`` over a ``(rows, 1, d)`` stack, which
     rounds each row alone: a flat ``(rows, d)`` product may round a row
     differently with the number of rows.
     """
-    s = g.astype(np.complex128)  # a copy, written in place
     for t, power in enumerate(powers[:-1]):
         shift = 1 << t
         s[shift:] += s[:-shift] @ power.T
@@ -176,10 +187,15 @@ def _doubling_scan(powers: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     for start in range(span, len(s), span):
         block = s[start : start + span]
         block += s[start - span : start - span + len(block)] @ carry
-    return s
 
 
-def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np.ndarray:
+def linear_recurrence(
+    M: np.ndarray,
+    g: np.ndarray,
+    reverse: bool = False,
+    out: np.ndarray | None = None,
+    powers: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """Rows of the linear recurrence driven by the rows ``g_k`` of ``g``.
 
     Forward, ``s_{k+1} = M s_k + g_k`` from ``s_0 = 0`` and row ``k`` is
@@ -194,26 +210,45 @@ def linear_recurrence(M: np.ndarray, g: np.ndarray, reverse: bool = False) -> np
     as for several columns, the rows run one by one.  Either way a row
     depends only on ``M`` and the rows of ``g`` from the first (in reverse,
     the last) up to it, never on ``K``.
+
+    The rows are written into ``out``, a C-contiguous complex array of the
+    shape of ``g`` (a new one when None), which may be ``g`` itself.
+    ``powers``, when given, is ``_scan_powers(M, _SCAN_BUDGET, 1)``, kept by
+    the caller (a plan keeps one per branch) so that no call squares ``M``
+    again.
     """
     columns = g.shape[1] if g.ndim == 3 else 1
-    powers = _scan_powers(M, len(g), columns)
+    if powers is None:
+        powers = _scan_powers(M, len(g), columns)
+    else:
+        powers = powers[: _scan_length(len(g), columns)]
+    if out is None:
+        out = np.empty(g.shape, dtype=np.complex128)
+    if out is not g:
+        np.copyto(out, g)  # every route below turns the rows of g into s in place
     mt = M.T  # s @ M.T is M s on the last axis, one product for all columns
     if len(powers) > 1:
-        stack = g.reshape(len(g), 1, g.shape[-1])
+        s = out.reshape(len(g), 1, g.shape[-1])
         if not reverse:
-            return _doubling_scan(powers, stack).reshape(g.shape)
+            _doubling_scan(powers, s)
+            return out
         # s_k = M r_k for the forward scan r of the rows -g_k taken from the end
-        return (_doubling_scan(powers, -stack[::-1]) @ mt)[::-1].reshape(g.shape)
-    out = np.empty(g.shape, dtype=np.complex128)
-    state = np.zeros(g.shape[1:], dtype=np.complex128)
-    if reverse:
-        for k in range(len(g) - 1, -1, -1):
-            state = (state - g[k]) @ mt
-            out[k] = state
-    else:
-        for k in range(len(g)):
-            state = state @ mt + g[k]
-            out[k] = state
+        r = s[::-1]
+        np.negative(r, out=r)
+        _doubling_scan(powers, r)
+        np.matmul(r, mt, out=r)
+        return out
+    prev = np.zeros(g.shape[1:], dtype=np.complex128)  # s_0, or s_K in reverse
+    step = np.empty_like(prev)
+    for k in range(len(g) - 1, -1, -1) if reverse else range(len(g)):
+        row = out[k]  # g_k, until it receives s
+        if reverse:
+            np.subtract(prev, row, out=step)
+            np.matmul(step, mt, out=row)
+        else:
+            np.matmul(prev, mt, out=step)
+            np.add(step, row, out=row)
+        prev = row
     return out
 
 
@@ -282,9 +317,25 @@ class ResolventPlan:
         branches = (self._causal, self._anticausal)
         self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
 
+    @cached_property
+    def _scan_squares(self) -> tuple:
+        # The doubling-scan powers of the causal and the anticausal branch
+        # matrix (None for a missing branch), squared once per plan, when a
+        # window is first applied, for any number of rows.
+        return tuple(
+            None if b is None else _scan_powers(b[0], _SCAN_BUDGET, 1)
+            for b in (self._causal, self._anticausal)
+        )
+
 
 def apply_resolvent_window(
-    plan: ResolventPlan, f: np.ndarray, lo: int, out_lo: int, out_hi: int
+    plan: ResolventPlan,
+    f: np.ndarray,
+    lo: int,
+    out_lo: int,
+    out_hi: int,
+    out: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Rows ``[out_lo, out_hi]`` of ``(tau - A)^{-1} f`` in mode "causal" or "split".
 
@@ -297,35 +348,59 @@ def apply_resolvent_window(
     full-window application: the causal branch ends ``tail_cut`` rows past
     the support of ``f`` (of all columns together) and the anticausal
     branch starts ``tail_cut`` rows before it.
+
+    The rows are written into ``out``, a C-contiguous complex array of the
+    window's shape (a new one when None); the rows of each branch are lent
+    by ``ws`` (a fresh :class:`Workspace` when None).
     """
     if plan.mode == "frequency":
         raise InputError("plan mode is 'frequency', expected 'causal' or 'split'")
-    out = np.zeros((out_hi - out_lo + 1,) + f.shape[1:], dtype=np.complex128)
+    if out is None:
+        out = np.zeros((out_hi - out_lo + 1,) + f.shape[1:], dtype=np.complex128)
+    else:
+        out.fill(0)
     support = np.flatnonzero(np.any(f.reshape(len(f), -1) != 0, axis=1))
     if not support.size:
         return out
+    # Room for the causal rows (lo .. out_hi - 1 at most) counted before the
+    # zero rows of f are trimmed, so that calls whose data differ only in
+    # support, like the steps of an iteration, take buffers of one size.
+    room = max(len(f), out_hi - lo)
     f = f[support[0] : support[-1] + 1]
     lo, hi = lo + int(support[0]), lo + int(support[-1])
-    # Each branch's rows are added as soon as they are computed, so at most
-    # one branch's rows are held at a time.
+    ws = Workspace() if ws is None else ws
+    causal_powers, anticausal_powers = plan._scan_squares
+    # Each branch's rows are added to the zeroed window as soon as they are
+    # computed, so one branch's rows are held at a time.  The causal branch
+    # goes first: in an iteration its buffer is the longer one, and the
+    # anticausal rows then fit in it (0 + a + c is the same sum bit for bit
+    # in either order).
+    if plan._causal is not None:
+        mat, proj, tail = plan._causal
+        # row n reads f_k for k <= n - 1: run the rows lo .. end - 1
+        start, end = max(out_lo, lo + 1), min(out_hi, hi + tail + 1)
+        if start <= end:
+            rows = ws.take((room,) + f.shape[1:])
+            if proj is None:
+                rows[: len(f)] = f
+            else:  # one product over all rows and columns
+                d = f.shape[-1]
+                np.matmul(f.reshape(-1, d), proj.T, out=rows[: len(f)].reshape(-1, d))
+            g = rows[: end - lo]
+            g[len(f) :] = 0
+            linear_recurrence(mat, g, out=g, powers=causal_powers)
+            out[start - out_lo : end - out_lo + 1] += g[start - lo - 1 :]
+            ws.give(rows)
     if plan._anticausal is not None:
         mat, tail = plan._anticausal
         # row n reads f_k for k >= n: run the rows hi down to start
         start, end = max(out_lo, lo - tail), min(out_hi, hi)
         if start <= end:
             g = dense_rows(f, lo, start, hi)
-            out[start - out_lo : end - out_lo + 1] += linear_recurrence(mat, g, reverse=True)[
-                : end - start + 1
-            ]
-    if plan._causal is not None:
-        mat, proj, tail = plan._causal
-        # row n reads f_k for k <= n - 1: run the rows lo .. end - 1
-        start, end = max(out_lo, lo + 1), min(out_hi, hi + tail + 1)
-        if start <= end:
-            if proj is not None:  # one product over all rows and columns
-                f = (f.reshape(-1, f.shape[-1]) @ proj.T).reshape(f.shape)
-            g = dense_rows(f, lo, lo, end - 1)
-            out[start - out_lo : end - out_lo + 1] += linear_recurrence(mat, g)[start - lo - 1 :]
+            rows = ws.take(g.shape)
+            linear_recurrence(mat, g, reverse=True, out=rows, powers=anticausal_powers)
+            out[start - out_lo : end - out_lo + 1] += rows[: end - start + 1]
+            ws.give(rows)
     return out
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, NormOverflow
+from .workspace import Workspace
 
 #: Absolute magnitude below which an entry does not count as support.
 #: Fixed-point iterates carry roundoff outside the true support.
@@ -190,16 +191,46 @@ def dense_rows(vals: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def column_norms(vals: np.ndarray, lo: int, w: Weight) -> np.ndarray:
-    """The ell_{p,rho} norm of each column of rows ``vals`` from index ``lo``.
+def entry_norms(
+    vals: np.ndarray, minus: np.ndarray | None = None, ws: Workspace | None = None
+) -> np.ndarray:
+    """Euclidean norms over the last axis of complex ``vals - minus`` (of
+    ``vals`` when ``minus`` is None).
+
+    The result is ``np.linalg.norm(vals - minus, axis=-1)`` bit for bit: the
+    same ``conj(x) * x`` products summed the same way, but the difference
+    and the products go into arrays lent by ``ws`` (a fresh
+    :class:`Workspace` when None) instead of new temporaries.
+    """
+    ws = Workspace() if ws is None else ws
+    x = vals if minus is None else np.subtract(vals, minus, out=ws.take(vals.shape))
+    squares = np.conjugate(x, out=ws.take(vals.shape))
+    np.multiply(squares, x, out=squares)
+    norms = np.sqrt(np.add.reduce(squares.real, axis=-1))
+    ws.give(squares)
+    if x is not vals:
+        ws.give(x)
+    return norms
+
+
+def column_norms(
+    vals: np.ndarray,
+    lo: int,
+    w: Weight,
+    minus: np.ndarray | None = None,
+    ws: Workspace | None = None,
+) -> np.ndarray:
+    """The ell_{p,rho} norm of each column of rows ``vals`` from index ``lo``,
+    or of ``vals - minus`` when ``minus`` (of the same shape) is given.
 
     ``vals`` is ``(width, G, d)`` (or ``(width, d)`` for a single sequence,
     giving a 0-d result).  Zero rows at either end are skipped, so zero
     padding does not change the rounding.  Never raises: an overflow or a
-    non-finite entry gives a non-finite norm.
+    non-finite entry gives a non-finite norm.  The entry norms are
+    :func:`entry_norms`, with their scratch arrays lent by ``ws``.
     """
     with np.errstate(all="ignore"):
-        mags = np.linalg.norm(vals, axis=-1)
+        mags = entry_norms(vals, minus, ws)
         rows = np.flatnonzero(mags.reshape(len(mags), -1).any(axis=1))
         if rows.size:
             mags = mags[rows[0] : rows[-1] + 1]

@@ -22,9 +22,10 @@ bound (a contraction hypothesis must be checkable, not trusted):
 An optional additive ``forcing`` sequence folds affine terms into F; it
 does not change the Lipschitz bound.
 
-Kernels act on rows of component vectors.  Dense inputs may carry a column
-axis, ``(rows, G, d)``: every column is evaluated by the same kernel call,
-so many sequences share one evaluation and one fixed-point loop.
+Kernels act on rows of component vectors and write into a given output
+array.  Dense inputs may carry a column axis, ``(rows, G, d)``: every column
+is evaluated by the same kernel call, so many sequences share one evaluation
+and one fixed-point loop.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .sequences import (
     truncate,
     weighted_norm,
 )
+from .workspace import Workspace
 
 FP_TOL = 1e-10
 MAX_ITER = 10000
@@ -78,21 +80,22 @@ FIELD_TABLE = {
 }
 
 
-def _kernel_zero(args, params):
-    return np.zeros_like(args[0])
+def _kernel_zero(args, params, out):
+    out.fill(0)
+    return out
 
 
-def _kernel_linear(args, params):
+def _kernel_linear(args, params, out):
     mat = params["matrix"]
     if args[0].shape[-1] != mat.shape[0]:
         raise DimensionMismatch(
             f"linear kernel matrix is {mat.shape[0]}x{mat.shape[1]} but sequences "
             f"have dimension {args[0].shape[-1]}"
         )
-    return args[0] @ mat.T
+    return np.matmul(args[0], mat.T, out=out)
 
 
-def _kernel_saturation(args, params):
+def _kernel_saturation(args, params, out):
     # eps * _csat(a rolled left by one component), for any leading shape: one
     # rotated copy (a take, which unlike a concatenate copies many short
     # rows as fast as one long one), and one tanh over its float64 view, the
@@ -102,11 +105,13 @@ def _kernel_saturation(args, params):
     # the two adds repeat that.  eps stays the first operand of one complex
     # product, as in eps * _csat, since a fused complex product rounds an
     # underflow to a signed zero by operand order.  The output is the same
-    # bit for bit.
-    a = args[0]
+    # bit for bit.  The take writes straight into out: mode "wrap" (the
+    # indices are in range) keeps it from copying through a buffer, which
+    # mode "raise" does whenever out is given.
+    a = args[0].astype(np.complex128, copy=False)
     turn = np.arange(1, a.shape[-1] + 1)
     turn[-1] = 0
-    out = a.take(turn, axis=-1).astype(np.complex128, copy=False)
+    a.take(turn, axis=-1, out=out, mode="wrap")
     parts = out.view(np.float64)
     np.tanh(parts, out=parts)
     re, im = parts[..., 0::2], parts[..., 1::2]
@@ -115,21 +120,25 @@ def _kernel_saturation(args, params):
     return np.multiply(params["eps"], out, out=out)
 
 
-def _kernel_polynomial(args, params):
+def _kernel_polynomial(args, params, out):
     coeffs = params["coeffs"]
     radius = params["clip_radius"]
     a = args[0]
     mag = np.abs(a)
     clipped = a * np.minimum(1.0, radius / np.maximum(mag, 1e-300))
-    out = np.zeros_like(a)
-    for c in reversed(coeffs):  # Horner for c_1 s + ... + c_K s^K
-        out = clipped * (out + c)
+    # Horner for c_1 s + ... + c_K s^K, in expression form: from 256 KiB on,
+    # numpy computes clipped * (acc + c) in the temporary acc + c, with the
+    # operands of the fused complex product swapped, which rounds differently
+    acc = np.zeros_like(a)
+    for c in reversed(coeffs):
+        acc = clipped * (acc + c)
+    out[...] = acc
     return out
 
 
-def _kernel_implicit_euler(args, params):
+def _kernel_implicit_euler(args, params, out):
     fn, _ = FIELD_TABLE[params["field"]]
-    return args[0] + params["h"] * fn(args[1])
+    return np.add(args[0], params["h"] * fn(args[1]), out=out)
 
 
 _KERNELS = {
@@ -223,30 +232,34 @@ class StencilMap:
             lo, hi = min(lo, self.forcing.lo), max(hi, self.forcing.hi)
         return WindowedSequence(lo, self.apply_rows(u.values, u.lo, lo, hi))
 
-    def apply_rows(self, vals: np.ndarray, lo: int, out_lo: int, out_hi: int) -> np.ndarray:
+    def apply_rows(
+        self, vals: np.ndarray, lo: int, out_lo: int, out_hi: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Rows ``[out_lo, out_hi]`` of F(u) for ``u`` given by the rows ``vals``
         from index ``lo`` (zero elsewhere).
 
         ``vals`` is ``(width, d)`` or ``(width, G, d)``; the forcing is added
-        to every column.
+        to every column.  The rows are written into ``out``, a C-contiguous
+        complex array of their shape (a new one when None).
         """
         fn, r = _KERNELS[self.kernel]
         args = [dense_rows(vals, lo, out_lo + j, out_hi + j) for j in range(r + 1)]
         shape = args[0].shape
-        out = fn([a.reshape(-1, shape[-1]) for a in args], self.params)
-        out = out.reshape(shape)
+        if out is None:
+            out = np.empty(shape, dtype=np.complex128)
+        fn([a.reshape(-1, shape[-1]) for a in args], self.params, out.reshape(-1, shape[-1]))
         if self.forcing is not None:
             forcing = dense_rows(self.forcing.values, self.forcing.lo, out_lo, out_hi)
-            out = out + forcing.reshape((len(out),) + (1,) * (out.ndim - 2) + forcing.shape[1:])
+            out += forcing.reshape((len(out),) + (1,) * (out.ndim - 2) + forcing.shape[1:])
         return out
 
 
 def _causal_row(F: StencilMap, n: int, row: np.ndarray) -> np.ndarray:
     """Entry F(u)_n of a causal stencil, which reads only ``u_n = row``
     (a vector, or a ``(G, d)`` stack of them): one kernel call on the row."""
-    val = _KERNELS[F.kernel][0]([row], F.params)
+    val = _KERNELS[F.kernel][0]([row], F.params, np.empty(row.shape, dtype=np.complex128))
     if F.forcing is not None:
-        val = val + F.forcing.at(n)
+        val += F.forcing.at(n)
     return val
 
 
@@ -311,65 +324,94 @@ def check_iteration_limits(fp_tol: float, max_iter: int) -> None:
 
 
 def fixed_point(
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     u0: np.ndarray,
     lo: int,
     w: Weight,
     fp_tol: float,
     max_iter: int,
+    ws: Workspace | None = None,
 ) -> StackedReport:
     """Banach iteration ``u <- step(u)`` from ``u0``, column by column.
 
     ``u0`` holds the rows ``lo, lo + 1, ...`` of G sequences side by side,
-    ``(rows, G, d)``.  ``step(u, cols)`` maps the iterates of the columns
-    ``cols`` (``u`` is ``(rows, len(cols), d)``) to their images.  A column
-    stops, and is no longer stepped, once consecutive iterates differ by at
-    most ``fp_tol`` in the norm of ``w``, or when an iterate is not finite.
+    ``(rows, G, d)``.  ``step(u, cols, out)`` writes the images of the
+    iterates of the columns ``cols`` (``u`` is ``(rows, len(cols), d)``)
+    into ``out``, of the same shape, and returns it.  A column stops, and is
+    no longer stepped, once consecutive iterates differ by at most
+    ``fp_tol`` in the norm of ``w``, or when an iterate is not finite.
     Its contraction estimate is the largest ratio of consecutive increments,
     counting only increments above the roundoff floor
     ``max(10 fp_tol, 1e-13 (1 + |u|_w))``.  A column that does not reach
     ``fp_tol`` within ``max_iter`` steps records :class:`NoConvergence`.
+
+    The iterates of the stepped columns alternate between two arrays lent by
+    ``ws`` (a fresh :class:`Workspace` when None), which the step may also
+    take its scratch arrays from.  ``u0`` is never written, and the returned
+    solution is never lent again: it is the iterate at which the first
+    column stopped (or the last one), with each later-stopping column's last
+    iterate written into it.
     """
     check_iteration_limits(fp_tol, max_iter)
-    u = np.asarray(u0, dtype=np.complex128)
-    del u0  # held only as u, so it is freed once the first step replaces it
-    cols = u.shape[1]
+    ws = Workspace() if ws is None else ws
+    u0 = np.asarray(u0, dtype=np.complex128)
+    cols = u0.shape[1]
     deltas: list[list[float]] = [[] for _ in range(cols)]
     errors: list = [None] * cols
-    for c in np.flatnonzero(~np.isfinite(u).all(axis=(0, 2))):
+    for c in np.flatnonzero(~np.isfinite(u0).all(axis=(0, 2))):
         errors[c] = InputError("sequence contains non-finite entries")
     active = np.flatnonzero([e is None for e in errors])
+    solution = None if active.size == cols else u0.copy()
+    u = ws.take((len(u0), active.size) + u0.shape[2:])
+    np.take(u0, active, axis=1, out=u, mode="wrap")
+    del u0  # held only as u, so it is freed once copied
     for _ in range(max_iter):
         if not active.size:
             break
-        current = u if active.size == cols else u[:, active]
-        v = step(current, active)
+        v = step(u, active, ws.take(u.shape))
         with np.errstate(invalid="ignore", over="ignore"):
-            delta = column_norms(v - current, lo, w)
-        if active.size == cols:
-            u = v
-        else:  # a fresh array: never write into the caller's start
-            u = u.copy()
-            u[:, active] = v
+            delta = column_norms(v, lo, w, minus=u, ws=ws)
+        ws.give(u)
+        u = v
         for c, dc in zip(active, delta):
             deltas[c].append(float(dc))
         finite = np.isfinite(delta)
         for j in np.flatnonzero(~finite):
             errors[active[j]] = (
                 NormOverflow(f"ell_({w.p},{w.rho}) norm overflowed on window [{lo}, {lo + len(u) - 1}]")
-                if np.isfinite(v[:, j]).all()
+                if np.isfinite(u[:, j]).all()
                 else InputError("sequence contains non-finite entries")
             )
-        active = active[finite & (delta > fp_tol)]
+        keep = finite & (delta > fp_tol)
+        if keep.all():
+            continue
+        if solution is None:  # every column so far: u is the whole state
+            solution = u
+        else:
+            for j in np.flatnonzero(~keep):
+                solution[:, active[j]] = u[:, j]
+        active = active[keep]
+        if active.size:  # the narrower steps that follow get buffers of their size
+            ws.clear()
+        kept = ws.take((len(u), active.size) + u.shape[2:])
+        np.take(u, np.flatnonzero(keep), axis=1, out=kept, mode="wrap")
+        if u is not solution:
+            ws.give(u)
+        u = kept
+    if solution is None:
+        solution = u
+    else:
+        solution[:, active] = u
+        ws.give(u)
     for c in active:
         errors[c] = NoConvergence(f"no convergence within {max_iter} iterations")
-    floors = np.maximum(10.0 * fp_tol, 1e-13 * (1.0 + column_norms(u, lo, w)))
+    floors = np.maximum(10.0 * fp_tol, 1e-13 * (1.0 + column_norms(solution, lo, w, ws=ws)))
     estimates = [
         max([b / a for a, b in zip(d, d[1:]) if a > floor], default=0.0)
         for d, floor in zip(deltas, floors)
     ]
     return StackedReport(
-        u,
+        solution,
         np.array([len(d) for d in deltas]),
         np.array([d[-1] if d else math.nan for d in deltas]),
         np.array(estimates),
@@ -426,7 +468,7 @@ def solve_contraction(
         dim = _infer_dim(F)
     # rows [lo, hi] of tau^{-1} F(u) are the rows [lo - 1, hi - 1] of F(u)
     stack = fixed_point(
-        lambda u, cols: F.apply_rows(u, lo, lo - 1, hi - 1),
+        lambda u, cols, out: F.apply_rows(u, lo, lo - 1, hi - 1, out),
         np.zeros((hi - lo + 1, 1, dim), dtype=np.complex128),
         lo,
         w,
@@ -518,32 +560,56 @@ def _ivp_variation_of_constants(A, F, x, horizon):
 
 
 def impulse_image(
-    plan: ResolventPlan, F: StencilMap, xis: np.ndarray, u: np.ndarray, hi: int
+    plan: ResolventPlan,
+    F: StencilMap,
+    xis: np.ndarray,
+    u: np.ndarray,
+    hi: int,
+    out: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Rows ``[0, hi]`` of ``(tau - A)^{-1} (F(u) + delta_{-1} xi)`` for the
     columns of ``u``, ``(hi + 1, G, d)``, and ``xis``, ``(G, d)``: the impulse
-    method's map in a causal plan, the Lyapunov-Perron map in a split one."""
-    f = np.concatenate([xis[None], F.apply_rows(u, 0, 0, hi)])
-    return apply_resolvent_window(plan, f, -1, 0, hi)
+    method's map in a causal plan, the Lyapunov-Perron map in a split one.
+
+    The rows go into ``out`` (a new array when None); the data ``xi, F(u)``
+    and the rows of each resolvent branch go into arrays lent by ``ws`` (a
+    fresh :class:`Workspace` when None)."""
+    ws = Workspace() if ws is None else ws
+    f = ws.take((hi + 2,) + u.shape[1:])
+    f[0] = xis
+    F.apply_rows(u, 0, 0, hi, out=f[1:])
+    out = apply_resolvent_window(plan, f, -1, 0, hi, out, ws)
+    ws.give(f)
+    return out
 
 
 def impulse_fixed_point(
-    plan: ResolventPlan, F: StencilMap, xis: np.ndarray, hi: int, fp_tol: float, max_iter: int
+    plan: ResolventPlan,
+    F: StencilMap,
+    xis: np.ndarray,
+    hi: int,
+    fp_tol: float,
+    max_iter: int,
+    ws: Workspace | None = None,
 ) -> StackedReport:
     """Fixed points of :func:`impulse_image`, one column per row of ``xis``.
 
     Iterates in ell_{2,rho} at the plan's rho from the image of ``F = 0``,
     exact when ``F = 0``: ``A^n xi`` in a causal plan, ``(PAP)^n xi`` in a
     split one, which unlike ``A^n`` does not amplify the roundoff part of
-    ``xi`` in range(Q) on long horizons.
+    ``xi`` in range(Q) on long horizons.  Every step runs in arrays lent by
+    ``ws`` (a fresh :class:`Workspace` when None).
     """
+    ws = Workspace() if ws is None else ws
     return fixed_point(
-        lambda u, cols: impulse_image(plan, F, xis[cols], u, hi),
-        apply_resolvent_window(plan, xis[None], -1, 0, hi),
+        lambda u, cols, out: impulse_image(plan, F, xis[cols], u, hi, out, ws),
+        apply_resolvent_window(plan, xis[None], -1, 0, hi, ws=ws),
         0,
         Weight(plan.rho, 2.0),
         fp_tol,
         max_iter,
+        ws,
     )
 
 

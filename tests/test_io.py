@@ -333,6 +333,22 @@ def test_array_fields_reject_malformed_nests(re):
         io.matrix_from_json({"dim": 1, "re": re})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"dim": 2, "re": [[1.0, 2.0]]},
+        {"dim": 4, "re": [[1.0, 2.0], [3.0, 4.0]]},
+        {"dim": 2, "re": [1.0, 2.0], "im": [[0.0], [0.0]]},
+        {"dim": 1, "re": 1.0},
+    ],
+    ids=["nested-re", "square-re", "column-im", "scalar-re"],
+)
+def test_vector_rejects_nested_or_misshapen_parts(obj):
+    # the number of entries matches dim, but a vector is one flat list
+    with pytest.raises(InputError, match=r"^x\[3\] components must be flat lists"):
+        io.vector_from_json(obj, "x[3]")
+
+
 def _numbers_for_text(obj):
     """``obj`` with every numeric text or boolean in a list or numeric field
     replaced by the number it spells."""

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,3 +492,30 @@ def test_stacked_rows_equal_one_row_sweeps_property(case):
     prob = ManifoldProblem(a, saturation_map(0.2 / circle_sup_resolvent(a, 1.0)), fp_tol=1e-12)
     grid = [0.5 * prob.split.proj_stable @ random_vector(rng, a.dim) for _ in range(n_rows)]
     assert_rows_match_one_row_sweeps(prob, grid)
+
+
+def test_sweep_block_runs_in_at_most_five_stacked_arrays():
+    # the benchmark's d = 32 shape: horizon 148, blocks of 6 columns.  The
+    # LP steps, the certificates and the orbit check of a block share one
+    # workspace, and a finished block's rows keep no orbits, so the whole
+    # sweep peaks at the memory of one block
+    rng = np.random.default_rng(79)
+    moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
+    a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
+    prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
+    assert prob.horizon == 148
+    grid = []
+    for k in range(12):  # sizes over six decades, so columns stop at different steps
+        xi = prob.split.proj_stable @ random_vector(rng, 32)
+        grid.append(10.0 ** -(k % 6) * xi / np.linalg.norm(xi))
+    stacked_array = (prob.horizon + 1) * 6 * 32 * 16
+    manifold_sweep(prob, grid[:6])  # first calls fill numpy's caches
+    tracemalloc.start()
+    try:
+        rows = manifold_sweep(prob, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.error is None for row in rows)
+    assert len({row.iterations for row in rows}) > 1  # columns drop out of their blocks
+    assert peak <= 5 * stacked_array

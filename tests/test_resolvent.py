@@ -276,6 +276,33 @@ def test_scan_powers_guard_and_budget():
     assert len(_scan_powers(np.full((1, 1), np.nan), 4000, 1)) == 1
 
 
+def test_plan_branches_square_their_scan_powers_once(monkeypatch):
+    # a plan squares each branch matrix for the doubling scan once, on its
+    # first window; a call for K rows uses the first entries of that list,
+    # which are the squares a call without the plan forms for K rows, so an
+    # iteration squares nothing again and every row stays the same bit for bit
+    rng = np.random.default_rng(73)
+    plan = ResolventPlan(matrix_with_moduli(rng, [0.3, 0.6, 1.7], shear=0.3), 1.0, "split")
+    f = rng.standard_normal((9, 1, 3)) + 1j * rng.standard_normal((9, 1, 3))
+    first = apply_resolvent_window(plan, f, 0, -20, 40)
+    calls = []
+    monkeypatch.setattr(resolvent, "_scan_powers", lambda *args: calls.append(args))
+    for _ in range(3):
+        assert np.array_equal(apply_resolvent_window(plan, f, 0, -20, 40), first)
+    assert not calls
+    monkeypatch.undo()
+    for mat, powers in zip((plan._causal[0], plan._anticausal[0]), plan._scan_squares):
+        assert len(powers) > 2
+        for rows in (0, 1, 2, 3, 5, 9, 300):
+            want = _scan_powers(mat, rows, 1)
+            assert len(want) <= len(powers)
+            assert all(np.array_equal(p, q) for p, q in zip(want, powers))
+            g = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+            for reverse in (False, True):
+                got = linear_recurrence(mat, g, reverse, powers=powers)
+                assert np.array_equal(got, linear_recurrence(mat, g, reverse))
+
+
 @pytest.mark.parametrize("mode", ["causal", "split"])
 def test_window_application_equals_truncated_full_window(mode):
     # every row of a window, including windows that cut through the support

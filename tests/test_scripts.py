@@ -51,3 +51,16 @@ def test_compare_outputs_aligns_windows_and_columns():
     assert not report.unmatched
     report.compare("job", (header + "1.0,nan,0.25,\n").encode(), (header + "1.0,0.0,0.25,x\n").encode())
     assert report.unmatched == {"eta_*_re", "error"}
+
+
+def test_lp_memory_reports_every_dimension(capsys):
+    # the benchmark's manifold inputs at d = 2, 8, 32, one row each
+    run = load_run("lp_memory.py")
+    assert run(["--seed", "3"]) == 2
+    assert run([]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["d", "horizon", "G", "pass_ms", "minflt", "lp_peak", "MB"]
+    assert [row.split()[:3] for row in rows] == [["2", "80", "16"], ["8", "130", "16"], ["32", "148", "6"]]
+    for row in rows:
+        pass_ms, faults, peak, mb = map(float, row.split()[3:])
+        assert pass_ms > 0 and faults >= 0 and 0 < peak and 0 < mb

@@ -21,6 +21,8 @@ from specseq import (
     weighted_norm,
     zero_sequence,
 )
+from specseq.sequences import entry_norms
+from specseq.workspace import Workspace
 from testutil import random_sequence
 
 P_VALUES = (1.0, 2.0, math.inf)
@@ -229,3 +231,43 @@ def test_truncate_explicit_window():
     for n in range(0, 4):
         assert np.allclose(t.at(n), u.at(n))
     assert truncate(u, 10, 20).is_zero
+
+
+def test_entry_norms_equal_numpy_norms_bit_for_bit():
+    # the same conj(x) * x products and sums as np.linalg.norm, from widths
+    # and magnitudes where a fused complex product would round differently
+    rng = np.random.default_rng(71)
+    ws = Workspace()
+    for shape in [(0, 3), (5, 1), (40, 3, 7), (300, 6, 32)]:
+        scale = 10.0 ** rng.uniform(-160, 160, shape)
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        b = a + 1e-9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        with np.errstate(all="ignore"):
+            for got, want in [
+                (entry_norms(a, ws=ws), np.linalg.norm(a, axis=-1)),
+                (entry_norms(a, b, ws), np.linalg.norm(a - b, axis=-1)),
+            ]:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_workspace_lends_each_buffer_once_and_keeps_no_more_than_it_lent():
+    ws = Workspace()
+    a, b = ws.take((4, 3)), ws.take((2, 3))
+    assert not np.shares_memory(a, b)
+    ws.give(a)
+    c = ws.take((3, 3))  # a's buffer has room
+    assert np.shares_memory(a, c) and c.flags.c_contiguous and c.shape == (3, 3)
+    ws.give(b)
+    ws.give(c)
+    d = ws.take((2, 2))  # the smallest free buffer with room: b's
+    assert np.shares_memory(d, b)
+    ws.give(d)
+    e = ws.take((5, 3))  # none has room: a new buffer, and the short ones go
+    assert not np.shares_memory(e, a) and not np.shares_memory(e, b)
+    ws.give(e)
+    f = ws.take((2, 3))
+    assert np.shares_memory(f, e)
+    ws.give(f)
+    ws.clear()
+    assert not np.shares_memory(ws.take((2, 3)), e)
+    assert ws.take((0, 3)).shape == (0, 3)

@@ -40,6 +40,7 @@ from specseq import (
 )
 from specseq import resolvent
 from specseq.solver import _causal_row, fixed_point, forward_orbit
+from specseq.workspace import Workspace
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
 
@@ -391,14 +392,16 @@ def test_fixed_point_columns_stop_independently():
     b = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
     w = Weight(1.0, 2.0)
 
-    def step(u, cols):
-        return factors[cols][None, :, None] * u + b[:, cols]
+    def step(u, cols, out):
+        return np.add(factors[cols][None, :, None] * u, b[:, cols], out=out)
 
     stack = fixed_point(step, np.zeros_like(b), 0, w, 1e-11, 200)
     assert stack.errors == [None, None, None]
     assert len(set(stack.iterations.tolist())) == 3
     for j in range(3):
-        alone = fixed_point(lambda u, cols: step(u, np.array([j])), np.zeros_like(b[:, [j]]), 0, w, 1e-11, 200)
+        alone = fixed_point(
+            lambda u, cols, out: step(u, np.array([j]), out), np.zeros_like(b[:, [j]]), 0, w, 1e-11, 200
+        )
         assert alone.iterations[0] == stack.iterations[j]
         assert np.array_equal(alone.solution[:, 0], stack.solution[:, j])
         assert stack.contraction_estimate[j] == pytest.approx(factors[j], abs=0.05)
@@ -410,11 +413,77 @@ def test_fixed_point_records_column_failures():
     w = Weight(1.0, 2.0)
     u0 = np.zeros((4, 3, 1), dtype=np.complex128)
     u0[2, 1, 0] = np.inf
-    stack = fixed_point(lambda u, cols: 0.5 * u + 1.0, u0, 0, w, 1e-12, 3)
+    stack = fixed_point(lambda u, cols, out: np.add(0.5 * u, 1.0, out=out), u0, 0, w, 1e-12, 3)
     assert isinstance(stack.errors[0], NoConvergence) and isinstance(stack.errors[2], NoConvergence)
     assert str(stack.errors[0]) == "no convergence within 3 iterations"
     assert isinstance(stack.errors[1], InputError) and stack.iterations[1] == 0
     assert stack.iterations.tolist() == [3, 0, 3]
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_fixed_point_writes_neither_its_start_nor_a_returned_solution(blocked):
+    # columns stop at different steps, and the solution of a finished run
+    # survives a second run from the same workspace; with a non-finite start
+    # column that never steps, the solution starts as a copy of the start
+    rng = np.random.default_rng(61)
+    factors = np.array([0.1, 0.5, 0.8, 0.3])
+    b = rng.standard_normal((7, 4, 3)) + 1j * rng.standard_normal((7, 4, 3))
+    w = Weight(1.0, 2.0)
+
+    def step(u, cols, out):
+        assert not np.shares_memory(u, out)
+        return np.add(factors[cols][None, :, None] * u, b[:, cols], out=out)
+
+    ws = Workspace()
+    u0 = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    if blocked:
+        u0[:, 2] = np.inf
+    start = u0.copy()
+    first = fixed_point(step, u0, 0, w, 1e-11, 200, ws)
+    assert len(set(first.iterations.tolist())) == 4
+    kept = first.solution.copy()
+    second = fixed_point(step, u0, 0, w, 1e-11, 200, ws)
+    assert np.array_equal(u0.view(np.int64), start.view(np.int64))
+    assert np.array_equal(first.solution.view(np.int64), kept.view(np.int64))
+    assert np.array_equal(second.solution.view(np.int64), kept.view(np.int64))
+    assert not blocked or np.array_equal(kept[:, 2], start[:, 2])
+    for j in [0, 1, 3] + ([] if blocked else [2]):  # each column as if run alone
+        alone = fixed_point(lambda u, cols, out: step(u, np.array([j]), out), u0[:, [j]], 0, w, 1e-11, 200)
+        assert np.array_equal(alone.solution[:, 0].view(np.int64), kept[:, j].view(np.int64))
+
+
+KERNEL_MAPS = [
+    lambda forcing: zero_map(forcing),
+    lambda forcing: linear_map(np.array([[0.3, -0.2j, 0.0], [1e-310, 0.5, -0.1], [0.2, 0.0, -0.4j]]), forcing),
+    lambda forcing: saturation_map(0.05, forcing),
+    lambda forcing: saturation_map(1e-300, forcing),
+    lambda forcing: polynomial_map([0.5, -0.25j, 0.1], 1.5, forcing),
+    lambda forcing: implicit_euler_map(0.1, "saturating_decay", forcing),
+    lambda forcing: implicit_euler_map(0.1, "linear_decay", forcing),
+]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("make", KERNEL_MAPS)
+def test_kernels_write_into_a_given_output_bit_for_bit(make, forced):
+    # every entry of the given output is written, and equals the allocating
+    # call, signed zeros and underflow included; the input is not touched
+    rng = np.random.default_rng(67)
+    forcing = random_sequence(rng, 3, -2, 9) if forced else None
+    F = make(forcing)
+    for shape in [(12, 3), (12, 4, 3), (1500, 4, 3)]:  # the last one passes 256 KiB
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals.real[rng.random(shape) < 0.3] = -0.0
+        vals.imag[rng.random(shape) < 0.3] = -0.0
+        vals[1] = 5e-324 - 0.0j
+        before = vals.copy()
+        lo, hi = -3, len(vals) - 6
+        want = F.apply_rows(vals, 0, lo, hi)
+        out = np.full(want.shape, np.nan + 1j * np.nan)
+        got = F.apply_rows(vals, 0, lo, hi, out=out)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(vals.view(np.int64), before.view(np.int64))
 
 
 def test_forward_orbit_columns_match_single_orbits():
