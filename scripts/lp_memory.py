@@ -4,7 +4,8 @@
     PYTHONPATH=src python scripts/lp_memory.py
 
 For the manifold-sweep inputs of ``bench/workloads.py`` at seed 7 and
-d = 2, 8 and 32 it prints, per d:
+d = 2, 8 and 32 it prints, per d, the certified horizon, the weight ``mu``
+of its certificate and the sweep's block width ``G``, then:
 
 * ``pass_ms``: the fastest of five ``stable-manifold`` passes through
   ``specseq.cli.main``, after one warm-up pass;
@@ -71,22 +72,24 @@ def _block_peak(job):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / ((h + 1) * len(xis) * d * 16), peak, h, len(xis)
+    return peak / ((h + 1) * len(xis) * d * 16), peak, prob, len(xis)
 
 
 def run(argv=None):
     if argv:
         print(f"usage: {sys.argv[0]} (takes no options)", file=sys.stderr)
         return 2
-    print(f"{'d':>3} {'horizon':>7} {'G':>3} {'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
+    print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'G':>3} ", end="")
+    print(f"{'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
     with tempfile.TemporaryDirectory() as tmp:
         for d in workloads.DIMS:
             (job,) = workloads.make_pass("manifold-sweep", SEED, 0, d, os.path.join(tmp, f"d{d}"))
             _pass(job)
             runs = [_pass(job) for _ in range(PASSES)]
-            arrays, peak, h, g = _block_peak(job)
+            arrays, peak, prob, g = _block_peak(job)
             print(
-                f"{d:>3} {h:>7} {g:>3} {min(ms for ms, _ in runs):>8.1f} "
+                f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {g:>3} "
+                f"{min(ms for ms, _ in runs):>8.1f} "
                 f"{statistics.median(f for _, f in runs):>7.0f} {arrays:>8.2f} {peak / 1e6:>6.2f}"
             )
     return 0

@@ -103,10 +103,11 @@ def _cmd_resolve(args):
 
 def _cmd_ztransform_check(args):
     u = io.sequence_from_json(io.load_json(args.u), "u")
-    lhs, rhs = parseval_check(u, args.rho, args.N)
+    f = ztransform(u, args.rho, args.N)
+    lhs, rhs = parseval_check(u, args.rho, transform=f)
     defect = multiplication_equiv_check(u, args.rho)
     if args.circle_csv:
-        io.write_circle_csv(ztransform(u, args.rho, args.N), args.circle_csv)
+        io.write_circle_csv(f, args.circle_csv)
     _emit(
         {
             "rho": args.rho,

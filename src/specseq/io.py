@@ -13,7 +13,8 @@ Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.
 Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizon"?}
-             a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000].
+             a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000];
+             ManifoldProblem refuses one below its certified horizon.
 Sequence CSV rows: (n, component, re, im).
 
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);

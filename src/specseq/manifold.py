@@ -12,9 +12,10 @@ a contraction with factor ``M_1 * |F|_Lip``.  The stable manifold is the
 graph of ``w_s(xi) = Q T(xi)_0`` over range(P); points off the graph
 escape along the unstable range.
 
-Infinite sums are truncated at certified lengths; ell_2 membership is
-reported as tail-decay evidence, never as exact membership (a finite
-window cannot certify an infinite sum).
+Infinite sums are truncated at certified lengths.  The orbit is cut at a
+horizon certified on a weighted space ell_{2,mu}, ``mu < 1``, where the
+same map contracts: that proves the orbit square-summable and bounds what
+the cut drops (see :class:`ManifoldProblem`).
 
 The map is the same for every ``xi``, so a grid of G vectors is one
 fixed-point problem with G columns: its state holds the rows ``[0, horizon]``
@@ -37,7 +38,14 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
 )
-from .operators import GAP_TOL, BoundedOperator, SpectralSplit, is_hyperbolic, spectral_radius
+from .operators import (
+    GAP_TOL,
+    BoundedOperator,
+    SpectralSplit,
+    circle_sup_resolvent,
+    is_hyperbolic,
+    spectral_radius,
+)
 from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_steps
 from .sequences import WindowedSequence, entry_norms
 from .solver import (
@@ -51,6 +59,19 @@ from .solver import (
 from .workspace import Workspace
 
 
+def _first_horizon(lead: float, mu: float) -> int:
+    # the first h >= 0 with E(h) = lead mu^(h+2) <= SERIES_TOL, TAIL_CAP + 1
+    # standing for any h past the cap; the logarithm places it to a row or two
+    h = 0
+    if lead * mu**2 > SERIES_TOL:
+        h = min(max(0, math.ceil(math.log(SERIES_TOL / lead) / math.log(mu)) - 2), TAIL_CAP + 1)
+    while h <= TAIL_CAP and lead * mu ** (h + 2) > SERIES_TOL:
+        h += 1
+    while h > 0 and lead * mu ** (h + 1) <= SERIES_TOL:
+        h -= 1
+    return h
+
+
 @dataclass
 class ManifoldProblem:
     """A stable-manifold computation instance.
@@ -61,8 +82,42 @@ class ManifoldProblem:
     weight of the outer solution operator (any value above ``r(A)`` gives
     the same projections, so the default just steps past the radius).
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
-    A supplied ``horizon`` must lie in ``[0, TAIL_CAP]``; by default it is
-    twice the certified decay length of the stable range, within [32, TAIL_CAP].
+
+    The horizon is certified.  Take a weight ``mu`` in ``(r_inside, 1)``:
+    no eigenvalue lies in the annulus ``mu <= |z| <= 1``, so the split at
+    ``mu`` is the one at 1 and the cut-off map is the same map on
+    ``ell_{2,mu}`` (norm ``(sum |u_n|^2 mu^(-2n))^(1/2)``), where it
+    contracts by ``q_mu = M_mu lip < 1``, with ``M_mu`` the certified
+    ``sup_{|z| = mu} ||(z - A)^{-1}||`` and ``lip`` the Lipschitz bound of
+    ``F``.  ``F`` is pointwise (every causal registry kernel is) with
+    ``F(0) = 0``, so that bound holds row by row.  Hence:
+
+    * the fixed point ``u = T(xi)`` lies in ``ell_{2,mu}``, a subspace of
+      ell_2, with ``||u||_{2,mu} <= mu M_mu |xi| / (1 - q_mu)``, since the
+      impulse ``delta_{-1} xi`` has norm ``mu |xi|`` there;
+    * so ``||chi_{>h} u||_2 <= mu^(h+1) ||u||_{2,mu}``;
+    * the rows ``[0, h]`` of ``u`` are a fixed point of the truncated map,
+      which drops the data ``F(u)_k``, ``k > h``, up to a defect of at most
+      ``M_1 lip ||chi_{>h} u||_2``.  The truncated map contracts on ell_2
+      by ``q_1 = M_1 lip``, so the computed rows lie within
+      ``M_1 lip ||chi_{>h} u||_2 / (1 - q_1)`` of them.
+
+    Together: the truncation error on ``[0, h]`` is at most ``E(h) |xi|``
+    with ``E(h) = M_1 lip M_mu mu^(h+2) / ((1 - q_1)(1 - q_mu))``.  That is
+    also why the orbit needs no tail-decay evidence: its membership in
+    ell_2, and the size of its dropped tail, are proved, not observed.
+
+    ``mu`` starts at ``max(r_inside^(7/8), SERIES_TOL^(1/32))`` (the
+    second term is the weight whose decay alone reaches ``SERIES_TOL``
+    over the 32-row floor below) and steps to ``sqrt(mu)`` while
+    ``q_mu > 1/2`` (so also while the gate ``q_mu < 1`` fails), as long as
+    a step shortens the horizon: a smaller ``mu`` decays faster, a larger
+    one sees a smaller ``M_mu``.  The default ``horizon`` is the first ``h`` with
+    ``E(h) <= SERIES_TOL``, at least 32.  A supplied ``horizon`` must lie
+    in ``[0, TAIL_CAP]``, else :class:`InputError`; one below the first
+    certified ``h``, or a certified ``h`` above ``TAIL_CAP``, raises
+    :class:`PreconditionViolation`.  ``mu`` and ``m_mu`` (``M_mu``) are
+    read-only.
     """
 
     A: BoundedOperator
@@ -94,13 +149,50 @@ class ManifoldProblem:
         self.contraction_factor = self.m_one * lip_one
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
-        r_in = self.split.r_inside
+        self._mu, self._m_mu, certified = self._certify_horizon(lip_one)
+        if certified > TAIL_CAP:
+            raise PreconditionViolation(
+                f"the certified horizon exceeds TAIL_CAP = {TAIL_CAP} rows (mu = {self._mu:.6g})"
+            )
         if self.horizon is None:
-            if r_in > 0.0:
-                self.horizon = 2 * math.ceil(math.log(SERIES_TOL) / math.log(r_in))
-            else:
-                self.horizon = 2 * self.A.dim + 4
-            self.horizon = int(min(max(self.horizon, 32), TAIL_CAP))
+            self.horizon = max(certified, 32)
+        elif self.horizon < certified:
+            raise PreconditionViolation(
+                f"horizon {self.horizon} is below the certified {certified} rows "
+                f"(mu = {self._mu:.6g}, M_mu = {self._m_mu:.6g})"
+            )
+
+    def _certify_horizon(self, lip: float) -> tuple[float, float, int]:
+        # (mu, M_mu, first certified h) along the sqrt steps of the docstring
+        q_one = self.contraction_factor
+        mu = max(self.split.r_inside ** 0.875, SERIES_TOL ** (1.0 / 32.0))
+        best = None
+        while mu < 1.0:
+            m_mu = circle_sup_resolvent(self.A, mu)
+            q_mu = m_mu * lip
+            if q_mu < 1.0:
+                h = _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
+                if best is not None and h >= best[2]:
+                    break
+                best = (mu, m_mu, h)
+                if q_mu <= 0.5:
+                    break
+            mu = math.sqrt(mu)
+        if best is None:
+            raise PreconditionViolation(
+                f"no weight mu in (r_inside, 1) has lip {lip:.6g} below 1/M_mu"
+            )
+        return best
+
+    @property
+    def mu(self) -> float:
+        """The weight of the horizon certificate, in ``(r_inside, 1)``."""
+        return self._mu
+
+    @property
+    def m_mu(self) -> float:
+        """``M_mu``, the certified ``sup_{|z| = mu} ||(z - A)^{-1}||``."""
+        return self._m_mu
 
     def check_stable_range(self, xi) -> np.ndarray:
         """``xi`` as a vector; raises :class:`RangeViolation` unless
@@ -200,10 +292,9 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     ``fp_tol``.  Each converged orbit is certified against both
     characterization sums to ``10 * fp_tol``; with ``check_orbit`` the
     forward solution through ``xi + eta`` must also reproduce it to
-    ``1e-8 max(1, |xi|)`` on the error-safe prefix (computed only that far),
-    and the orbit must carry
-    ell_2 tail-decay evidence.  Returns one entry per row: its
-    :class:`ManifoldPoint`, or the typed error that stopped that row.
+    ``1e-8 max(1, |xi|)`` on the error-safe prefix (computed only that far).
+    Returns one entry per row: its :class:`ManifoldPoint`, or the typed
+    error that stopped that row.
     """
     h = prob.horizon
     ws = Workspace()  # every LP step and check of the block runs in its arrays
@@ -224,8 +315,6 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
         dist = np.linalg.norm(fwd - u[: len(fwd)], axis=-1)
         in_window = np.arange(len(fwd))[:, None] <= n_cmp
         dev = np.max(np.where(in_window, dist, 0.0), axis=0)
-        mags = entry_norms(u, ws=ws) ** 2
-        total, tail = np.sum(mags, axis=0), np.sum(mags[h // 2 :], axis=0)
     del ws  # its arrays go before the orbits below copy the columns of u
     bound = 10.0 * prob.fp_tol
     for j, c in enumerate(ok):
@@ -236,10 +325,6 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
         elif check_orbit and dev[j] > 1e-8 * scale[j]:
             results[c] = InternalInconsistency(
                 f"forward orbit deviates by {dev[j]:.3e} from the fixed point on [0, {n_cmp[j]}]"
-            )
-        elif check_orbit and total[j] > 0.0 and tail[j] > 1e-6 * total[j]:
-            results[c] = InternalInconsistency(
-                f"orbit tail mass {tail[j]:.3e} exceeds decay evidence threshold"
             )
         else:
             orbit = WindowedSequence(0, u[:, j])
@@ -264,12 +349,14 @@ def _one_point(prob: ManifoldProblem, xi, check_orbit: bool) -> ManifoldPoint:
 
 
 def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
-    """Fixed point ``T(xi)`` of the cut-off map, with identity certification.
+    """Fixed point ``T(xi)`` of the cut-off map on ``[0, horizon]``.
 
     Starts from the linear profile ``(PAP)^n xi = A^n xi`` on Z_{>=0}
     (already exact for F = 0) and iterates to ``fp_tol`` in the ell_2
-    norm.  The converged orbit is certified against both characterization
-    sums to ``10 * fp_tol``.  This is the one-row case of the stacked sweep.
+    norm.  The converged rows are checked against both characterization
+    sums of the truncated map to ``10 * fp_tol``; that check cannot see
+    the truncation, which the problem's certified horizon bounds by
+    ``SERIES_TOL |xi|``.  This is the one-row case of the stacked sweep.
     """
     return _one_point(prob, xi, check_orbit=False)
 
@@ -278,9 +365,8 @@ def stable_manifold_point(prob: ManifoldProblem, xi) -> tuple[np.ndarray, Manifo
     """Graph value ``eta = w_s(xi)`` plus the converged orbit.
 
     Verifies that the forward solution through ``xi + eta`` reproduces the
-    fixed-point orbit on the error-safe prefix and that the orbit carries
-    ell_2 tail-decay evidence.  This is the one-row case of the stacked
-    sweep.
+    fixed-point orbit on the error-safe prefix.  This is the one-row case
+    of the stacked sweep.
     """
     point = _one_point(prob, xi, check_orbit=True)
     return point.eta, point
@@ -319,7 +405,7 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     recurrence spreads its fixed Python overhead over several rows.  A
     block runs in one :class:`Workspace`, whose arrays its first steps
     allocate and every later step and certificate reuses; its peak is about
-    4.5 stacked arrays at d = 32 (horizon 148, 6 columns), and each point
+    4.5 stacked arrays at d = 32 (horizon 79, 12 columns), and each point
     becomes its row before the next block runs, so the sweep peaks there.
     Rows are independent; per-row failures (a vector off the stable range,
     no convergence, a failed certificate, a non-finite iterate) are recorded

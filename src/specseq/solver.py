@@ -126,13 +126,15 @@ def _kernel_polynomial(args, params, out):
     a = args[0]
     mag = np.abs(a)
     clipped = a * np.minimum(1.0, radius / np.maximum(mag, 1e-300))
-    # Horner for c_1 s + ... + c_K s^K, in expression form: from 256 KiB on,
-    # numpy computes clipped * (acc + c) in the temporary acc + c, with the
-    # operands of the fused complex product swapped, which rounds differently
-    acc = np.zeros_like(a)
+    # Horner for c_1 s + ... + c_K s^K in place, clipped the first operand of
+    # every product, so an entry rounds alike whatever the size of the call:
+    # in the expression clipped * (acc + c) numpy reuses the temporary
+    # acc + c from 256 KiB on, which swaps the operands of the fused complex
+    # product
+    out.fill(0)
     for c in reversed(coeffs):
-        acc = clipped * (acc + c)
-    out[...] = acc
+        np.add(out, c, out=out)
+        np.multiply(clipped, out, out=out)
     return out
 
 

@@ -120,15 +120,19 @@ def circle_l2_norm(f: CircleFunction) -> float:
 
 
 def parseval_check(
-    u: WindowedSequence, rho: float, n_samples: int | None = None
+    u: WindowedSequence,
+    rho: float,
+    n_samples: int | None = None,
+    transform: CircleFunction | None = None,
 ) -> tuple[float, float]:
     """Both sides of the unitarity identity.
 
     Returns ``(lhs, rhs)`` where lhs is the squared discrete circle norm of
     the transform and rhs the squared ell_{2,rho} norm of ``u``; callers
-    assert ``|lhs - rhs| <= tol * rhs``.
+    assert ``|lhs - rhs| <= tol * rhs``.  A caller that already holds
+    ``ztransform(u, rho, n_samples)`` passes it as ``transform``.
     """
-    f = ztransform(u, rho, n_samples)
+    f = ztransform(u, rho, n_samples) if transform is None else transform
     lhs = circle_l2_norm(f) ** 2
     rhs = weighted_norm(u, Weight(rho, 2.0)) ** 2
     return lhs, rhs

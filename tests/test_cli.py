@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -207,6 +208,26 @@ def test_ztransform_check(files, tmp_path, capsys):
     assert len(rows) == 65
 
 
+def test_ztransform_check_transforms_once(files, tmp_path, capsys, monkeypatch):
+    # the Parseval sides and the circle CSV read one transform at N = 64
+    # (the intertwining check transforms at its own sample count); the
+    # package exports the function under the module's name, hence import_module
+    ztransform = importlib.import_module("specseq.ztransform")
+    counts = []
+    plain = ztransform.ztransform
+
+    def counted(u, rho, n_samples=None):
+        counts.append(n_samples)
+        return plain(u, rho, n_samples)
+
+    monkeypatch.setattr(ztransform, "ztransform", counted)
+    monkeypatch.setattr(specseq.cli, "ztransform", counted)
+    argv = ["ztransform-check", "--u", files["u_seq"], "--rho", "1.0", "--N", "64"]
+    code, _, _ = run_cli(argv + ["--circle-csv", str(tmp_path / "circle.csv")], capsys)
+    assert code == 0
+    assert counts.count(64) == 1
+
+
 def test_solve_ivp_all(files, capsys):
     code, out, _ = run_cli(
         [
@@ -315,6 +336,23 @@ def test_stable_manifold_cli(files, tmp_path, capsys):
     assert float(rows[0]["eta_1_re"]) == pytest.approx(-float(rows[1]["eta_1_re"]), rel=1e-6)
     assert abs(float(rows[1]["eta_1_re"])) > 1e-5
     assert "range-violation" in rows[2]["error"]
+
+
+def test_stable_manifold_horizon_below_certificate_exits_20(tmp_path, capsys):
+    # the certified horizon here is 43 rows: 42 is refused before any row runs
+    problem = {
+        "A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]},
+        "F": {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}},
+    }
+    grid = write_json(tmp_path / "grid.json", {"vectors": [{"dim": 2, "re": [0.2, 0.0]}]})
+    out_csv = tmp_path / "table.csv"
+    for horizon, want in ((43, 0), (42, 20)):
+        path = write_json(tmp_path / "prob.json", dict(problem, horizon=horizon))
+        argv = ["stable-manifold", "--problem", path, "--grid", grid, "--out", str(out_csv)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == want
+    assert json.loads(err)["error"] == "precondition-violated"
+    assert "horizon 42 is below the certified 43 rows" in json.loads(err)["message"]
 
 
 def test_escape_check_cli(files, tmp_path, capsys):

@@ -13,6 +13,7 @@ from specseq import (
     circle_sup_resolvent,
     PreconditionViolation,
     RangeViolation,
+    SERIES_TOL,
     Weight,
     WindowedSequence,
     impulse,
@@ -423,19 +424,19 @@ def test_stacked_sweep_isolates_no_convergence():
 
 
 def test_forward_check_runs_only_over_its_comparison_window():
-    # horizon 1078 with growth 3: an orbit over the whole horizon overflows,
+    # horizon 1348 with growth 3: an orbit over the whole horizon overflows,
     # the prefix the check compares on does not
     prob = ManifoldProblem(BoundedOperator(np.diag([0.95, 3.0])), saturation_map(0.01))
-    assert prob.horizon == 1078
+    assert prob.horizon == 1348
     (row,) = manifold_sweep(prob, [np.array([0.3, 0.0])])
     assert row.error is None and np.all(np.isfinite(row.eta))
 
 
-@pytest.mark.parametrize("r, horizon", [(0.99, 5500), (0.998, 20000)])
-def test_default_horizon_reaches_decay_evidence_near_the_circle(r, horizon):
-    # a default horizon clipped to 1024 turned every row into a failed
-    # tail-decay check once r_inside passed about 0.987; at 0.998 the Riesz
-    # split also needed more than 4096 trapezoid nodes
+@pytest.mark.parametrize("r, horizon", [(0.99, 2854), (0.998, 16171)])
+def test_default_horizon_is_certified_near_the_circle(r, horizon):
+    # long certified horizons run: a default horizon clipped to 1024 once
+    # failed every row here, and at 0.998 the Riesz split needs more than
+    # 4096 trapezoid nodes
     prob = ManifoldProblem(BoundedOperator(np.diag([r, 2.0])), saturation_map(1e-6))
     assert prob.horizon == horizon
     (row,) = manifold_sweep(prob, [np.array([0.1, 0.0])])
@@ -448,6 +449,82 @@ def test_decay_length_beyond_tail_cap_fails_fast():
     with pytest.raises(PreconditionViolation, match="27618 terms"):
         ManifoldProblem(BoundedOperator(np.diag([0.999, 2.0])), saturation_map(1e-6))
     assert time.perf_counter() - start < 0.5
+
+
+def shear_problem(**kwargs):
+    # A = diag(0.9, 0.8, 2) + triu(0.3, 1) with saturation eps = 0.02
+    a = BoundedOperator(np.diag([0.9, 0.8, 2.0]) + np.triu(np.full((3, 3), 0.3), 1))
+    return ManifoldProblem(a, saturation_map(0.02), **kwargs)
+
+
+def test_horizon_below_the_certificate_is_a_precondition_violation():
+    # short horizons that returned eta off by 4.8e-6 (10), 4.5e-4 (4) and
+    # 7.8e-3 (0) with no error now stop at construction
+    prob = shear_problem()
+    assert prob.horizon == 713
+    for horizon in (10, 4, 0, prob.horizon - 1):
+        with pytest.raises(PreconditionViolation, match=f"horizon {horizon} is below the certified"):
+            shear_problem(horizon=horizon)
+    assert shear_problem(horizon=prob.horizon).horizon == 713
+
+
+def test_horizon_certificate_is_its_bound():
+    # the default horizon is the first h with E(h) <= SERIES_TOL, within
+    # the weight range and gate the certificate needs
+    prob = shear_problem()
+    lip = prob.F.lip_bound(1.0)
+    q_one, q_mu = prob.contraction_factor, prob.m_mu * lip
+    assert prob.split.r_inside < prob.mu < 1.0 and q_mu < 1.0
+    assert prob.m_mu == circle_sup_resolvent(prob.A, prob.mu)
+
+    def bound(h):
+        return q_one * prob.m_mu * prob.mu ** (h + 2) / ((1.0 - q_one) * (1.0 - q_mu))
+
+    assert bound(prob.horizon) <= SERIES_TOL < bound(prob.horizon - 1)
+    for name in ("mu", "m_mu"):
+        with pytest.raises(AttributeError):
+            setattr(prob, name, 0.5)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.diag([2.0, 3.0]), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])],
+    ids=["no-stable-spectrum", "nilpotent-stable-part"],
+)
+def test_horizon_certificate_without_stable_radius(a):
+    # r_inside = 0 has no r_inside^(7/8) circle to start from: the weight
+    # starts at SERIES_TOL^(1/32) and the horizon stays at the 32-row floor
+    prob = ManifoldProblem(BoundedOperator(a), saturation_map(0.01))
+    assert prob.split.r_inside == 0.0
+    assert prob.mu == SERIES_TOL ** (1.0 / 32.0) and prob.horizon == 32
+    (row,) = manifold_sweep(prob, [prob.split.proj_stable @ np.ones(len(a))])
+    assert row.error is None
+
+
+def test_certified_horizon_above_tail_cap_is_a_precondition_violation():
+    with pytest.raises(PreconditionViolation, match="certified horizon exceeds TAIL_CAP"):
+        ManifoldProblem(BoundedOperator(np.diag([0.998, 2.0])), saturation_map(1e-3))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_certified_horizon_drops_less_than_series_tol(seed):
+    # r_inside in [0.85, 0.96], lip between 0.3 and 1.5 times 1/M at the
+    # first weight r_inside^(7/8) (so some problems step mu) and shears up
+    # to 1: eta at the default horizon is within ||Q|| SERIES_TOL |xi| of
+    # eta at 4 times that horizon, both iterated to the rounding level
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    inside = rng.uniform(0.85, 0.96, int(rng.integers(1, d)))
+    outside = rng.uniform(1.3, 2.5, d - inside.size)
+    a = matrix_with_moduli(rng, np.concatenate([inside, outside]), shear=rng.uniform(0.3, 1.0))
+    eps = rng.uniform(0.3, 1.5) / circle_sup_resolvent(a, inside.max() ** 0.875)
+    tight = {"fp_tol": 1e-15, "max_iter": 2000}
+    prob = ManifoldProblem(a, saturation_map(eps), **tight)
+    long = ManifoldProblem(a, saturation_map(eps), horizon=4 * prob.horizon, **tight)
+    xi = prob.split.proj_stable @ random_vector(rng, d)
+    eta, ref = lp_fixed_point(prob, xi).eta, lp_fixed_point(long, xi).eta
+    q_norm = np.linalg.norm(prob.split.proj_unstable, 2)
+    assert np.linalg.norm(eta - ref) <= q_norm * SERIES_TOL * np.linalg.norm(xi)
 
 
 def test_block_failure_becomes_each_rows_error():
@@ -495,21 +572,23 @@ def test_stacked_rows_equal_one_row_sweeps_property(case):
 
 
 def test_sweep_block_runs_in_at_most_five_stacked_arrays():
-    # the benchmark's d = 32 shape: horizon 148, blocks of 6 columns.  The
+    # the benchmark's d = 32 shape: horizon 79, blocks of 12 columns.  The
     # LP steps, the certificates and the orbit check of a block share one
     # workspace, and a finished block's rows keep no orbits, so the whole
-    # sweep peaks at the memory of one block
+    # sweep of two blocks peaks at the memory of one
     rng = np.random.default_rng(79)
     moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
     a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
     prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
-    assert prob.horizon == 148
+    assert prob.horizon == 79
+    block = 2**15 // ((prob.horizon + 1) * 32)
+    assert block == 12
     grid = []
-    for k in range(12):  # sizes over six decades, so columns stop at different steps
+    for k in range(2 * block):  # sizes over six decades, so columns stop at different steps
         xi = prob.split.proj_stable @ random_vector(rng, 32)
         grid.append(10.0 ** -(k % 6) * xi / np.linalg.norm(xi))
-    stacked_array = (prob.horizon + 1) * 6 * 32 * 16
-    manifold_sweep(prob, grid[:6])  # first calls fill numpy's caches
+    stacked_array = (prob.horizon + 1) * block * 32 * 16
+    manifold_sweep(prob, grid[:block])  # first calls fill numpy's caches
     tracemalloc.start()
     try:
         rows = manifold_sweep(prob, grid)

@@ -524,6 +524,22 @@ def test_causal_row_is_one_row_of_apply_rows(forced):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_polynomial_kernel_rounds_a_row_alike_in_any_stack():
+    # a (601, 6, 6) stack passes 256 KiB, where the expression form of
+    # Horner's step swapped the operands of its complex product: a row of
+    # the stacked call equals the row alone, and a column the column alone,
+    # bit for bit
+    rng = np.random.default_rng(71)
+    F = polynomial_map([0.5, -0.25j, 0.1, 0.3 + 0.2j], 1.5)
+    vals = 1.2 * (rng.standard_normal((601, 6, 6)) + 1j * rng.standard_normal((601, 6, 6)))
+    vals.real[rng.random(vals.shape) < 0.1] = -0.0
+    stacked = F.apply_rows(vals, 0, 0, 600)
+    rows = np.stack([F.apply_rows(vals[n : n + 1], n, n, n)[0] for n in range(601)])
+    cols = np.stack([F.apply_rows(vals[:, g], 0, 0, 600) for g in range(6)], axis=1)
+    assert np.array_equal(stacked.view(np.int64), rows.view(np.int64))
+    assert np.array_equal(stacked.view(np.int64), cols.view(np.int64))
+
+
 def test_saturation_kernel_matches_complex_formula_bit_for_bit():
     # the in-place kernel against eps * (tanh(re) + 1j tanh(im)) of the
     # components rotated by one, signed zeros and underflow included
