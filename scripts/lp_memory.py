@@ -40,7 +40,7 @@ import workloads  # noqa: E402
 
 from specseq import io  # noqa: E402
 from specseq.cli import main as cli_main  # noqa: E402
-from specseq.manifold import _manifold_points  # noqa: E402
+from specseq.manifold import _block_width, _manifold_points  # noqa: E402
 
 SEED = 7
 PASSES = 5
@@ -63,8 +63,7 @@ def _block_peak(job):
     prob = io.manifold_problem_from_json(io.load_json(argv["--problem"]))
     grid = io.grid_from_json(io.load_json(argv["--grid"]))
     d, h = prob.A.dim, prob.horizon
-    block = max(1, 2**15 // ((h + 1) * d))
-    xis = np.array(grid[:block])
+    xis = np.array(grid[: _block_width(prob)])
     _manifold_points(prob, xis, check_orbit=True)  # warm-up
     tracemalloc.start()
     try:

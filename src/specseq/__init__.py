@@ -75,7 +75,6 @@ from .solver import (
     StencilMap,
     implicit_euler_map,
     linear_map,
-    lipschitz_probe,
     polynomial_map,
     saturation_map,
     solve_contraction,

@@ -8,14 +8,11 @@ stderr plus a distinct nonzero exit status.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 
-import numpy as np
-
 from . import io
-from .errors import IndeterminateHyperbolic, InputError, SpecseqError
+from .errors import IndeterminateHyperbolic, SpecseqError
 from .manifold import manifold_sweep, spectrum_escape_check
 from .operators import (
     circle_sup_resolvent,
@@ -165,7 +162,7 @@ def _cmd_solve_contraction(args):
             "iterations": report.iterations,
             "final_residual": report.final_residual,
             "contraction_estimate": report.contraction_estimate,
-            "converged": report.converged,
+            "converged": True,  # a report is returned only on convergence
             "solution": io.sequence_to_json(report.solution),
         },
         args.out,
@@ -192,30 +189,7 @@ def _cmd_stability(args):
 def _cmd_stable_manifold(args):
     prob = io.manifold_problem_from_json(io.load_json(args.problem), "problem")
     grid = io.grid_from_json(io.load_json(args.grid), "grid")
-    rows = manifold_sweep(prob, grid)
-    dim = prob.A.dim
-    header = (
-        [f"xi_{i}_{part}" for i in range(dim) for part in ("re", "im")]
-        + [f"eta_{i}_{part}" for i in range(dim) for part in ("re", "im")]
-        + ["decay_rate", "iterations", "residual", "error"]
-    )
-    try:
-        fh = open(args.out, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            eta = row.eta if row.eta is not None else np.full(dim, np.nan, dtype=np.complex128)
-            # complex128 viewed as float64 interleaves (re, im) per component
-            parts = np.concatenate((row.xi, eta)).view(np.float64)
-            record = [repr(x) for x in parts.tolist()]
-            record.extend(
-                [repr(float(row.decay_rate)), row.iterations, repr(float(row.residual))]
-            )
-            record.append(row.error or "")
-            writer.writerow(record)
+    io.write_sweep_csv(manifold_sweep(prob, grid), prob.A.dim, args.out)
     return 0
 
 

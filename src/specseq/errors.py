@@ -84,15 +84,10 @@ class NotContractive(SpecseqError):
 
 
 class NoConvergence(SpecseqError):
-    """A fixed-point iteration exhausted ``max_iter``.
-
-    Carries the last ``report`` (when available) through the ``report``
-    attribute so callers can inspect the final iterate.
-    """
+    """A fixed-point iteration exhausted ``max_iter``."""
 
     code = "no-convergence"
     exit_status = 13
-    report = None
 
 
 class CausalityRequired(SpecseqError):

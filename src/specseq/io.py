@@ -16,6 +16,7 @@ Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizo
              a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000];
              ManifoldProblem refuses one below its certified horizon.
 Sequence CSV rows: (n, component, re, im).
+Sweep CSV rows: (xi_*, eta_*, decay_rate, iterations, residual, error).
 
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
 booleans, fractions and text are InputError.  Every other numeric field
@@ -31,14 +32,16 @@ naming the file.
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
+from io import StringIO
 from itertools import chain
 
 import numpy as np
 
 from .errors import InputError
-from .manifold import ManifoldProblem
+from .manifold import ManifoldProblem, SweepRow
 from .operators import BoundedOperator
 from .sequences import WindowedSequence, zero_sequence
 from .solver import StencilMap
@@ -356,6 +359,27 @@ def write_circle_csv(f: CircleFunction, path):
     mags = np.linalg.norm(f.samples, axis=1)
     rows = "".join(f"{t!r},{m!r}\r\n" for t, m in zip(f.angles().tolist(), mags.tolist()))
     _write_text(path, "theta,abs\r\n" + rows)
+
+
+def write_sweep_csv(rows: list[SweepRow], dim: int, path):
+    """Stable-manifold sweep rows, float reprs interleaving (re, im) per
+    component, as ``csv.writer`` writes them; a failed row's ``eta`` is nan."""
+    out = StringIO()
+    writer = csv.writer(out)
+    writer.writerow(
+        [f"xi_{i}_{part}" for i in range(dim) for part in ("re", "im")]
+        + [f"eta_{i}_{part}" for i in range(dim) for part in ("re", "im")]
+        + ["decay_rate", "iterations", "residual", "error"]
+    )
+    no_eta = np.full(dim, np.nan, dtype=np.complex128)
+    for row in rows:
+        eta = no_eta if row.eta is None else row.eta
+        parts = np.concatenate((row.xi, eta)).view(np.float64)
+        record = [repr(x) for x in parts.tolist()]
+        record.extend([repr(float(row.decay_rate)), row.iterations, repr(float(row.residual))])
+        record.append(row.error or "")
+        writer.writerow(record)
+    _write_text(path, out.getvalue())
 
 
 def stencil_from_json(obj, context="stencil") -> StencilMap:

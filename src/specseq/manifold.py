@@ -37,6 +37,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionViolation,
     RangeViolation,
+    SpecseqError,
 )
 from .operators import (
     GAP_TOL,
@@ -76,7 +77,8 @@ def _first_horizon(lead: float, mu: float) -> int:
 class ManifoldProblem:
     """A stable-manifold computation instance.
 
-    ``A`` must be hyperbolic and ``F`` causal with ``F(0) = 0``; the two
+    ``A`` must be hyperbolic and ``F`` causal with ``F(0) = 0`` and, where
+    it fixes a dimension, ``A``'s (else :class:`DimensionMismatch`); the two
     admissibility bounds, against certified upper bounds on ``M_1`` and
     ``M_rho``, are validated at construction before the split plan is built.  ``rho`` is the
     weight of the outer solution operator (any value above ``r(A)`` gives
@@ -132,6 +134,7 @@ class ManifoldProblem:
         check_iteration_limits(self.fp_tol, self.max_iter)
         if self.horizon is not None and not 0 <= self.horizon <= TAIL_CAP:
             raise InputError(f"horizon must lie in [0, {TAIL_CAP}], got {self.horizon}")
+        self.F.check_dim(self.A.dim)
         is_hyperbolic(self.A)
         if not self.F.causal:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
@@ -385,13 +388,9 @@ class SweepRow:
     error: str | None = None
 
 
-def _block_points(prob: ManifoldProblem, xis: np.ndarray) -> list:
-    try:
-        return _manifold_points(prob, xis, check_orbit=True)
-    except Exception as exc:  # not attributable to one row: run the rows alone
-        if len(xis) == 1:
-            return [exc]
-        return [result for xi in xis for result in _block_points(prob, xi[None])]
+def _block_width(prob: ManifoldProblem) -> int:
+    # the rows per stacked block of manifold_sweep (see its docstring)
+    return max(1, 2**15 // ((prob.horizon + 1) * prob.A.dim))
 
 
 def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
@@ -419,12 +418,12 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
         try:
             prob.check_stable_range(xi)
             valid.append(i)
-        except Exception as exc:  # per-row isolation
+        except SpecseqError as exc:  # per-row isolation
             table[i] = _sweep_row(i, xi, exc)
-    block = max(1, 2**15 // ((prob.horizon + 1) * prob.A.dim))
+    block = _block_width(prob)
     for start in range(0, len(valid), block):
         rows = valid[start : start + block]
-        points = _block_points(prob, np.array([grid[i] for i in rows]))
+        points = _manifold_points(prob, np.array([grid[i] for i in rows]), check_orbit=True)
         for i in rows:  # each point becomes its row, and its orbit goes, before the next block
             table[i] = _sweep_row(i, grid[i], points.pop(0))
     return table
@@ -440,7 +439,6 @@ def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
             iterations=result.iterations,
             residual=result.residual,
         )
-    code = getattr(result, "code", "error")
     return SweepRow(
         index=index,
         xi=xi,
@@ -448,7 +446,7 @@ def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
         decay_rate=float("nan"),
         iterations=0,
         residual=float("nan"),
-        error=f"{code}: {result}",
+        error=f"{result.code}: {result}",
     )
 
 

@@ -86,13 +86,7 @@ def _kernel_zero(args, params, out):
 
 
 def _kernel_linear(args, params, out):
-    mat = params["matrix"]
-    if args[0].shape[-1] != mat.shape[0]:
-        raise DimensionMismatch(
-            f"linear kernel matrix is {mat.shape[0]}x{mat.shape[1]} but sequences "
-            f"have dimension {args[0].shape[-1]}"
-        )
-    return np.matmul(args[0], mat.T, out=out)
+    return np.matmul(args[0], params["matrix"].T, out=out)
 
 
 def _kernel_saturation(args, params, out):
@@ -171,6 +165,11 @@ class StencilMap:
             mat = np.asarray(p["matrix"], dtype=np.complex128)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InputError("linear kernel matrix must be square")
+            if self.forcing is not None and self.forcing.dim != mat.shape[0]:
+                raise DimensionMismatch(
+                    f"linear kernel matrix is {mat.shape[0]}x{mat.shape[0]} but its forcing "
+                    f"has dimension {self.forcing.dim}"
+                )
             p["matrix"] = mat
         elif self.kernel == "scaled_bounded_saturation":
             eps = float(p.get("eps", 0.0))
@@ -196,6 +195,23 @@ class StencilMap:
                 )
             p["h"] = h
         self.params = p
+
+    @property
+    def dim(self) -> int | None:
+        """The state dimension the stencil fixes: that of its matrix or of its
+        forcing, None when it has neither."""
+        if self.kernel == "linear":
+            return self.params["matrix"].shape[0]
+        return None if self.forcing is None else self.forcing.dim
+
+    def check_dim(self, dim: int) -> None:
+        """Raise :class:`DimensionMismatch` unless the stencil can act on
+        sequences of dimension ``dim``."""
+        if self.dim is not None and self.dim != dim:
+            raise DimensionMismatch(
+                f"stencil {self.kernel!r} acts on dimension {self.dim}, "
+                f"the state has dimension {dim}"
+            )
 
     @property
     def lookahead(self) -> int:
@@ -229,6 +245,7 @@ class StencilMap:
 
     def apply(self, u: WindowedSequence) -> WindowedSequence:
         """Evaluate F(u) on its exact output window."""
+        self.check_dim(u.dim)
         lo, hi = u.lo - self.lookahead, u.hi
         if self.forcing is not None:
             lo, hi = min(lo, self.forcing.lo), max(hi, self.forcing.hi)
@@ -289,13 +306,12 @@ def implicit_euler_map(h: float, field_name: str, forcing=None) -> StencilMap:
 
 @dataclass
 class SolveReport:
-    """Outcome of a contraction iteration."""
+    """Outcome of a converged contraction iteration."""
 
     solution: WindowedSequence
     iterations: int
     final_residual: float
     contraction_estimate: float
-    converged: bool
 
 
 @dataclass
@@ -422,22 +438,15 @@ def fixed_point(
 
 
 def _one_column(stack: StackedReport, lo: int) -> SolveReport:
-    # The report of a one-column iteration; raises the column's error, a
-    # NoConvergence carrying the report.
-    error = stack.errors[0]
-    if error is not None and not isinstance(error, NoConvergence):
-        raise error
-    report = SolveReport(
+    # The report of a one-column iteration, or the column's error raised.
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    return SolveReport(
         WindowedSequence(lo, stack.solution[:, 0]),
         int(stack.iterations[0]),
         float(stack.residual[0]),
         float(stack.contraction_estimate[0]),
-        error is None,
     )
-    if error is not None:
-        error.report = report
-        raise error
-    return report
 
 
 def solve_contraction(
@@ -454,7 +463,9 @@ def solve_contraction(
     ``u <- truncate(tau^{-1} F(u))`` from u = 0 and stops when consecutive
     iterates differ by at most ``fp_tol`` in the solve norm.  The reported
     contraction estimate is the largest measured increment ratio, which
-    stays within 0.05 of ``lip_bound / rho``.
+    stays within 0.05 of ``lip_bound / rho``.  The state dimension is
+    ``dim``, or ``F.dim`` when None (:class:`InputError` when neither gives
+    one, :class:`DimensionMismatch` when they disagree).
     """
     if w.p != 2.0:
         raise InputError("the contraction solver iterates in an ell_{2,rho} norm")
@@ -466,8 +477,12 @@ def solve_contraction(
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
         raise InputError("solve window is empty")
+    dim = F.dim if dim is None else dim
     if dim is None:
-        dim = _infer_dim(F)
+        raise InputError(
+            "cannot infer state dimension: pass dim= or attach forcing to the stencil"
+        )
+    F.check_dim(dim)
     # rows [lo, hi] of tau^{-1} F(u) are the rows [lo - 1, hi - 1] of F(u)
     stack = fixed_point(
         lambda u, cols, out: F.apply_rows(u, lo, lo - 1, hi - 1, out),
@@ -478,16 +493,6 @@ def solve_contraction(
         max_iter,
     )
     return _one_column(stack, lo)
-
-
-def _infer_dim(F: StencilMap) -> int:
-    if F.forcing is not None:
-        return F.forcing.dim
-    if F.kernel == "linear":
-        return F.params["matrix"].shape[0]
-    raise InputError(
-        "cannot infer state dimension: pass dim= or attach forcing to the stencil"
-    )
 
 
 def solve_ivp(
@@ -520,6 +525,7 @@ def solve_ivp(
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != A.dim:
         raise DimensionMismatch(f"initial value has dimension {x.size}, operator {A.dim}")
+    F.check_dim(A.dim)
     horizon = int(horizon)
     if horizon < 0:
         raise InputError("horizon must be nonnegative")
@@ -700,26 +706,3 @@ def stability_classify(A: BoundedOperator) -> StabilityReport:
     except PreconditionViolation:
         return StabilityReport("exponentially_stable", r, rho_star, False, 0.0)
     return StabilityReport("exponentially_stable", r, rho_star, True, bound)
-
-
-def lipschitz_probe(F: StencilMap, w: Weight, trials: int = 32, dim: int = 1) -> float:
-    """Empirical lower bound on the Lipschitz constant of F on ell_{p,rho}.
-
-    Maximizes ``|F(u) - F(v)| / |u - v|`` over random pairs on the window
-    ``[-6, 6]``, drawn from seed 0; sanity-checks the declared ``lip_bound``
-    from below.
-    """
-    if trials < 1:
-        raise InputError("need at least one trial")
-    rng = np.random.default_rng(0)
-    lo, hi = -6, 6
-    best = 0.0
-    for _ in range(trials):
-        shape = (hi - lo + 1, dim)
-        u = WindowedSequence(lo, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        v = WindowedSequence(lo, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        denom = weighted_norm(u - v, w)
-        if denom == 0.0:
-            continue
-        best = max(best, weighted_norm(F.apply(u) - F.apply(v), w) / denom)
-    return best

@@ -298,6 +298,30 @@ def test_solve_contraction_cli(files, tmp_path, capsys):
     assert sol["values"][2][0][0] == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-ivp", "--method", "recursion", "--x", "x_vec", "--A", "A_diag"],
+        ["solve-contraction", "--dim", "2", "--rho", "1.0", "--window", "-2", "8"],
+    ],
+    ids=["solve-ivp", "solve-contraction"],
+)
+def test_stencil_of_another_dimension_exits_4(files, capsys, argv):
+    # a saturation stencil whose forcing lives in C^3, on a state in C^2
+    F = write_json(
+        files["tmp"] / "f3.json",
+        {
+            "kernel": "scaled_bounded_saturation",
+            "params": {"eps": 0.01},
+            "forcing": {"dim": 3, "lo": 0, "values": [[[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]]},
+        },
+    )
+    argv = [files.get(a, a) for a in argv] + ["--F", F]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "dimension-mismatch"
+
+
 def test_stability_cli(files, capsys):
     code, out, _ = run_cli(["stability", "--A", files["A_half"]], capsys)
     assert code == 0
@@ -353,6 +377,25 @@ def test_stable_manifold_horizon_below_certificate_exits_20(tmp_path, capsys):
         assert code == want
     assert json.loads(err)["error"] == "precondition-violated"
     assert "horizon 42 is below the certified 43 rows" in json.loads(err)["message"]
+
+
+def test_stable_manifold_stencil_of_another_dimension_exits_4(tmp_path, capsys):
+    problem = write_json(
+        tmp_path / "prob.json",
+        {
+            "A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]},
+            "F": {
+                "kernel": "linear",
+                "params": {"matrix": {"dim": 3, "re": (0.01 * np.eye(3)).tolist()}},
+            },
+        },
+    )
+    grid = write_json(tmp_path / "grid.json", {"vectors": [{"dim": 2, "re": [0.1, 0.0]}]})
+    out_csv = tmp_path / "table.csv"
+    argv = ["stable-manifold", "--problem", problem, "--grid", grid, "--out", str(out_csv)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 4 and not out_csv.exists()
+    assert json.loads(err)["error"] == "dimension-mismatch"
 
 
 def test_escape_check_cli(files, tmp_path, capsys):

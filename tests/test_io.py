@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from specseq import io
 from specseq.errors import InputError
+from specseq.manifold import SweepRow
 from specseq.sequences import WindowedSequence, zero_sequence
 
 
@@ -244,6 +245,18 @@ def test_csv_writers_match_csv_writer_on_edge_values(tmp_path):
         assert got == (tmp_path / "want.csv").read_bytes()
         for text in ("-0.0", "5e-324", "1e+308", "inf", "nan"):
             assert text.encode() in got
+
+
+def test_sweep_csv_quotes_an_error_that_holds_a_comma(tmp_path):
+    ok = SweepRow(0, np.array([0.5, 0.0]), np.array([-0.0, 1e-17 - 2j]), 0.25, 7, 1e-13)
+    failed = SweepRow(1, np.array([0.0, 1.0]), None, NAN, 0, NAN, error="no-convergence: on [0, 12]")
+    io.write_sweep_csv([ok, failed], 2, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"xi_0_re,xi_0_im,xi_1_re,xi_1_im,eta_0_re,eta_0_im,eta_1_re,eta_1_im,"
+        b"decay_rate,iterations,residual,error\r\n"
+        b"0.5,0.0,0.0,0.0,-0.0,0.0,1e-17,-2.0,0.25,7,1e-13,\r\n"
+        b'0.0,0.0,1.0,0.0,nan,0.0,nan,0.0,nan,0,nan,"no-convergence: on [0, 12]"\r\n'
+    )
 
 
 def test_signed_zeros_round_trip():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from specseq import (
     AdmissibilityError,
     BoundedOperator,
+    DimensionMismatch,
     ManifoldProblem,
     circle_sup_resolvent,
     PreconditionViolation,
@@ -527,14 +528,15 @@ def test_certified_horizon_drops_less_than_series_tol(seed):
     assert np.linalg.norm(eta - ref) <= q_norm * SERIES_TOL * np.linalg.norm(xi)
 
 
-def test_block_failure_becomes_each_rows_error():
-    # an error no single column raises (the kernel cannot act on this A at
-    # all) is still reported row by row, as in a one-row sweep
-    prob = ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), linear_map(0.01 * np.eye(3)))
-    rows = manifold_sweep(prob, [np.array([0.1, 0.0]), np.zeros(2), np.array([0.0, 1.0])])
-    want = "dimension-mismatch: linear kernel matrix is 3x3 but sequences have dimension 2"
-    assert [row.error for row in rows[:2]] == [want, want]
-    assert rows[2].error.startswith("range-violation")
+@pytest.mark.parametrize(
+    "kernel",
+    [saturation_map(0.01, forcing=zero_sequence(3)), linear_map(0.01 * np.eye(3))],
+    ids=["forcing", "matrix"],
+)
+def test_stencil_of_another_dimension_is_refused_at_construction(kernel):
+    # a stencil that cannot act on A's state space is no problem to sweep
+    with pytest.raises(DimensionMismatch, match="acts on dimension 3, the state has dimension 2"):
+        ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), kernel)
 
 
 @pytest.mark.parametrize(
