@@ -5,7 +5,9 @@
 
 For the manifold-sweep inputs of ``bench/workloads.py`` at seed 7 and
 d = 2, 8 and 32 it prints, per d, the certified horizon, the weight ``mu``
-of its certificate and the sweep's block width ``G``, then:
+of its certificate, the sweep's block width ``G`` and ``nodes``, the
+number of smallest-singular-value evaluations (circle nodes of the
+certified suprema) one ``ManifoldProblem`` construction makes, then:
 
 * ``pass_ms``: the fastest of five ``stable-manifold`` passes through
   ``specseq.cli.main``, after one warm-up pass;
@@ -38,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
-from specseq import io  # noqa: E402
+from specseq import io, operators  # noqa: E402
 from specseq.cli import main as cli_main  # noqa: E402
 from specseq.manifold import _block_width, _manifold_points  # noqa: E402
 
@@ -57,10 +59,28 @@ def _pass(job):
     return 1e3 * elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
+def _construction(path):
+    # the problem of a problem file, and the sigma_min nodes its construction evaluates
+    nodes = []
+    sigma_min = operators._sigma_min
+
+    def counted(a, z):
+        nodes.append(len(z))
+        return sigma_min(a, z)
+
+    operators._sigma_min = counted
+    try:
+        prob = io.manifold_problem_from_json(io.load_json(path))
+    finally:
+        operators._sigma_min = sigma_min
+    return prob, sum(nodes)
+
+
 def _block_peak(job):
-    # tracemalloc peak of the sweep's first block, in stacked arrays and bytes
+    # tracemalloc peak of the sweep's first block, in stacked arrays and
+    # bytes, and the sigma_min nodes of the problem's construction
     argv = dict(zip(job.argv[1::2], job.argv[2::2]))
-    prob = io.manifold_problem_from_json(io.load_json(argv["--problem"]))
+    prob, nodes = _construction(argv["--problem"])
     grid = io.grid_from_json(io.load_json(argv["--grid"]))
     d, h = prob.A.dim, prob.horizon
     xis = np.array(grid[: _block_width(prob)])
@@ -71,23 +91,23 @@ def _block_peak(job):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / ((h + 1) * len(xis) * d * 16), peak, prob, len(xis)
+    return peak / ((h + 1) * len(xis) * d * 16), peak, prob, len(xis), nodes
 
 
 def run(argv=None):
     if argv:
         print(f"usage: {sys.argv[0]} (takes no options)", file=sys.stderr)
         return 2
-    print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'G':>3} ", end="")
+    print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'G':>3} {'nodes':>5} ", end="")
     print(f"{'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
     with tempfile.TemporaryDirectory() as tmp:
         for d in workloads.DIMS:
             (job,) = workloads.make_pass("manifold-sweep", SEED, 0, d, os.path.join(tmp, f"d{d}"))
             _pass(job)
             runs = [_pass(job) for _ in range(PASSES)]
-            arrays, peak, prob, g = _block_peak(job)
+            arrays, peak, prob, g, nodes = _block_peak(job)
             print(
-                f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {g:>3} "
+                f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {g:>3} {nodes:>5} "
                 f"{min(ms for ms, _ in runs):>8.1f} "
                 f"{statistics.median(f for _, f in runs):>7.0f} {arrays:>8.2f} {peak / 1e6:>6.2f}"
             )

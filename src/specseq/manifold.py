@@ -12,6 +12,15 @@ a contraction with factor ``M_1 * |F|_Lip``.  The stable manifold is the
 graph of ``w_s(xi) = Q T(xi)_0`` over range(P); points off the graph
 escape along the unstable range.
 
+The two bounds serve different claims.  Below ``1/M_1`` the cut-off map
+contracts, which every computed point uses.  Below ``1/M_rho`` every
+initial value has one solution in ell_{2,rho}, the paper's solution of the
+initial value problem, so the stable manifold, the initial values whose
+solution lies in ell_2, is the graph and nothing else: that is the claim
+that points off it escape.  Nothing computed reads ``M_rho`` (the horizon
+reads ``M_mu``, and the forward-orbit check is plain recursion), so its
+gate only asks whether the bound holds.
+
 Infinite sums are truncated at certified lengths.  The orbit is cut at a
 horizon certified on a weighted space ell_{2,mu}, ``mu < 1``, where the
 same map contracts: that proves the orbit square-summable and bounds what
@@ -33,6 +42,7 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
+    DimensionMismatch,
     InputError,
     InternalInconsistency,
     PreconditionViolation,
@@ -43,7 +53,8 @@ from .operators import (
     GAP_TOL,
     BoundedOperator,
     SpectralSplit,
-    circle_sup_resolvent,
+    _decide,
+    _SupBracket,
     is_hyperbolic,
     spectral_radius,
 )
@@ -79,10 +90,14 @@ class ManifoldProblem:
 
     ``A`` must be hyperbolic and ``F`` causal with ``F(0) = 0`` and, where
     it fixes a dimension, ``A``'s (else :class:`DimensionMismatch`); the two
-    admissibility bounds, against certified upper bounds on ``M_1`` and
-    ``M_rho``, are validated at construction before the split plan is built.  ``rho`` is the
-    weight of the outer solution operator (any value above ``r(A)`` gives
-    the same projections, so the default just steps past the radius).
+    admissibility bounds ``lip < 1/M_1`` and ``lip < 1/M_rho`` are
+    validated at construction before the split plan is built, each by
+    :func:`~specseq.solver.smallness_gate` from a bracket on its certified
+    supremum that refines only until it decides.  ``rho`` is the weight of
+    the outer solution operator (any value above ``r(A)`` gives the same
+    projections, so the default just steps past the radius); its gate serves
+    only the claim that the graph is the whole stable manifold (see the
+    module docstring), and no computed value reads ``M_rho``.
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
 
     The horizon is certified.  Take a weight ``mu`` in ``(r_inside, 1)``:
@@ -118,8 +133,21 @@ class ManifoldProblem:
     ``E(h) <= SERIES_TOL``, at least 32.  A supplied ``horizon`` must lie
     in ``[0, TAIL_CAP]``, else :class:`InputError`; one below the first
     certified ``h``, or a certified ``h`` above ``TAIL_CAP``, raises
-    :class:`PreconditionViolation`.  ``mu`` and ``m_mu`` (``M_mu``) are
-    read-only.
+    :class:`PreconditionViolation`.
+
+    The horizon reads an integer, not ``M_1`` or ``M_mu``.  Both are
+    brackets that follow the rounds of
+    :func:`~specseq.operators.circle_sup_resolvent`, and the wider one
+    refines until the ``h`` of their low ends equals the ``h`` of their high
+    ends: ``E(h)`` grows with both, so that ``h`` is the one the exact
+    suprema certify.  Where the ends never agree, the finished suprema
+    decide, as they always did.  The tests ``q_mu < 1`` and
+    ``q_mu <= 1/2`` are decided the same way.  ``mu``, ``m_mu``
+    (``M_mu``), ``m_one`` (``M_1``) and ``contraction_factor``
+    (``q_1``) are read-only; the last three finish their bracket to
+    ``SUP_REL_TOL`` on first read, so ``m_mu`` is
+    ``circle_sup_resolvent(A, mu)`` bit for bit, and a read raises the
+    :class:`SpectrumOnCircle` that finishing it may raise.
     """
 
     A: BoundedOperator
@@ -147,12 +175,12 @@ class ManifoldProblem:
             raise AdmissibilityError(
                 f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
             )
-        self.m_one, lip_one = smallness_gate(self.A, self.F, 1.0, AdmissibilityError)
+        self._m_one = _SupBracket(self.A, 1.0)
+        self._lip = smallness_gate(self.A, self.F, 1.0, AdmissibilityError, self._m_one)
         smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
-        self.contraction_factor = self.m_one * lip_one
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
-        self._mu, self._m_mu, certified = self._certify_horizon(lip_one)
+        self._mu, self._m_mu, certified = self._certify_horizon()
         if certified > TAIL_CAP:
             raise PreconditionViolation(
                 f"the certified horizon exceeds TAIL_CAP = {TAIL_CAP} rows (mu = {self._mu:.6g})"
@@ -162,23 +190,32 @@ class ManifoldProblem:
         elif self.horizon < certified:
             raise PreconditionViolation(
                 f"horizon {self.horizon} is below the certified {certified} rows "
-                f"(mu = {self._mu:.6g}, M_mu = {self._m_mu:.6g})"
+                f"(mu = {self._mu:.6g}, M_mu = {self.m_mu:.6g})"
             )
 
-    def _certify_horizon(self, lip: float) -> tuple[float, float, int]:
-        # (mu, M_mu, first certified h) along the sqrt steps of the docstring
-        q_one = self.contraction_factor
+    def _certify_horizon(self) -> tuple[float, _SupBracket, int]:
+        # (mu, the bracket on M_mu, first certified h) along the sqrt steps of
+        # the docstring, each test decided by the brackets on M_1 and M_mu
+        lip = self._lip
+
+        def first_horizon(m_one: float, m_mu: float) -> int:
+            # at the current mu; TAIL_CAP + 1 (any h past the cap) where a
+            # bracket end does not contract
+            q_one, q_mu = m_one * lip, m_mu * lip
+            if q_one >= 1.0 or q_mu >= 1.0:
+                return TAIL_CAP + 1
+            return _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
+
         mu = max(self.split.r_inside ** 0.875, SERIES_TOL ** (1.0 / 32.0))
         best = None
         while mu < 1.0:
-            m_mu = circle_sup_resolvent(self.A, mu)
-            q_mu = m_mu * lip
-            if q_mu < 1.0:
-                h = _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
+            m_mu = _SupBracket(self.A, mu)
+            if _decide(lambda m: m * lip < 1.0, m_mu):
+                h = _decide(first_horizon, self._m_one, m_mu)
                 if best is not None and h >= best[2]:
                     break
                 best = (mu, m_mu, h)
-                if q_mu <= 0.5:
+                if _decide(lambda m: m * lip <= 0.5, m_mu):
                     break
             mu = math.sqrt(mu)
         if best is None:
@@ -188,6 +225,16 @@ class ManifoldProblem:
         return best
 
     @property
+    def m_one(self) -> float:
+        """``M_1``, the certified ``sup_{|z| = 1} ||(z - A)^{-1}||``."""
+        return self._m_one.value()
+
+    @property
+    def contraction_factor(self) -> float:
+        """``q_1 = M_1 lip``, the LP map's contraction factor on ell_2."""
+        return self.m_one * self._lip
+
+    @property
     def mu(self) -> float:
         """The weight of the horizon certificate, in ``(r_inside, 1)``."""
         return self._mu
@@ -195,7 +242,7 @@ class ManifoldProblem:
     @property
     def m_mu(self) -> float:
         """``M_mu``, the certified ``sup_{|z| = mu} ||(z - A)^{-1}||``."""
-        return self._m_mu
+        return self._m_mu.value()
 
     def check_stable_range(self, xi) -> np.ndarray:
         """``xi`` as a vector; raises :class:`RangeViolation` unless
@@ -233,9 +280,14 @@ def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence
     The map acts on sequences over ``[0, horizon]``, the space the iteration
     lives in, so ``u`` is read there.  Contraction in ``u`` with factor at
     most ``M_1 * |F|_Lip``; the cutoff to nonnegative indices and the
-    horizon truncation are norm-nonexpansive.
+    horizon truncation are norm-nonexpansive.  A ``u`` of another dimension
+    than ``A``'s raises :class:`DimensionMismatch`.
     """
     xi = prob.check_stable_range(xi)
+    if u.dim != prob.A.dim:
+        raise DimensionMismatch(
+            f"sequence has dimension {u.dim}, the operator has dimension {prob.A.dim}"
+        )
     h = prob.horizon
     image = impulse_image(prob.plan, prob.F, xi[None], u.dense(0, h)[:, None], h)
     return WindowedSequence(0, image[:, 0])

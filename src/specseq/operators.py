@@ -10,7 +10,9 @@ certified upper bound, within a factor ``1 + SUP_REL_TOL`` of the true
 value: smallest singular values of ``z I - A`` on an adaptive grid, bounded
 between nodes by the larger of a Lipschitz (first-order) and a concavity
 (second-order) bound, less a margin for the SVD's rounding (the level-set
-method of Boyd & Balakrishnan 1990 is the test oracle only).
+method of Boyd & Balakrishnan 1990 is the test oracle only).  Every
+bisection round also brackets it, and a caller that reads no value stops
+once the bracket decides its question (see :func:`circle_sup_resolvent`).
 Circles ``S_r = {|z| = r}`` are always assumed to avoid the spectrum by at
 least :data:`GAP_TOL`.
 """
@@ -220,6 +222,103 @@ def _arc_lower(s: np.ndarray, arc: np.ndarray, rho: float, margin: float, curve:
     return np.maximum((s + s_next - rho * arc) / 2.0 - margin, np.sqrt(np.maximum(squared, 0.0)))
 
 
+def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float = math.inf):
+    # The refinement of circle_sup_resolvent, yielding its certified bracket
+    # (1 / (min s_hat + margin), 1 / min(lower)) each round; see _SupBracket.
+    if not 16 <= samples <= MAX_SUP_NODES:
+        raise PreconditionViolation(
+            f"circle supremum needs 16 <= samples <= {MAX_SUP_NODES}, got {samples}"
+        )
+    if not (math.isfinite(rho) and rho > 0):
+        raise InputError(f"rho must be positive and finite, got {rho!r}")
+    _check_circle(A, rho)
+    margin, curve = _sup_margins(A, rho)
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    s = _sigma_min(A, rho * np.exp(1j * theta))
+    while True:
+        floor = float(np.min(s))
+        # An arc stays open only while L / 2 > floor tol / (1 + tol) - margin,
+        # so bisection ends when margin is below half of floor tol / (1 + tol).
+        if 2.0 * (1.0 + SUP_REL_TOL) * margin >= SUP_REL_TOL * floor:
+            raise SpectrumOnCircle(
+                f"||(z - A)^(-1)|| reaches {1.0 / floor:.3e} on |z| = {rho}, beyond "
+                f"what the rounding margin {margin:.1e} certifies to {SUP_REL_TOL}"
+            )
+        ends = np.append(theta[1:], 2.0 * np.pi)
+        lower = _arc_lower(s, ends - theta, rho, margin, curve)
+        bound = float(np.min(lower))
+        yield 1.0 / (floor + margin), (1.0 / bound if bound > 0.0 else math.inf)
+        open_ = np.flatnonzero(((1.0 + SUP_REL_TOL) * lower < floor) & (lower <= level))
+        if not open_.size or theta.size + open_.size > MAX_SUP_NODES:
+            break
+        mid = (theta[open_] + ends[open_]) / 2.0
+        theta = np.insert(theta, open_ + 1, mid)
+        s = np.insert(s, open_ + 1, _sigma_min(A, rho * np.exp(1j * mid)))
+    if bound <= 0.0:
+        gap = float(np.min(np.abs(np.abs(A.eigenvalues) - rho)))
+        raise SpectrumOnCircle(
+            f"||(z - A)^(-1)|| reaches {1.0 / floor:.3e} on |z| = {rho}; {theta.size} "
+            f"nodes certify no bound, and the cap is {MAX_SUP_NODES}: the node cap, "
+            f"not the spectrum, ends the certificate (the spectrum is {gap:.1e} from "
+            "the circle)"
+        )
+    if level < math.inf:
+        yield from _sup_rounds(A, rho, samples)
+
+
+class _SupBracket:
+    """A certified bracket ``low <= M_rho <= high`` on
+    ``sup_{|z| = rho} ||(z - A)^{-1}||``, one round of
+    :func:`circle_sup_resolvent` per :meth:`refine`.
+
+    With the default ``level`` the rounds are that function's, so once
+    ``done``, ``high`` is its value bit for bit.  A finite ``level``
+    bisects only the arcs whose lower bound is at most ``level``; when those
+    rounds end, the full rounds follow from the start grid, so ``done``
+    means the same.  Constructing it raises what that function raises
+    before its first round.
+    """
+
+    def __init__(self, A: BoundedOperator, rho: float, samples: int = 16, level: float = math.inf):
+        self._rounds = _sup_rounds(A, rho, samples, level)
+        self.low, self.high = next(self._rounds)
+        self.done = False
+
+    def refine(self) -> bool:
+        """One more round; False, with ``high`` the full supremum, once none is left."""
+        bracket = next(self._rounds, None)
+        if bracket is None:
+            self.done = True
+        else:
+            self.low, self.high = bracket
+        return not self.done
+
+    def value(self) -> float:
+        """The full supremum, :func:`circle_sup_resolvent`'s value."""
+        while self.refine():
+            pass
+        return self.high
+
+
+def _decide(test, *sups: _SupBracket):
+    """``test`` of the suprema that ``sups`` bracket, for a ``test`` monotone
+    in each argument.
+
+    The widest bracket (by ``high / low``) refines until ``test`` gives the
+    same answer at every low end as at every high end, which is then its
+    answer at the exact suprema; where that never happens, the answer at the
+    full suprema, as from :func:`circle_sup_resolvent`.
+    """
+    while True:
+        answer = test(*(sup.high for sup in sups))
+        if test(*(sup.low for sup in sups)) == answer:
+            return answer
+        open_ = [sup for sup in sups if not sup.done]
+        if not open_:
+            return answer
+        max(open_, key=lambda sup: sup.high / sup.low).refine()
+
+
 def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> float:
     """Certified upper bound on ``sup ||(z - A)^{-1}||`` over the circle S_rho.
 
@@ -264,6 +363,18 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> f
     scaled Jordan block ``c N`` reaches the cap: ``s`` is constant on
     ``|z| = 1`` at a tiny ``s_min``, so every arc must be that short.
 
+    Every bisection round also brackets the supremum: it lies between
+    ``1 / (min s_hat + margin)`` (a sampled node is within ``margin`` of
+    the true ``s``, and the margin's slack covers the rounding of this end)
+    and ``1 / min(lower)``.  A caller that reads no value asks the bracket
+    only its own question, whether ``lip < 1/M_r`` or which horizon ``M_r``
+    certifies, and stops refining once both ends give the same answer
+    (:func:`_decide`); only where they never do does it wait for this
+    result.  The smallness gates at ``rho`` bisect only the arcs whose
+    lower bound does not exceed ``lip``; ``M_1`` and ``M_mu`` of a
+    :class:`~specseq.manifold.ManifoldProblem` follow the rounds of this
+    function, so finishing them gives its value bit for bit.
+
     Raises :class:`SpectrumOnCircle` when an eigenvalue modulus is within
     :data:`GAP_TOL` of ``rho``, when the sampled ``s`` falls so low that
     ``margin`` leaves no room for the tolerance (the circle then meets the
@@ -271,43 +382,7 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> f
     ``min(lower) <= 0`` at the node cap, so that no bound is certified;
     that message gives the spectrum's distance from the circle.
     """
-    if not 16 <= samples <= MAX_SUP_NODES:
-        raise PreconditionViolation(
-            f"circle supremum needs 16 <= samples <= {MAX_SUP_NODES}, got {samples}"
-        )
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"rho must be positive and finite, got {rho!r}")
-    _check_circle(A, rho)
-    margin, curve = _sup_margins(A, rho)
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    s = _sigma_min(A, rho * np.exp(1j * theta))
-    while True:
-        floor = float(np.min(s))
-        # An arc stays open only while L / 2 > floor tol / (1 + tol) - margin,
-        # so bisection ends when margin is below half of floor tol / (1 + tol).
-        if 2.0 * (1.0 + SUP_REL_TOL) * margin >= SUP_REL_TOL * floor:
-            raise SpectrumOnCircle(
-                f"||(z - A)^(-1)|| reaches {1.0 / floor:.3e} on |z| = {rho}, beyond "
-                f"what the rounding margin {margin:.1e} certifies to {SUP_REL_TOL}"
-            )
-        ends = np.append(theta[1:], 2.0 * np.pi)
-        lower = _arc_lower(s, ends - theta, rho, margin, curve)
-        open_ = np.flatnonzero((1.0 + SUP_REL_TOL) * lower < floor)
-        if not open_.size or theta.size + open_.size > MAX_SUP_NODES:
-            break
-        mid = (theta[open_] + ends[open_]) / 2.0
-        theta = np.insert(theta, open_ + 1, mid)
-        s = np.insert(s, open_ + 1, _sigma_min(A, rho * np.exp(1j * mid)))
-    bound = float(np.min(lower))
-    if bound <= 0.0:
-        gap = float(np.min(np.abs(np.abs(A.eigenvalues) - rho)))
-        raise SpectrumOnCircle(
-            f"||(z - A)^(-1)|| reaches {1.0 / floor:.3e} on |z| = {rho}; {theta.size} "
-            f"nodes certify no bound, and the cap is {MAX_SUP_NODES}: the node cap, "
-            f"not the spectrum, ends the certificate (the spectrum is {gap:.1e} from "
-            "the circle)"
-        )
-    return 1.0 / bound
+    return _SupBracket(A, rho, samples).value()
 
 
 def _matrix_sign(x: np.ndarray) -> tuple[np.ndarray, int]:

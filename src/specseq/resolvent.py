@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InputError,
     InternalInconsistency,
     NotCausalRegime,
@@ -413,14 +414,24 @@ def _output_window(plan: ResolventPlan, f: WindowedSequence) -> tuple[int, int]:
     return out_lo, out_hi
 
 
-def _apply_full(plan: ResolventPlan, f: WindowedSequence, mode: str) -> WindowedSequence:
-    # the body of apply_resolvent_causal and apply_resolvent_split
+def _plan_window(plan: ResolventPlan, f: WindowedSequence, mode: str) -> tuple[int, int] | None:
+    # Where a plan meets its data: the plan's mode and f's dimension are
+    # checked, then the certified output window (None for f = 0) is returned.
     if plan.mode != mode:
         raise InputError(f"plan mode is {plan.mode!r}, expected {mode!r}")
-    if f.is_zero:
+    if f.dim != plan.A.dim:
+        raise DimensionMismatch(
+            f"sequence has dimension {f.dim}, the operator has dimension {plan.A.dim}"
+        )
+    return None if f.is_zero else _output_window(plan, f)
+
+
+def _apply_full(plan: ResolventPlan, f: WindowedSequence, mode: str) -> WindowedSequence:
+    # the body of apply_resolvent_causal and apply_resolvent_split
+    window = _plan_window(plan, f, mode)
+    if window is None:
         return zero_sequence(f.dim)
-    out_lo, out_hi = _output_window(plan, f)
-    return WindowedSequence(out_lo, apply_resolvent_window(plan, f.values, f.lo, out_lo, out_hi))
+    return WindowedSequence(window[0], apply_resolvent_window(plan, f.values, f.lo, *window))
 
 
 def apply_resolvent_causal(plan: ResolventPlan, f: WindowedSequence) -> WindowedSequence:
@@ -454,11 +465,10 @@ def apply_resolvent_frequency(plan: ResolventPlan, f: WindowedSequence) -> Windo
     overlap the window only where they are below the certified cut; it
     agrees with the time-domain route up to the rounding of the transforms.
     """
-    if plan.mode != "frequency":
-        raise InputError(f"plan mode is {plan.mode!r}, expected 'frequency'")
-    if f.is_zero:
+    window = _plan_window(plan, f, "frequency")
+    if window is None:
         return zero_sequence(f.dim)
-    out_lo, out_hi = _output_window(plan, f)
+    out_lo, out_hi = window
     n = next_pow2(max(4 * f.width, 2 * (out_hi - out_lo + 1) + 8))
     fhat = ztransform(f, plan.rho, n)
     out = np.empty_like(fhat.samples)
@@ -480,7 +490,8 @@ def causality_probe(A: BoundedOperator, rho: float, x) -> tuple[bool, WindowedSe
 
     Applies the split-mode resolvent to the impulse ``delta_{-1} x`` and
     reports whether the witness is supported in Z_{>=0}; this equals the
-    predicate ``rho > r(A)``.
+    predicate ``rho > r(A)``.  An ``x`` of another dimension than ``A``'s
+    raises :class:`DimensionMismatch`.
     """
     plan = ResolventPlan(A, rho, "split")
     witness = apply_resolvent_split(plan, impulse(-1, x))

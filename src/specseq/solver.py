@@ -47,7 +47,14 @@ from .errors import (
     NotContractive,
     PreconditionViolation,
 )
-from .operators import GAP_TOL, BoundedOperator, circle_sup_resolvent, operator_norm, spectral_radius
+from .operators import (
+    GAP_TOL,
+    BoundedOperator,
+    _decide,
+    _SupBracket,
+    operator_norm,
+    spectral_radius,
+)
 from .resolvent import CERT_CAP, ResolventPlan, apply_resolvent_window, decay_steps
 from .sequences import (
     Weight,
@@ -621,17 +628,28 @@ def impulse_fixed_point(
     )
 
 
-def smallness_gate(A: BoundedOperator, F: StencilMap, rho: float, error) -> tuple[float, float]:
-    """``(M_rho, lip)``, the certified ``sup_{|z| = rho} ||(z - A)^{-1}||`` and
-    ``F``'s bound on ell_{2,rho}; raises ``error`` unless ``lip < 1/M_rho``."""
-    m_rho = circle_sup_resolvent(A, rho)
+def smallness_gate(
+    A: BoundedOperator, F: StencilMap, rho: float, error, sup: _SupBracket | None = None
+) -> float:
+    """``F``'s Lipschitz bound ``lip`` on ell_{2,rho}; raises ``error`` unless
+    ``lip < 1/M_rho``, for the certified ``M_rho = sup_{|z| = rho} ||(z - A)^{-1}||``.
+
+    The answer is read from a bracket on ``M_rho`` (see
+    :func:`~specseq.operators.circle_sup_resolvent`), refined only until it
+    proves ``lip < 1/M_rho`` or ``lip >= 1/M_rho``; where it proves
+    neither, the full supremum decides, as the message names it.  ``sup``
+    is a bracket the caller keeps for the value (``ManifoldProblem``'s
+    ``M_1``); by default one that bisects only the arcs whose lower bound
+    on ``sigma_min`` does not exceed ``lip``.
+    """
     lip = F.lip_bound(rho)
-    if lip >= 1.0 / m_rho:
+    sup = _SupBracket(A, rho, level=lip) if sup is None else sup
+    if not _decide(lambda m: lip < 1.0 / m, sup):
         raise error(
-            f"lip bound {lip:.6g} on ell_(2,rho) is not below 1/M_{rho:g} = {1.0 / m_rho:.6g} "
-            f"at rho = {rho!r}"
+            f"lip bound {lip:.6g} on ell_(2,rho) is not below "
+            f"1/M_{rho:g} = {1.0 / sup.value():.6g} at rho = {rho!r}"
         )
-    return m_rho, lip
+    return lip
 
 
 def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):

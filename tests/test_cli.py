@@ -322,6 +322,18 @@ def test_stencil_of_another_dimension_exits_4(files, capsys, argv):
     assert json.loads(err)["error"] == "dimension-mismatch"
 
 
+@pytest.mark.parametrize("mode, rho", [("causal", "3"), ("split", "1"), ("frequency", "1")])
+def test_resolve_forcing_of_another_dimension_exits_4(files, capsys, mode, rho):
+    # a forcing in C^3 on diag(0.5, 2): refused where the plan meets it
+    f = write_json(
+        files["tmp"] / "f3.json", {"dim": 3, "lo": 0, "values": [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]}
+    )
+    argv = ["resolve", "--A", files["A_diag"], "--f", f, "--rho", rho, "--mode", mode]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "dimension-mismatch"
+
+
 def test_stability_cli(files, capsys):
     code, out, _ = run_cli(["stability", "--A", files["A_half"]], capsys)
     assert code == 0

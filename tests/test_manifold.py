@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -33,8 +34,8 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
-from specseq.manifold import _decay_rate
-from testutil import matrix_with_moduli, random_sequence, random_vector
+from specseq.manifold import _decay_rate, _first_horizon
+from testutil import counted_sigma_min, matrix_with_moduli, random_sequence, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,11 @@ def test_lp_apply_zero_xi_zero_map(desk_problem):
 def test_lp_apply_rejects_unstable_xi(desk_problem):
     with pytest.raises(RangeViolation):
         lp_apply(desk_problem, np.array([0.0, 0.5]), zero_sequence(2))
+
+
+def test_lp_apply_refuses_a_sequence_of_another_dimension(desk_problem):
+    with pytest.raises(DimensionMismatch, match="dimension 3, the operator has dimension 2"):
+        lp_apply(desk_problem, np.array([0.1, 0.0]), zero_sequence(3))
 
 
 def test_admissibility_gate_sees_resolvent_peak_between_nodes():
@@ -507,18 +513,24 @@ def test_certified_horizon_above_tail_cap_is_a_precondition_violation():
         ManifoldProblem(BoundedOperator(np.diag([0.998, 2.0])), saturation_map(1e-3))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_certified_horizon_drops_less_than_series_tol(seed):
+def horizon_family(rng):
     # r_inside in [0.85, 0.96], lip between 0.3 and 1.5 times 1/M at the
     # first weight r_inside^(7/8) (so some problems step mu) and shears up
-    # to 1: eta at the default horizon is within ||Q|| SERIES_TOL |xi| of
-    # eta at 4 times that horizon, both iterated to the rounding level
-    rng = np.random.default_rng(seed)
+    # to 1, with d from 2 to 4: (A, eps) of a saturation problem
     d = int(rng.integers(2, 5))
     inside = rng.uniform(0.85, 0.96, int(rng.integers(1, d)))
     outside = rng.uniform(1.3, 2.5, d - inside.size)
     a = matrix_with_moduli(rng, np.concatenate([inside, outside]), shear=rng.uniform(0.3, 1.0))
-    eps = rng.uniform(0.3, 1.5) / circle_sup_resolvent(a, inside.max() ** 0.875)
+    return a, rng.uniform(0.3, 1.5) / circle_sup_resolvent(a, inside.max() ** 0.875)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_certified_horizon_drops_less_than_series_tol(seed):
+    # eta at the default horizon is within ||Q|| SERIES_TOL |xi| of eta at
+    # 4 times that horizon, both iterated to the rounding level
+    rng = np.random.default_rng(seed)
+    a, eps = horizon_family(rng)
+    d = a.dim
     tight = {"fp_tol": 1e-15, "max_iter": 2000}
     prob = ManifoldProblem(a, saturation_map(eps), **tight)
     long = ManifoldProblem(a, saturation_map(eps), horizon=4 * prob.horizon, **tight)
@@ -526,6 +538,59 @@ def test_certified_horizon_drops_less_than_series_tol(seed):
     eta, ref = lp_fixed_point(prob, xi).eta, lp_fixed_point(long, xi).eta
     q_norm = np.linalg.norm(prob.split.proj_unstable, 2)
     assert np.linalg.norm(eta - ref) <= q_norm * SERIES_TOL * np.linalg.norm(xi)
+
+
+def full_tolerance_certificate(prob):
+    # (mu, M_mu, h) of the horizon rule with every supremum finished to
+    # SUP_REL_TOL before it is read, as the certificate was first computed
+    lip = prob.F.lip_bound(1.0)
+    q_one = circle_sup_resolvent(prob.A, 1.0) * lip
+    mu = max(prob.split.r_inside**0.875, SERIES_TOL ** (1.0 / 32.0))
+    best = None
+    while mu < 1.0:
+        m_mu = circle_sup_resolvent(prob.A, mu)
+        q_mu = m_mu * lip
+        if q_mu < 1.0:
+            h = _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
+            if best is not None and h >= best[2]:
+                break
+            best = (mu, m_mu, h)
+            if q_mu <= 0.5:
+                break
+        mu = math.sqrt(mu)
+    return best
+
+
+@pytest.mark.parametrize("case", [*range(12), "diag(0.95, 3)"])
+def test_pinned_horizon_is_the_full_tolerance_horizon(case):
+    # the brackets on M_1 and M_mu refine only until both ends give one
+    # horizon; it is the horizon, weight and M_mu of the finished suprema
+    if isinstance(case, int):
+        a, eps = horizon_family(np.random.default_rng(case))
+    else:
+        a, eps = BoundedOperator(np.diag([0.95, 3.0])), 0.01
+    prob = ManifoldProblem(a, saturation_map(eps))
+    mu, m_mu, h = full_tolerance_certificate(prob)
+    assert (prob.mu, prob.m_mu, prob.horizon) == (mu, m_mu, max(h, 32))
+    assert prob.m_one == circle_sup_resolvent(a, 1.0)
+    if not isinstance(case, int):
+        assert prob.horizon == 1348
+
+
+def test_construction_evaluates_fewer_nodes_than_three_suprema(monkeypatch):
+    # the benchmark's d = 32 shape: the gate at rho reads no value and the
+    # horizon only an integer, so construction stops short of the 163 nodes
+    # that three full suprema take here
+    rng = np.random.default_rng(79)
+    moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
+    a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
+    nodes = counted_sigma_min(monkeypatch)
+    prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
+    assert prob.horizon == 79 and sum(nodes) <= 120
+    nodes.clear()
+    full = [circle_sup_resolvent(a, r) for r in (1.0, prob.rho, prob.mu)]
+    assert sum(nodes) >= 150
+    assert [prob.m_one, prob.m_mu] == [full[0], full[2]]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ import runpy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     BoundedOperator,
@@ -31,7 +33,7 @@ from specseq import (
 )
 from specseq import operators
 from specseq.operators import MAX_SUP_NODES, SUP_REL_TOL, SpectralSplit, circle_resolvents
-from testutil import matrix_with_moduli
+from testutil import counted_sigma_min, matrix_with_moduli
 
 
 def test_spectral_radius_scalar():
@@ -186,24 +188,76 @@ def test_circle_sup_preconditions():
         circle_sup_resolvent(BoundedOperator([[0.5, 1e8], [0.0, 0.5]]), 1.0)
 
 
-def _counted_sigma_min(monkeypatch):
-    # patches operators._sigma_min to record the nodes of each call
-    nodes = []
-    sigma_min = operators._sigma_min
+@st.composite
+def sup_brackets(draw):
+    # seeded operators with d <= 8 and shears up to 2 (scaled by 2 / d, as in
+    # the hundred fixtures below), on circles within 0.1% to 50% of one
+    # eigenvalue modulus, inside or outside it, and a level for the bracket
+    # that bisects only the arcs at or below it
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moduli = rng.uniform(0.2, 2.0, dim)
+    a = matrix_with_moduli(rng, moduli, shear=draw(st.floats(0.0, 2.0)) * 2 / dim)
+    gap = draw(st.floats(1e-3, 0.5))
+    side = draw(st.sampled_from([-1, 1]))
+    rho = float(moduli[draw(st.integers(0, dim - 1))]) * (1.0 + side * gap)
+    return a, rho, draw(st.floats(0.0, 2.0))
 
-    def counted(a, z):
-        nodes.append(len(z))
-        return sigma_min(a, z)
 
-    monkeypatch.setattr(operators, "_sigma_min", counted)
-    return nodes
+def _rounds(bracket):
+    # every (low, high) of a bracket, its last high the full supremum
+    yield bracket.low, bracket.high
+    while bracket.refine():
+        yield bracket.low, bracket.high
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=sup_brackets())
+def test_sup_bracket_holds_the_supremum_at_every_round_property(case):
+    # the level-set oracle stops within a relative 1e-9 above the true
+    # supremum's reciprocal, so the true supremum lies in [oracle, oracle (1 + 2e-9)]
+    a, rho, level_scale = case
+    try:
+        full = circle_sup_resolvent(a, rho)
+    except SpectrumOnCircle:  # then so does every bracket, at the same round
+        for level in (np.inf, 1.0):
+            with pytest.raises(SpectrumOnCircle):
+                list(_rounds(operators._SupBracket(a, rho, level=level)))
+        return
+    oracle = level_set_sup(a.entries, rho)
+    for level in (np.inf, level_scale / full):
+        bracket = operators._SupBracket(a, rho, level=level)
+        for low, high in _rounds(bracket):
+            assert low <= oracle * (1 + 2e-9) and oracle <= high
+        assert bracket.done and bracket.high == full
+
+
+def test_sup_bracket_decides_only_what_it_is_asked(monkeypatch):
+    # the bench-like d = 32 operator at |z| = 1: a threshold far from 1/M_1
+    # is decided on the start grid, one within the tolerance band waits for
+    # the full supremum and reads it
+    nodes = counted_sigma_min(monkeypatch)
+    spaced = (np.arange(16) + 0.5) / 16
+    moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
+    a = matrix_with_moduli(np.random.default_rng([7, 0]), moduli, shear=0.5 / np.sqrt(32))
+    full = circle_sup_resolvent(a, 1.0)
+    full_nodes = sum(nodes)
+    for lip, verdict in ((0.002, True), (0.5, False)):
+        nodes.clear()
+        gate = operators._SupBracket(a, 1.0, level=lip)
+        assert operators._decide(lambda m: lip < 1.0 / m, gate) is verdict
+        assert sum(nodes) == 16
+    nodes.clear()
+    lip = 0.9995 / full  # passes at the full supremum, in the band
+    assert operators._decide(lambda m: lip < 1.0 / m, operators._SupBracket(a, 1.0)) is True
+    assert sum(nodes) == full_nodes
 
 
 def test_circle_sup_flat_jordan_block_stops_at_node_cap(monkeypatch):
     # e^{i theta} I - c N is unitarily similar to e^{i theta} (I - c N), so
     # sigma_min(z I - A) is the constant s on |z| = 1 and every arc needs
     # refining; the node cap ends it with a looser bound or a typed error
-    nodes = _counted_sigma_min(monkeypatch)
+    nodes = counted_sigma_min(monkeypatch)
     for dim, c in ((8, 3.0), (16, 2.0)):
         jordan = c * np.eye(dim, k=1)
         s = float(np.linalg.svd(np.eye(dim) - jordan, compute_uv=False)[-1])
@@ -523,7 +577,7 @@ def test_circle_sup_certified_on_hundred_fixtures():
 def test_circle_sup_flat_minimum_takes_few_nodes(monkeypatch):
     # sigma_min is constant on the circle; the first-order bound alone needs
     # arcs below 2 SUP_REL_TOL s_min all round (4096 and 996 nodes)
-    nodes = _counted_sigma_min(monkeypatch)
+    nodes = counted_sigma_min(monkeypatch)
     for a, sup in ((np.zeros((1, 1)), 1.0), (0.01 * np.eye(8), 1 / 0.99)):
         nodes.clear()
         assert sup <= circle_sup_resolvent(BoundedOperator(a), 1.0) <= (1 + SUP_REL_TOL) * sup
@@ -533,7 +587,7 @@ def test_circle_sup_flat_minimum_takes_few_nodes(monkeypatch):
 def test_circle_sup_node_count_on_bench_like_operator(monkeypatch):
     # d = 32 hyperbolic operators built like the benchmark's, which take
     # about 200 nodes per call with a first-order bound only
-    nodes = _counted_sigma_min(monkeypatch)
+    nodes = counted_sigma_min(monkeypatch)
     spaced = (np.arange(16) + 0.5) / 16
     moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
     for seed in range(3):

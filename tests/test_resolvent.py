@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from specseq import (
     BoundedOperator,
+    DimensionMismatch,
     NotCausalRegime,
     PreconditionViolation,
     ResolventPlan,
@@ -524,6 +525,11 @@ def test_causality_probe_stable_scalar():
 def test_causality_probe_large_radius():
     ok, _ = causality_probe(BoundedOperator(np.diag([0.5, 2.0])), 3.0, [1.0, 1.0])
     assert ok
+
+
+def test_causality_probe_refuses_a_vector_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="dimension 3, the operator has dimension 2"):
+        causality_probe(BoundedOperator(np.diag([0.5, 2.0])), 3.0, np.ones(3))
 
 
 def test_causality_dichotomy_randomized():

@@ -39,7 +39,8 @@ from specseq import (
     zero_sequence,
 )
 from specseq import resolvent
-from specseq.solver import _causal_row, fixed_point, forward_orbit
+from specseq.operators import SUP_REL_TOL
+from specseq.solver import _causal_row, fixed_point, forward_orbit, smallness_gate
 from specseq.workspace import Workspace
 from testutil import matrix_with_moduli, random_sequence, random_vector
 
@@ -264,6 +265,25 @@ def test_solve_ivp_impulse_smallness_sees_resolvent_peak_between_nodes():
     a = BoundedOperator([[1.999 * np.exp(1j * theta), 50.0], [0.0, 0.3]])
     with pytest.raises(NotContractive):
         solve_ivp(a, saturation_map(1e-4), [1.0, 0.0], 10, "impulse", rho=2.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_smallness_gate_verdict_is_the_full_supremum_verdict_outside_the_band(seed):
+    # the gate stops once its bracket decides lip < 1/M_rho; with lip off
+    # [1/M, (1 + SUP_REL_TOL)/M) for the full-tolerance M, where the full
+    # verdict is also the true one, the two verdicts agree
+    rng = np.random.default_rng([21, seed])
+    dim = int(rng.integers(2, 9))
+    a = matrix_with_moduli(rng, rng.uniform(0.2, 2.0, dim), shear=rng.uniform(0.0, 2.0) * 2 / dim)
+    for rho in (1.0, spectral_radius(a) + 0.5, spectral_radius(a) + 1e-3):
+        m_rho = circle_sup_resolvent(a, rho)
+        for factor in (0.1, 0.9, 0.9999, 1.0 + 1.01 * SUP_REL_TOL, 1.1, 10.0):
+            F = saturation_map(factor / m_rho)
+            if factor < 1.0:
+                assert smallness_gate(a, F, rho, NotContractive) == factor / m_rho
+            else:
+                with pytest.raises(NotContractive, match=f"1/M_{rho:g} = {1.0 / m_rho:.6g} "):
+                    smallness_gate(a, F, rho, NotContractive)
 
 
 def test_solve_ivp_impulse_gate_message_names_rho():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from specseq import BoundedOperator, WindowedSequence
+from specseq import BoundedOperator, WindowedSequence, operators
 
 
 def random_unitary(rng, dim):
@@ -38,3 +38,17 @@ def random_sequence(rng, dim, lo, hi, scale=1.0):
 def random_vector(rng, dim, unit=True):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v) if unit else v
+
+
+def counted_sigma_min(monkeypatch):
+    """Patches ``operators._sigma_min`` to record the nodes of each call in
+    the list it returns."""
+    nodes = []
+    sigma_min = operators._sigma_min
+
+    def counted(a, z):
+        nodes.append(len(z))
+        return sigma_min(a, z)
+
+    monkeypatch.setattr(operators, "_sigma_min", counted)
+    return nodes
