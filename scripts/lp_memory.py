@@ -4,8 +4,8 @@
     PYTHONPATH=src python scripts/lp_memory.py
 
 For the manifold-sweep inputs of ``bench/workloads.py`` at seed 7 and
-d = 2, 8 and 32 it prints, per d, the certified horizon, the weight ``mu``
-of its certificate, the sweep's block width ``G`` and ``nodes``, the
+d = 2, 8 and 32 it prints, per d, the certified horizon, the weights ``mu``
+and ``nu`` of its certificate, the sweep's block width ``G`` and ``nodes``, the
 number of smallest-singular-value evaluations (circle nodes of the
 certified suprema) one ``ManifoldProblem`` construction makes, then:
 
@@ -98,7 +98,7 @@ def run(argv=None):
     if argv:
         print(f"usage: {sys.argv[0]} (takes no options)", file=sys.stderr)
         return 2
-    print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'G':>3} {'nodes':>5} ", end="")
+    print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'nu':>6} {'G':>3} {'nodes':>5} ", end="")
     print(f"{'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
     with tempfile.TemporaryDirectory() as tmp:
         for d in workloads.DIMS:
@@ -107,7 +107,7 @@ def run(argv=None):
             runs = [_pass(job) for _ in range(PASSES)]
             arrays, peak, prob, g, nodes = _block_peak(job)
             print(
-                f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {g:>3} {nodes:>5} "
+                f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {prob.nu:>6.4f} {g:>3} {nodes:>5} "
                 f"{min(ms for ms, _ in runs):>8.1f} "
                 f"{statistics.median(f for _, f in runs):>7.0f} {arrays:>8.2f} {peak / 1e6:>6.2f}"
             )

@@ -18,13 +18,17 @@ initial value has one solution in ell_{2,rho}, the paper's solution of the
 initial value problem, so the stable manifold, the initial values whose
 solution lies in ell_2, is the graph and nothing else: that is the claim
 that points off it escape.  Nothing computed reads ``M_rho`` (the horizon
-reads ``M_mu``, and the forward-orbit check is plain recursion), so its
+reads ``M_mu`` and ``M_nu``, and the forward-orbit check is plain recursion), so its
 gate only asks whether the bound holds.
 
 Infinite sums are truncated at certified lengths.  The orbit is cut at a
-horizon certified on a weighted space ell_{2,mu}, ``mu < 1``, where the
-same map contracts: that proves the orbit square-summable and bounds what
-the cut drops (see :class:`ManifoldProblem`).
+horizon certified on two weighted spaces where the same map contracts:
+on ell_{2,mu}, ``mu < 1``, which proves the orbit square-summable and
+bounds the tail the cut drops, and on ell_{2,nu}, ``nu >= 1``, which
+measures the cut's effect with the weight ``nu^(-n)``.  Row ``n`` of a
+computed orbit is then within ``nu^n E_nu(h) |xi|`` of the true one, and
+row 0, the one ``eta`` reads, within ``E_nu(h) |xi| <= SERIES_TOL |xi|``
+(proof in :class:`ManifoldProblem`).
 
 The map is the same for every ``xi``, so a grid of G vectors is one
 fixed-point problem with G columns: its state holds the rows ``[0, horizon]``
@@ -35,6 +39,7 @@ code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,15 +76,21 @@ from .solver import (
 from .workspace import Workspace
 
 
-def _first_horizon(lead: float, mu: float) -> int:
-    # the first h >= 0 with E(h) = lead mu^(h+2) <= SERIES_TOL, TAIL_CAP + 1
-    # standing for any h past the cap; the logarithm places it to a row or two
+def _first_horizon(lead: float, mu: float, nu: float) -> int:
+    # the first h >= 0 with E(h) = lead mu^(h+2) / nu^(h+1) <= SERIES_TOL,
+    # TAIL_CAP + 1 standing for any h past the cap; the logarithm places it
+    # to a row or two.  At nu = 1 the division is exact, so E_1 is the
+    # single-weight bound bit for bit
+    def bound(h: int) -> float:
+        return lead * mu ** (h + 2) / nu ** (h + 1)
+
     h = 0
-    if lead * mu**2 > SERIES_TOL:
-        h = min(max(0, math.ceil(math.log(SERIES_TOL / lead) / math.log(mu)) - 2), TAIL_CAP + 1)
-    while h <= TAIL_CAP and lead * mu ** (h + 2) > SERIES_TOL:
+    if bound(0) > SERIES_TOL:
+        guess = math.ceil(math.log(SERIES_TOL / (lead * mu)) / math.log(mu / nu)) - 1
+        h = min(max(0, guess), TAIL_CAP + 1)
+    while h <= TAIL_CAP and bound(h) > SERIES_TOL:
         h += 1
-    while h > 0 and lead * mu ** (h + 1) <= SERIES_TOL:
+    while h > 0 and bound(h - 1) <= SERIES_TOL:
         h -= 1
     return h
 
@@ -100,52 +111,74 @@ class ManifoldProblem:
     module docstring), and no computed value reads ``M_rho``.
     ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
 
-    The horizon is certified.  Take a weight ``mu`` in ``(r_inside, 1)``:
-    no eigenvalue lies in the annulus ``mu <= |z| <= 1``, so the split at
-    ``mu`` is the one at 1 and the cut-off map is the same map on
-    ``ell_{2,mu}`` (norm ``(sum |u_n|^2 mu^(-2n))^(1/2)``), where it
-    contracts by ``q_mu = M_mu lip < 1``, with ``M_mu`` the certified
-    ``sup_{|z| = mu} ||(z - A)^{-1}||`` and ``lip`` the Lipschitz bound of
+    The horizon is certified on two weighted spaces ``ell_{2,w}``, with
+    norm ``(sum |u_n|^2 w^(-2n))^(1/2)``: one of weight ``mu`` in
+    ``(r_inside, 1)`` and one of weight ``nu`` in ``[1, r_outside)``.  No
+    eigenvalue lies between either weight and 1, so the split at ``w`` is
+    the one at 1 and the cut-off map is the same map on ``ell_{2,w}``,
+    where it contracts by ``q_w = M_w lip < 1``, with ``M_w`` the certified
+    ``sup_{|z| = w} ||(z - A)^{-1}||`` and ``lip`` the Lipschitz bound of
     ``F``.  ``F`` is pointwise (every causal registry kernel is) with
     ``F(0) = 0``, so that bound holds row by row.  Hence:
 
     * the fixed point ``u = T(xi)`` lies in ``ell_{2,mu}``, a subspace of
       ell_2, with ``||u||_{2,mu} <= mu M_mu |xi| / (1 - q_mu)``, since the
       impulse ``delta_{-1} xi`` has norm ``mu |xi|`` there;
-    * so ``||chi_{>h} u||_2 <= mu^(h+1) ||u||_{2,mu}``;
+    * so ``||chi_{>h} u||_{2,nu} <= (mu/nu)^(h+1) ||u||_{2,mu}``, as
+      ``nu^(-n) = mu^(-n) (mu/nu)^n``;
     * the rows ``[0, h]`` of ``u`` are a fixed point of the truncated map,
       which drops the data ``F(u)_k``, ``k > h``, up to a defect of at most
-      ``M_1 lip ||chi_{>h} u||_2``.  The truncated map contracts on ell_2
-      by ``q_1 = M_1 lip``, so the computed rows lie within
-      ``M_1 lip ||chi_{>h} u||_2 / (1 - q_1)`` of them.
+      ``M_nu lip ||chi_{>h} u||_{2,nu}`` in ``ell_{2,nu}``.  The truncated
+      map contracts there by ``q_nu``, so the computed rows lie within
+      ``M_nu lip ||chi_{>h} u||_{2,nu} / (1 - q_nu)`` of them in that norm.
 
-    Together: the truncation error on ``[0, h]`` is at most ``E(h) |xi|``
-    with ``E(h) = M_1 lip M_mu mu^(h+2) / ((1 - q_1)(1 - q_mu))``.  That is
-    also why the orbit needs no tail-decay evidence: its membership in
-    ell_2, and the size of its dropped tail, are proved, not observed.
+    Together: the computed rows ``[0, h]`` lie within ``E_nu(h) |xi|`` of
+    the true ones in ``ell_{2,nu}``, with
+    ``E_nu(h) = M_nu lip M_mu mu (mu/nu)^(h+1) / ((1 - q_nu)(1 - q_mu))``.
+    Row ``n`` has weight ``nu^(-n)`` in that norm, so it lies within
+    ``nu^n E_nu(h) |xi|`` of the true row, and row 0, which gives
+    ``eta = Q u_0``, within ``E_nu(h) |xi|``.  At ``nu = 1`` this is the
+    bound ``E_1(h)`` on the whole window; a ``nu > 1`` gives up the late
+    rows, which nothing reports as certified, for the faster rate
+    ``mu/nu``.  That is also why the orbit needs no tail-decay evidence:
+    its membership in ell_2, and the size of its dropped tail, are proved,
+    not observed.  Without unstable spectrum (``rank_unstable = 0``) the
+    map is causal: row ``n`` of its image reads only the rows before
+    ``n``, so the cut drops nothing, the computed rows are the true ones,
+    the certified horizon is 0, and no weight is certified (``mu``,
+    ``nu``, ``m_mu`` and ``m_nu`` are None).
 
     ``mu`` starts at ``max(r_inside^(7/8), SERIES_TOL^(1/32))`` (the
     second term is the weight whose decay alone reaches ``SERIES_TOL``
     over the 32-row floor below) and steps to ``sqrt(mu)`` while
     ``q_mu > 1/2`` (so also while the gate ``q_mu < 1`` fails), as long as
-    a step shortens the horizon: a smaller ``mu`` decays faster, a larger
-    one sees a smaller ``M_mu``.  The default ``horizon`` is the first ``h`` with
-    ``E(h) <= SERIES_TOL``, at least 32.  A supplied ``horizon`` must lie
-    in ``[0, TAIL_CAP]``, else :class:`InputError`; one below the first
-    certified ``h``, or a certified ``h`` above ``TAIL_CAP``, raises
-    :class:`PreconditionViolation`.
+    a step shortens the horizon of ``E_1``: that is the single-weight rule,
+    and a smaller ``mu`` decays faster, a larger one sees a smaller
+    ``M_mu``.  With that ``mu``, ``nu`` starts at ``r_outside^(7/8)`` and
+    takes the same steps towards 1 by the horizon of ``E_nu``; the ``nu``
+    reached is kept only if it certifies fewer rows than ``E_1``, else
+    ``nu = 1``.  So no horizon is longer than the single-weight one: no
+    problem that rule admits is refused, and one it refuses for more than
+    ``TAIL_CAP`` rows is admitted where ``E_nu`` certifies fewer.  The default ``horizon`` is the
+    first ``h`` with ``E_nu(h) <= SERIES_TOL``, at least 32.  A supplied
+    ``horizon`` must lie in ``[0, TAIL_CAP]``, else :class:`InputError`;
+    one below the first certified ``h``, or a certified ``h`` above
+    ``TAIL_CAP``, raises :class:`PreconditionViolation`.
 
-    The horizon reads an integer, not ``M_1`` or ``M_mu``.  Both are
-    brackets that follow the rounds of
-    :func:`~specseq.operators.circle_sup_resolvent`, and the wider one
-    refines until the ``h`` of their low ends equals the ``h`` of their high
-    ends: ``E(h)`` grows with both, so that ``h`` is the one the exact
-    suprema certify.  Where the ends never agree, the finished suprema
-    decide, as they always did.  The tests ``q_mu < 1`` and
-    ``q_mu <= 1/2`` are decided the same way.  ``mu``, ``m_mu``
-    (``M_mu``), ``m_one`` (``M_1``) and ``contraction_factor``
-    (``q_1``) are read-only; the last three finish their bracket to
-    ``SUP_REL_TOL`` on first read, so ``m_mu`` is
+    The horizon reads integers, not ``M_1``, ``M_mu`` or ``M_nu``.  These
+    are brackets that refine in the rounds of
+    :func:`~specseq.operators.circle_sup_resolvent`, the widest first,
+    until a test gives one answer at their low and at their high ends:
+    ``E_nu(h)`` grows with each supremum, so the ``h`` the ends agree on is
+    the one the exact suprema certify, and likewise whether ``E_1`` needs
+    more rows than ``E_nu``.  Where the ends never agree, the finished
+    suprema decide, as they always did.  The tests ``q_w < 1`` and
+    ``q_w <= 1/2`` are decided the same way, and a horizon is decided only
+    where two steps are compared or the result is read.  The gate at 1
+    decides on the same bracket on ``M_1``.  ``mu``, ``nu``,
+    ``m_mu`` (``M_mu``), ``m_nu`` (``M_nu``), ``m_one`` (``M_1``) and
+    ``contraction_factor`` (``q_1``) are read-only; the last four finish
+    their bracket to ``SUP_REL_TOL`` on first read, so ``m_mu`` is
     ``circle_sup_resolvent(A, mu)`` bit for bit, and a read raises the
     :class:`SpectrumOnCircle` that finishing it may raise.
     """
@@ -180,49 +213,70 @@ class ManifoldProblem:
         smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
-        self._mu, self._m_mu, certified = self._certify_horizon()
+        self._mu = self._nu = self._m_mu = self._m_nu = None
+        certified = 0
+        if self.split.rank_unstable:
+            self._mu, self._nu, self._m_mu, self._m_nu, certified = self._certify_horizon()
         if certified > TAIL_CAP:
             raise PreconditionViolation(
-                f"the certified horizon exceeds TAIL_CAP = {TAIL_CAP} rows (mu = {self._mu:.6g})"
+                f"the certified horizon exceeds TAIL_CAP = {TAIL_CAP} rows "
+                f"(mu = {self._mu:.6g}, nu = {self._nu:.6g})"
             )
         if self.horizon is None:
             self.horizon = max(certified, 32)
         elif self.horizon < certified:
             raise PreconditionViolation(
                 f"horizon {self.horizon} is below the certified {certified} rows "
-                f"(mu = {self._mu:.6g}, M_mu = {self.m_mu:.6g})"
+                f"(mu = {self._mu:.6g}, nu = {self._nu:.6g}, M_mu = {self.m_mu:.6g}, "
+                f"M_nu = {self.m_nu:.6g})"
             )
 
-    def _certify_horizon(self) -> tuple[float, _SupBracket, int]:
-        # (mu, the bracket on M_mu, first certified h) along the sqrt steps of
-        # the docstring, each test decided by the brackets on M_1 and M_mu
+    def _certify_horizon(self) -> tuple[float, float, _SupBracket, _SupBracket, int]:
+        # (mu, nu, the brackets on M_mu and M_nu, first certified h) along the
+        # square-root steps of the docstring, each test decided by brackets
         lip = self._lip
+        sup = functools.cache(lambda w: self._m_one if w == 1.0 else _SupBracket(self.A, w))
 
-        def first_horizon(m_one: float, m_mu: float) -> int:
-            # at the current mu; TAIL_CAP + 1 (any h past the cap) where a
-            # bracket end does not contract
-            q_one, q_mu = m_one * lip, m_mu * lip
-            if q_one >= 1.0 or q_mu >= 1.0:
-                return TAIL_CAP + 1
-            return _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
+        def first(mu: float, nu: float):
+            def h(m_mu: float, m_nu: float) -> int:
+                # TAIL_CAP + 1 (any h past the cap) where a bracket end does not contract
+                q_mu, q_nu = m_mu * lip, m_nu * lip
+                if q_mu >= 1.0 or q_nu >= 1.0:
+                    return TAIL_CAP + 1
+                return _first_horizon(q_nu * m_mu / ((1.0 - q_nu) * (1.0 - q_mu)), mu, nu)
 
-        mu = max(self.split.r_inside ** 0.875, SERIES_TOL ** (1.0 / 32.0))
-        best = None
-        while mu < 1.0:
-            m_mu = _SupBracket(self.A, mu)
-            if _decide(lambda m: m * lip < 1.0, m_mu):
-                h = _decide(first_horizon, self._m_one, m_mu)
-                if best is not None and h >= best[2]:
-                    break
-                best = (mu, m_mu, h)
-                if _decide(lambda m: m * lip <= 0.5, m_mu):
-                    break
-            mu = math.sqrt(mu)
-        if best is None:
+            return h
+
+        horizon = functools.cache(lambda mu, nu: _decide(first(mu, nu), sup(mu), sup(nu)))
+
+        def walk(w: float, horizon_at) -> float | None:
+            # the best step from w towards 1, None if none contracts; a horizon
+            # is decided only where two steps are compared
+            best = None
+            while w != 1.0:
+                if _decide(lambda m: m * lip < 1.0, sup(w)):
+                    if best is not None and horizon_at(w) >= horizon_at(best):
+                        break
+                    best = w
+                    if _decide(lambda m: m * lip <= 0.5, sup(w)):
+                        break
+                w = math.sqrt(w)
+            return best
+
+        # mu by the single-weight rule (nu = 1), then a nu > 1 only where it
+        # certifies fewer rows than that rule, so no horizon grows
+        mu = max(self.split.r_inside**0.875, SERIES_TOL ** (1.0 / 32.0))
+        mu = walk(mu, lambda w: horizon(w, 1.0))
+        if mu is None:
             raise PreconditionViolation(
                 f"no weight mu in (r_inside, 1) has lip {lip:.6g} below 1/M_mu"
             )
-        return best
+        nu = walk((1.0 / self.split.r_outside_inv) ** 0.875, lambda w: horizon(mu, w))
+        if nu is None or not _decide(
+            lambda m_mu, m_one: first(mu, 1.0)(m_mu, m_one) > horizon(mu, nu), sup(mu), sup(1.0)
+        ):
+            nu = 1.0
+        return mu, nu, sup(mu), sup(nu), horizon(mu, nu)
 
     @property
     def m_one(self) -> float:
@@ -235,14 +289,24 @@ class ManifoldProblem:
         return self.m_one * self._lip
 
     @property
-    def mu(self) -> float:
-        """The weight of the horizon certificate, in ``(r_inside, 1)``."""
+    def mu(self) -> float | None:
+        """The weight of the orbit's bound, in ``(r_inside, 1)``; None for a causal map."""
         return self._mu
 
     @property
-    def m_mu(self) -> float:
-        """``M_mu``, the certified ``sup_{|z| = mu} ||(z - A)^{-1}||``."""
-        return self._m_mu.value()
+    def nu(self) -> float | None:
+        """The weight of the truncation bound, in ``[1, r_outside)``; None for a causal map."""
+        return self._nu
+
+    @property
+    def m_mu(self) -> float | None:
+        """``M_mu``, the certified ``sup_{|z| = mu} ||(z - A)^{-1}||``; None for a causal map."""
+        return None if self._m_mu is None else self._m_mu.value()
+
+    @property
+    def m_nu(self) -> float | None:
+        """``M_nu``, the certified ``sup_{|z| = nu} ||(z - A)^{-1}||``; None for a causal map."""
+        return None if self._m_nu is None else self._m_nu.value()
 
     def check_stable_range(self, xi) -> np.ndarray:
         """``xi`` as a vector; raises :class:`RangeViolation` unless
@@ -411,7 +475,8 @@ def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
     norm.  The converged rows are checked against both characterization
     sums of the truncated map to ``10 * fp_tol``; that check cannot see
     the truncation, which the problem's certified horizon bounds by
-    ``SERIES_TOL |xi|``.  This is the one-row case of the stacked sweep.
+    ``SERIES_TOL |xi|`` on row 0 and by ``nu^n SERIES_TOL |xi|`` on row
+    ``n``.  This is the one-row case of the stacked sweep.
     """
     return _one_point(prob, xi, check_orbit=False)
 
@@ -456,8 +521,9 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     recurrence spreads its fixed Python overhead over several rows.  A
     block runs in one :class:`Workspace`, whose arrays its first steps
     allocate and every later step and certificate reuses; its peak is about
-    4.5 stacked arrays at d = 32 (horizon 79, 12 columns), and each point
-    becomes its row before the next block runs, so the sweep peaks there.
+    4.7 stacked arrays at d = 32 (horizon 39, 16 columns of a 25-column
+    block), and each point becomes its row before the next block runs, so
+    the sweep peaks there.
     Rows are independent; per-row failures (a vector off the stable range,
     no convergence, a failed certificate, a non-finite iterate) are recorded
     in the ``error`` field with the same code and message as a one-row run,

@@ -371,7 +371,7 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> f
     certifies, and stops refining once both ends give the same answer
     (:func:`_decide`); only where they never do does it wait for this
     result.  The smallness gates at ``rho`` bisect only the arcs whose
-    lower bound does not exceed ``lip``; ``M_1`` and ``M_mu`` of a
+    lower bound does not exceed ``lip``; ``M_1``, ``M_mu`` and ``M_nu`` of a
     :class:`~specseq.manifold.ManifoldProblem` follow the rounds of this
     function, so finishing them gives its value bit for bit.
 

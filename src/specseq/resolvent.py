@@ -83,7 +83,13 @@ _LOG_SLACK = 1e-9
 
 
 def decay_steps(
-    mat: np.ndarray, radius: float, weight: float, level: float, cap: int, what: str
+    mat: np.ndarray,
+    radius: float,
+    weight: float,
+    level: float,
+    cap: int,
+    what: str,
+    bound: bool = True,
 ) -> tuple[int, float]:
     """Smallest K >= 1 with ||mat^K|| * weight^K <= level (checked in logs), and
     an upper bound M on ``max_{n < K} ||mat^n|| weight^n`` (n = 0 counts as 1).
@@ -93,14 +99,19 @@ def decay_steps(
     the split for ``PAP``, ``r_outside_inv`` for ``M_Q``, and
     ``1 / min |lambda|`` for ``A^{-1}``.  As ``||mat^K|| >= radius^K``, a rate ``radius * weight``
     too slow for ``cap`` steps raises :class:`PreconditionViolation` (naming
-    ``what``) before any power is formed; no other step reads ``radius``.
-    The powers are formed one by one, since ``||mat^K||`` need not be
-    monotone in ``K``; the 2-norm (an SVD) is taken only where the lower
-    bound ``||P||_F / sqrt(d) <= ||P||_2`` does not already fail the test by
-    more than :data:`_LOG_SLACK`, so ``K`` is that of an SVD at every step.
-    ``M`` is the running maximum of the weighted norms the search already
-    has (the SVD where it took one, else the Frobenius norm), widened by
-    :data:`_LOG_SLACK` for rounding.
+    ``what``) before any power is formed.  The powers are formed one by
+    one, since ``||mat^K||`` need not be monotone in ``K``; the 2-norm (an
+    SVD) is taken only where the lower bound ``||P||_F / sqrt(d) <= ||P||_2``
+    does not already fail the test by more than :data:`_LOG_SLACK`, so ``K``
+    is that of an SVD at every step.  ``M`` is the running maximum of the
+    weighted norms the search already has (the SVD where it took one, else
+    the Frobenius norm), widened by :data:`_LOG_SLACK` for rounding.
+
+    A caller that reads no ``M`` passes ``bound=False`` (``M`` is then nan):
+    no norm is taken below ``k = ceil((log level + _LOG_SLACK) / log(radius
+    weight))``, where ``radius^k weight^k`` alone fails the test by more
+    than :data:`_LOG_SLACK`.  Those powers are still formed one by one, so
+    ``K`` is the same.
     """
     log_level = math.log(level)
     log_w = math.log(weight)
@@ -112,16 +123,19 @@ def decay_steps(
             f"{what} needs at least {predicted} terms by the spectral radius "
             f"alone, above the cap of {cap}; the spectral gap is too small"
         )
+    first = 1 if bound else max(1, math.ceil((log_level + _LOG_SLACK) / rate))
     log_peak = 0.0
     power = mat.copy()
-    for k in range(1, cap + 1):
+    for _ in range(1, first):
+        power = power @ mat
+    for k in range(first, cap + 1):
         fro = float(np.linalg.norm(power))
         log_top = math.log(fro) if 0.0 < fro < math.inf else -math.inf
         # an SVD only where the Frobenius lower bound does not already fail k
         if log_top - log_sqrt_d + k * log_w <= log_level + _LOG_SLACK:
             nrm = operator_norm(power)
             if nrm == 0.0 or math.log(nrm) + k * log_w <= log_level:
-                return k, math.exp(log_peak + _LOG_SLACK)
+                return k, math.exp(log_peak + _LOG_SLACK) if bound else math.nan
             log_top = math.log(nrm)
         log_peak = max(log_peak, log_top + k * log_w)
         power = power @ mat
@@ -130,7 +144,7 @@ def decay_steps(
 
 def _tail_cut(mat: np.ndarray, radius: float, weight: float) -> int:
     """The certified series tail cut: :func:`decay_steps` at SERIES_TOL, TAIL_CAP."""
-    return decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut")[0]
+    return decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut", bound=False)[0]
 
 
 #: Bound on ``L d^2`` for a single column's doubling scan: its chunk length

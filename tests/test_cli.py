@@ -375,20 +375,20 @@ def test_stable_manifold_cli(files, tmp_path, capsys):
 
 
 def test_stable_manifold_horizon_below_certificate_exits_20(tmp_path, capsys):
-    # the certified horizon here is 43 rows: 42 is refused before any row runs
+    # the certified horizon here is 22 rows: 21 is refused before any row runs
     problem = {
         "A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]},
         "F": {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}},
     }
     grid = write_json(tmp_path / "grid.json", {"vectors": [{"dim": 2, "re": [0.2, 0.0]}]})
     out_csv = tmp_path / "table.csv"
-    for horizon, want in ((43, 0), (42, 20)):
+    for horizon, want in ((22, 0), (21, 20)):
         path = write_json(tmp_path / "prob.json", dict(problem, horizon=horizon))
         argv = ["stable-manifold", "--problem", path, "--grid", grid, "--out", str(out_csv)]
         code, _, err = run_cli(argv, capsys)
         assert code == want
     assert json.loads(err)["error"] == "precondition-violated"
-    assert "horizon 42 is below the certified 43 rows" in json.loads(err)["message"]
+    assert "horizon 21 is below the certified 22 rows" in json.loads(err)["message"]
 
 
 def test_stable_manifold_stencil_of_another_dimension_exits_4(tmp_path, capsys):

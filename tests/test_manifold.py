@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -26,6 +27,7 @@ from specseq import (
     manifold_sweep,
     max_abs_diff,
     polynomial_map,
+    riesz_split,
     saturation_map,
     solve_ivp,
     spectrum_escape_check,
@@ -35,6 +37,7 @@ from specseq import (
     zero_sequence,
 )
 from specseq.manifold import _decay_rate, _first_horizon
+from specseq.resolvent import TAIL_CAP
 from testutil import counted_sigma_min, matrix_with_moduli, random_sequence, random_vector
 
 
@@ -324,14 +327,19 @@ def test_problem_validation():
 
 
 def test_trivial_split_when_radius_below_one():
-    # r(A) < 1: the stable range is everything and the graph map vanishes
+    # r(A) < 1: the stable range is everything and the graph map vanishes.
+    # The map is causal, so the cut drops nothing: no weight is certified,
+    # the horizon is the 32-row floor, and every row, the last one too, is
+    # the forward recursion's to the iteration tolerance
     a = BoundedOperator(np.diag([0.5, 0.9]))
-    prob = ManifoldProblem(a, saturation_map(0.05))
+    prob = ManifoldProblem(a, saturation_map(0.05), fp_tol=1e-12)
     assert prob.split.rank_unstable == 0
-    eta, point = stable_manifold_point(prob, np.array([0.2, 0.3]))
+    assert (prob.mu, prob.nu, prob.m_mu, prob.m_nu, prob.horizon) == (None, None, None, None, 32)
+    xi = np.array([0.2, 0.3])
+    eta, point = stable_manifold_point(prob, xi)
     assert np.linalg.norm(eta) <= 1e-12
-    tail = np.linalg.norm(point.orbit.at(prob.horizon))
-    assert tail <= 1e-6 * np.linalg.norm(point.orbit.at(0))
+    exact = solve_ivp(a, saturation_map(0.05), xi, prob.horizon)
+    assert max_abs_diff(point.orbit, exact) <= 1e-11 * np.linalg.norm(xi)
 
 
 def test_spectrum_escape_check_scalar_growth():
@@ -431,20 +439,20 @@ def test_stacked_sweep_isolates_no_convergence():
 
 
 def test_forward_check_runs_only_over_its_comparison_window():
-    # horizon 1348 with growth 3: an orbit over the whole horizon overflows,
-    # the prefix the check compares on does not
-    prob = ManifoldProblem(BoundedOperator(np.diag([0.95, 3.0])), saturation_map(0.01))
-    assert prob.horizon == 1348
+    # a supplied horizon of 1348 with growth 3: an orbit over the whole
+    # horizon overflows, the prefix the check compares on does not
+    a = BoundedOperator(np.diag([0.95, 3.0]))
+    prob = ManifoldProblem(a, saturation_map(0.01), horizon=1348)
+    assert prob.horizon * math.log(3.0) > math.log(np.finfo(np.float64).max)
     (row,) = manifold_sweep(prob, [np.array([0.3, 0.0])])
     assert row.error is None and np.all(np.isfinite(row.eta))
 
 
-@pytest.mark.parametrize("r, horizon", [(0.99, 2854), (0.998, 16171)])
-def test_default_horizon_is_certified_near_the_circle(r, horizon):
-    # long certified horizons run: a default horizon clipped to 1024 once
-    # failed every row here, and at 0.998 the Riesz split needs more than
-    # 4096 trapezoid nodes
-    prob = ManifoldProblem(BoundedOperator(np.diag([r, 2.0])), saturation_map(1e-6))
+@pytest.mark.parametrize("r, s, horizon", [(0.99, 1.01, 1553), (0.998, 1.002, 8688)])
+def test_default_horizon_is_certified_near_the_circle(r, s, horizon):
+    # long certified horizons run: with spectrum near the circle on both
+    # sides neither weight decays fast, and the horizon passes 1024 rows
+    prob = ManifoldProblem(BoundedOperator(np.diag([r, s])), saturation_map(1e-6))
     assert prob.horizon == horizon
     (row,) = manifold_sweep(prob, [np.array([0.1, 0.0])])
     assert row.error is None and np.all(np.isfinite(row.eta))
@@ -468,27 +476,30 @@ def test_horizon_below_the_certificate_is_a_precondition_violation():
     # short horizons that returned eta off by 4.8e-6 (10), 4.5e-4 (4) and
     # 7.8e-3 (0) with no error now stop at construction
     prob = shear_problem()
-    assert prob.horizon == 713
+    assert prob.horizon == 48
     for horizon in (10, 4, 0, prob.horizon - 1):
         with pytest.raises(PreconditionViolation, match=f"horizon {horizon} is below the certified"):
             shear_problem(horizon=horizon)
-    assert shear_problem(horizon=prob.horizon).horizon == 713
+    assert shear_problem(horizon=prob.horizon).horizon == 48
 
 
 def test_horizon_certificate_is_its_bound():
-    # the default horizon is the first h with E(h) <= SERIES_TOL, within
-    # the weight range and gate the certificate needs
+    # the default horizon is the first h with E_nu(h) <= SERIES_TOL, within
+    # the weight ranges and gates the certificate needs
     prob = shear_problem()
     lip = prob.F.lip_bound(1.0)
-    q_one, q_mu = prob.contraction_factor, prob.m_mu * lip
+    q_mu, q_nu = prob.m_mu * lip, prob.m_nu * lip
     assert prob.split.r_inside < prob.mu < 1.0 and q_mu < 1.0
+    assert 1.0 <= prob.nu < 1.0 / prob.split.r_outside_inv and q_nu < 1.0
     assert prob.m_mu == circle_sup_resolvent(prob.A, prob.mu)
+    assert prob.m_nu == circle_sup_resolvent(prob.A, prob.nu)
 
     def bound(h):
-        return q_one * prob.m_mu * prob.mu ** (h + 2) / ((1.0 - q_one) * (1.0 - q_mu))
+        lead = q_nu * prob.m_mu * prob.mu / ((1.0 - q_nu) * (1.0 - q_mu))
+        return lead * (prob.mu / prob.nu) ** (h + 1)
 
     assert bound(prob.horizon) <= SERIES_TOL < bound(prob.horizon - 1)
-    for name in ("mu", "m_mu"):
+    for name in ("mu", "nu", "m_mu", "m_nu"):
         with pytest.raises(AttributeError):
             setattr(prob, name, 0.5)
 
@@ -510,7 +521,7 @@ def test_horizon_certificate_without_stable_radius(a):
 
 def test_certified_horizon_above_tail_cap_is_a_precondition_violation():
     with pytest.raises(PreconditionViolation, match="certified horizon exceeds TAIL_CAP"):
-        ManifoldProblem(BoundedOperator(np.diag([0.998, 2.0])), saturation_map(1e-3))
+        ManifoldProblem(BoundedOperator(np.diag([0.998, 1.002])), saturation_map(1e-3))
 
 
 def horizon_family(rng):
@@ -540,57 +551,158 @@ def test_certified_horizon_drops_less_than_series_tol(seed):
     assert np.linalg.norm(eta - ref) <= q_norm * SERIES_TOL * np.linalg.norm(xi)
 
 
-def full_tolerance_certificate(prob):
-    # (mu, M_mu, h) of the horizon rule with every supremum finished to
-    # SUP_REL_TOL before it is read, as the certificate was first computed
-    lip = prob.F.lip_bound(1.0)
-    q_one = circle_sup_resolvent(prob.A, 1.0) * lip
-    mu = max(prob.split.r_inside**0.875, SERIES_TOL ** (1.0 / 32.0))
-    best = None
-    while mu < 1.0:
-        m_mu = circle_sup_resolvent(prob.A, mu)
-        q_mu = m_mu * lip
-        if q_mu < 1.0:
-            h = _first_horizon(q_one * m_mu / ((1.0 - q_one) * (1.0 - q_mu)), mu)
-            if best is not None and h >= best[2]:
+def weight_walk(start, lip, sup, horizon_at):
+    # (weight, h) of the square-root steps from start towards 1 while q_w > 1/2
+    # and a step shortens the horizon, as the certificate takes them
+    w, best = start, None
+    while w != 1.0:
+        if sup(w) * lip < 1.0:
+            h = horizon_at(w)
+            if best is not None and h >= best[1]:
                 break
-            best = (mu, m_mu, h)
-            if q_mu <= 0.5:
+            best = (w, h)
+            if sup(w) * lip <= 0.5:
                 break
-        mu = math.sqrt(mu)
+        w = math.sqrt(w)
     return best
+
+
+def weight_horizon(lip, sup):
+    # the first h with E_nu(h) <= SERIES_TOL at weights (mu, nu), from the
+    # suprema sup(w); TAIL_CAP + 1 where a weight does not contract
+    def horizon(mu, nu):
+        q_mu, q_nu = sup(mu) * lip, sup(nu) * lip
+        if q_mu >= 1.0 or q_nu >= 1.0:
+            return TAIL_CAP + 1
+        return _first_horizon(q_nu * sup(mu) / ((1.0 - q_nu) * (1.0 - q_mu)), mu, nu)
+
+    return horizon
+
+
+def full_tolerance_certificate(a, lip):
+    # (mu, nu, M_mu, M_nu, h) of the horizon rule with every supremum
+    # finished to SUP_REL_TOL before it is read: mu and its h by the
+    # single-weight rule (nu = 1), then the walk's nu where it certifies fewer rows
+    split = riesz_split(a, 1.0)
+    sup = functools.cache(lambda w: circle_sup_resolvent(a, w))
+    horizon = weight_horizon(lip, sup)
+    mu0 = max(split.r_inside**0.875, SERIES_TOL ** (1.0 / 32.0))
+    mu, h_one = weight_walk(mu0, lip, sup, lambda w: horizon(w, 1.0))
+    best = weight_walk((1.0 / split.r_outside_inv) ** 0.875, lip, sup, lambda w: horizon(mu, w))
+    nu, h = best if best is not None and best[1] < h_one else (1.0, h_one)
+    return mu, nu, sup(mu), sup(nu), h
+
+
+def single_weight_horizon(a, lip):
+    # the certified h of E_1(h) = M_1 lip M_mu mu^(h+2) / ((1 - q_1)(1 - q_mu)),
+    # the bound on the whole window at nu = 1, written out from finished
+    # suprema; None where no weight mu contracts
+    split = riesz_split(a, 1.0)
+    sup = functools.cache(lambda w: circle_sup_resolvent(a, w))
+    q_one = sup(1.0) * lip
+
+    def horizon(mu):
+        q_mu = sup(mu) * lip
+        lead = q_one * sup(mu) / ((1.0 - q_one) * (1.0 - q_mu))
+        h = 0
+        while h <= TAIL_CAP and lead * mu ** (h + 2) > SERIES_TOL:
+            h += 1
+        return h
+
+    best = weight_walk(max(split.r_inside**0.875, SERIES_TOL ** (1.0 / 32.0)), lip, sup, horizon)
+    return None if best is None else best[1]
 
 
 @pytest.mark.parametrize("case", [*range(12), "diag(0.95, 3)"])
 def test_pinned_horizon_is_the_full_tolerance_horizon(case):
-    # the brackets on M_1 and M_mu refine only until both ends give one
-    # horizon; it is the horizon, weight and M_mu of the finished suprema
+    # the brackets on M_mu and M_nu refine only until both ends give one
+    # horizon; it is the horizon, weights and suprema of the finished ones
     if isinstance(case, int):
         a, eps = horizon_family(np.random.default_rng(case))
     else:
         a, eps = BoundedOperator(np.diag([0.95, 3.0])), 0.01
     prob = ManifoldProblem(a, saturation_map(eps))
-    mu, m_mu, h = full_tolerance_certificate(prob)
-    assert (prob.mu, prob.m_mu, prob.horizon) == (mu, m_mu, max(h, 32))
+    mu, nu, m_mu, m_nu, h = full_tolerance_certificate(a, prob.F.lip_bound(1.0))
+    assert (prob.mu, prob.nu, prob.m_mu, prob.m_nu, prob.horizon) == (mu, nu, m_mu, m_nu, max(h, 32))
     assert prob.m_one == circle_sup_resolvent(a, 1.0)
     if not isinstance(case, int):
-        assert prob.horizon == 1348
+        assert (h, prob.horizon) == (28, 32)
+
+
+def assert_no_longer_than_one_weight(a, eps):
+    # the horizon is at most the one E_1 certifies, and a problem is refused
+    # only where that rule refuses it, with its error; one that rule refuses
+    # for more than TAIL_CAP rows may be admitted with fewer
+    old = single_weight_horizon(a, saturation_map(eps).lip_bound(1.0))
+    refusal = "no weight mu" if old is None else "exceeds TAIL_CAP" if old > TAIL_CAP else None
+    try:
+        horizon = ManifoldProblem(a, saturation_map(eps)).horizon
+    except PreconditionViolation as err:
+        assert refusal is not None and refusal in str(err)
+    else:
+        assert refusal == "exceeds TAIL_CAP" or horizon <= max(old, 32)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_horizon_family_horizons_never_grow_property(seed):
+    assert_no_longer_than_one_weight(*horizon_family(np.random.default_rng(seed)))
+
+
+def linear_graph(a, b, xi, split):
+    # w_s(xi) for F(u) = B u from the stable subspace of A + B: the orbit is
+    # v_n = (A + B)^n v_0 with v_0 in that subspace and P v_0 = xi, so
+    # eta = Q v_0.  Also the oracle's own rounding: d eps ||A + B|| cond(V)
+    # / gap |v_0| for the eigenvector basis V and the least distance between
+    # a stable and an unstable eigenvalue of A + B
+    m = a.entries + b
+    w, v = np.linalg.eig(m)
+    stable = np.abs(w) < 1.0
+    start = v[:, stable] @ np.linalg.lstsq(split.proj_stable @ v[:, stable], xi, rcond=None)[0]
+    gap = np.min(np.abs(w[stable][:, None] - w[~stable][None, :]))
+    eps = np.finfo(np.float64).eps
+    rounding = len(w) * eps * np.linalg.norm(m, 2) * np.linalg.cond(v) / gap * np.linalg.norm(start)
+    return split.proj_unstable @ start, rounding
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), strength=st.floats(0.2, 0.8))
+def test_linear_graph_is_the_stable_subspace_property(seed, strength):
+    # spectrum near the circle on both sides, so the certified horizon is
+    # above the 32-row floor: eta there is within ||Q|| SERIES_TOL |xi| of
+    # the exact graph
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    inside = rng.uniform(0.85, 0.97, int(rng.integers(1, d)))
+    a = matrix_with_moduli(rng, np.concatenate([inside, rng.uniform(1.03, 1.3, d - inside.size)]), 0.3)
+    b = random_vector(rng, d * d).reshape(d, d)
+    b *= strength / (np.linalg.norm(b, 2) * circle_sup_resolvent(a, 1.0))
+    prob = ManifoldProblem(a, linear_map(b), fp_tol=1e-15, max_iter=5000)
+    with pytest.raises(PreconditionViolation, match=f"below the certified {prob.horizon} rows"):
+        ManifoldProblem(a, linear_map(b), horizon=prob.horizon - 1)
+    xi = prob.split.proj_stable @ random_vector(rng, d)
+    want, rounding = linear_graph(a, b, xi, prob.split)
+    assert np.linalg.norm(want) > 1e-4 * np.linalg.norm(xi)
+    q_norm = np.linalg.norm(prob.split.proj_unstable, 2)
+    error = np.linalg.norm(lp_fixed_point(prob, xi).eta - want)
+    assert error <= q_norm * SERIES_TOL * np.linalg.norm(xi) + rounding
 
 
 def test_construction_evaluates_fewer_nodes_than_three_suprema(monkeypatch):
-    # the benchmark's d = 32 shape: the gate at rho reads no value and the
-    # horizon only an integer, so construction stops short of the 163 nodes
-    # that three full suprema take here
+    # the benchmark's d = 32 shape: the gates at 1 and rho read no value and
+    # the horizon only an integer, so construction, with four brackets,
+    # stops short of the 163 nodes that three full suprema take here
     rng = np.random.default_rng(79)
     moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
     a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
     nodes = counted_sigma_min(monkeypatch)
     prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
-    assert prob.horizon == 79 and sum(nodes) <= 120
+    assert prob.horizon == 39 and sum(nodes) <= 120
     nodes.clear()
     full = [circle_sup_resolvent(a, r) for r in (1.0, prob.rho, prob.mu)]
     assert sum(nodes) >= 150
     assert [prob.m_one, prob.m_mu] == [full[0], full[2]]
+    assert prob.m_nu == circle_sup_resolvent(a, prob.nu)
 
 
 @pytest.mark.parametrize(
@@ -638,8 +750,42 @@ def test_stacked_rows_equal_one_row_sweeps_property(case):
     assert_rows_match_one_row_sweeps(prob, grid)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=hyperbolic_sweeps(), strength=st.sampled_from([0.2, 0.6, 0.9, 0.99]))
+def test_hyperbolic_horizons_never_grow_property(case, strength):
+    # saturations up to 0.99 of the smaller bound of the two gates, where
+    # the unstable spectrum can be near the first weight nu
+    moduli, seed, _ = case
+    a = matrix_with_moduli(np.random.default_rng(seed), moduli, shear=0.2)
+    rho = float(np.max(moduli)) + 0.5
+    peak = max(circle_sup_resolvent(a, 1.0), circle_sup_resolvent(a, rho))
+    assert_no_longer_than_one_weight(a, strength / peak)
+
+
+@pytest.mark.parametrize("seed, horizon", [(18, 156), (54, 194)])
+def test_near_saturation_keeps_the_single_weight_horizon(seed, horizon):
+    # at q_1 = 0.99 the walk over nu stops a row above the single-weight
+    # horizon, so the certificate keeps nu = 1 and that horizon
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    n_in = int(rng.integers(1, dim + 1))
+    moduli = np.concatenate([rng.uniform(0.05, 0.8, n_in), rng.uniform(1.2, 3.0, dim - n_in)])
+    a = matrix_with_moduli(rng, moduli, shear=rng.uniform(0.2, 1.0))
+    eps = 0.99 / circle_sup_resolvent(a, 1.0)
+    prob = ManifoldProblem(a, saturation_map(eps))
+    assert single_weight_horizon(a, eps) == horizon
+    assert (prob.nu, prob.horizon) == (1.0, horizon)
+    assert prob.m_nu == prob.m_one
+    lip = saturation_map(eps).lip_bound(1.0)
+    sup = functools.cache(lambda w: circle_sup_resolvent(a, w))
+    at_mu = weight_horizon(lip, sup)
+    nu_start = (1.0 / prob.split.r_outside_inv) ** 0.875
+    walked = weight_walk(nu_start, lip, sup, lambda w: at_mu(prob.mu, w))
+    assert walked[0] > 1.0 and walked[1] == horizon + 1
+
+
 def test_sweep_block_runs_in_at_most_five_stacked_arrays():
-    # the benchmark's d = 32 shape: horizon 79, blocks of 12 columns.  The
+    # the benchmark's d = 32 shape: horizon 39, blocks of 25 columns.  The
     # LP steps, the certificates and the orbit check of a block share one
     # workspace, and a finished block's rows keep no orbits, so the whole
     # sweep of two blocks peaks at the memory of one
@@ -647,9 +793,9 @@ def test_sweep_block_runs_in_at_most_five_stacked_arrays():
     moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
     a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
     prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
-    assert prob.horizon == 79
+    assert prob.horizon == 39
     block = 2**15 // ((prob.horizon + 1) * 32)
-    assert block == 12
+    assert block == 25
     grid = []
     for k in range(2 * block):  # sizes over six decades, so columns stop at different steps
         xi = prob.split.proj_stable @ random_vector(rng, 32)

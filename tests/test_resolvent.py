@@ -179,6 +179,23 @@ def test_tail_cut_search_equals_every_step_svd_scan(monkeypatch):
     assert len(calls) < steps / 4
 
 
+def test_tail_cut_skips_the_norms_the_spectral_radius_rules_out(monkeypatch):
+    # the cut reads no bound M, so below k = ceil((log SERIES_TOL + slack) /
+    # log(r w)), where ||M^k|| w^k >= (r w)^k already fails, it takes no
+    # norm; it forms the same powers, so K is the every-step scan's
+    frobenius = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda m, *a: norm(m, *a) if a else frobenius.append(1) or norm(m))
+    for mat, weight in _tail_search_fixtures():
+        want, _ = _decay_steps_every_svd(mat, weight)
+        radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+        frobenius.clear()
+        assert resolvent._tail_cut(mat, radius, weight) == want
+        rate = math.log(radius) + math.log(weight) if radius > 0.0 else -math.inf
+        first = max(1, math.ceil((math.log(SERIES_TOL) + resolvent._LOG_SLACK) / rate))
+        assert len(frobenius) == want + 1 - first
+
+
 def test_linear_recurrence_matches_power_sums():
     rng = np.random.default_rng(19)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -59,12 +59,12 @@ def test_lp_memory_reports_every_dimension(capsys):
     assert run(["--seed", "3"]) == 2
     assert run([]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["d", "horizon", "mu", "G", "nodes", "pass_ms", "minflt", "lp_peak", "MB"]
-    assert [row.split()[:5] for row in rows] == [
-        ["2", "40", "0.5453", "16", "76"],
-        ["8", "68", "0.6860", "16", "73"],
-        ["32", "79", "0.7205", "12", "112"],
+    assert header.split() == ["d", "horizon", "mu", "nu", "G", "nodes", "pass_ms", "minflt", "lp_peak", "MB"]
+    assert [row.split()[:6] for row in rows] == [
+        ["2", "32", "0.5453", "1.8340", "16", "74"],
+        ["8", "33", "0.6860", "1.5293", "16", "98"],
+        ["32", "39", "0.7205", "1.4518", "16", "115"],
     ]
     for row in rows:
-        pass_ms, faults, peak, mb = map(float, row.split()[5:])
+        pass_ms, faults, peak, mb = map(float, row.split()[6:])
         assert pass_ms > 0 and faults >= 0 and 0 < peak and 0 < mb
