@@ -12,15 +12,17 @@ Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
              are listed from power 1.
-Problems:    {"A": matrix, "F": stencil, "rho"?, "fp_tol"?, "max_iter"?, "horizon"?}
+Problems:    {"A": matrix, "F": stencil, "fp_tol"?, "max_iter"?, "horizon"?}
              a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000];
              ManifoldProblem refuses one below its certified horizon.
+             Other keys are ignored; a "rho" that older files hold is
+             one of them, as the one smallness gate is at 1.
 Sequence CSV rows: (n, component, re, im).
 Sweep CSV rows: (xi_*, eta_*, decay_rate, iterations, residual, error).
 
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
 booleans, fractions and text are InputError.  Every other numeric field
-(matrix, vector and sequence entries, rho, fp_tol and the stencil's eps, h,
+(matrix, vector and sequence entries, fp_tol and the stencil's eps, h,
 clip_radius and coeffs) holds JSON numbers; text such as "2.0" and booleans
 are InputError.  Complex entries are assembled from their parts bit for
 bit, so a -0.0 in either part is kept.  Every JSON result is written as
@@ -363,7 +365,9 @@ def write_circle_csv(f: CircleFunction, path):
 
 def write_sweep_csv(rows: list[SweepRow], dim: int, path):
     """Stable-manifold sweep rows, float reprs interleaving (re, im) per
-    component, as ``csv.writer`` writes them; a failed row's ``eta`` is nan."""
+    component, as ``csv.writer`` writes them; a failed row's ``eta`` is nan,
+    and so is an ``xi`` of another dimension than ``dim``, so every row has
+    the header's columns."""
     out = StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -371,10 +375,11 @@ def write_sweep_csv(rows: list[SweepRow], dim: int, path):
         + [f"eta_{i}_{part}" for i in range(dim) for part in ("re", "im")]
         + ["decay_rate", "iterations", "residual", "error"]
     )
-    no_eta = np.full(dim, np.nan, dtype=np.complex128)
+    missing = np.full(dim, np.nan, dtype=np.complex128)
     for row in rows:
-        eta = no_eta if row.eta is None else row.eta
-        parts = np.concatenate((row.xi, eta)).view(np.float64)
+        xi = row.xi if row.xi.size == dim else missing
+        eta = missing if row.eta is None else row.eta
+        parts = np.concatenate((xi, eta)).view(np.float64)
         record = [repr(x) for x in parts.tolist()]
         record.extend([repr(float(row.decay_rate)), row.iterations, repr(float(row.residual))])
         record.append(row.error or "")
@@ -404,9 +409,8 @@ def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
     if not isinstance(obj, dict):
         raise InputError(f"{context} must be a JSON object")
     kwargs = {}
-    for key in ("rho", "fp_tol"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"{context} {key}")
+    if "fp_tol" in obj:
+        kwargs["fp_tol"] = _number(obj["fp_tol"], f"{context} fp_tol")
     for key in ("max_iter", "horizon"):
         if key in obj:
             kwargs[key] = _integer(obj[key], f"{context} {key}")

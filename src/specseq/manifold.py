@@ -1,25 +1,24 @@
 """Stable manifolds of ``tau u = A u + F(u)`` at the fixed point 0.
 
 For hyperbolic ``A`` (no spectrum on the unit circle) and a causal
-nonlinearity with ``F(0) = 0`` that is small in two Lipschitz senses
-(below ``1/M_1`` on ell_2 and below ``1/M_rho`` on ell_{2,rho} with
-``rho > r(A)``), the orbit through a stable-range vector ``xi`` is the
-fixed point ``T(xi)`` of the cut-off map
+pointwise nonlinearity with ``F(0) = 0`` and ``|F|_Lip < 1/M_1``, the
+orbit through a stable-range vector ``xi`` is the fixed point ``T(xi)`` of
+the cut-off map
 
     u  |->  chi_{Z >= 0} (tau - A)^{-1} (F(u) + delta_{-1} xi),
 
-a contraction with factor ``M_1 * |F|_Lip``.  The stable manifold is the
-graph of ``w_s(xi) = Q T(xi)_0`` over range(P); points off the graph
-escape along the unstable range.
-
-The two bounds serve different claims.  Below ``1/M_1`` the cut-off map
-contracts, which every computed point uses.  Below ``1/M_rho`` every
-initial value has one solution in ell_{2,rho}, the paper's solution of the
-initial value problem, so the stable manifold, the initial values whose
-solution lies in ell_2, is the graph and nothing else: that is the claim
-that points off it escape.  Nothing computed reads ``M_rho`` (the horizon
-reads ``M_mu`` and ``M_nu``, and the forward-orbit check is plain recursion), so its
-gate only asks whether the bound holds.
+a contraction on ell_2 with factor ``M_1 * |F|_Lip``.  The stable manifold
+is the graph of ``w_s(xi) = Q T(xi)_0`` over range(P), and that one bound
+makes it the whole stable manifold.  If the forward solution ``u`` from
+``x`` lies in ell_2(Z >= 0), then ``v = chi_{Z >= 0} u`` solves
+``(tau - A) v = F(v) + delta_{-1} x`` in ell_2 (``F`` is causal and
+pointwise, so ``F(v)_n = F(u)_n`` for ``n >= 0`` and ``0`` before).  The
+``Q x`` part of that impulse reaches, through the anticausal branch of
+``(tau - A)^{-1}`` (the inverse on ell_2, which hyperbolicity makes
+unique), only the rows ``n <= -1``, which the cut drops, so
+``v`` is a fixed point of the cut-off map at ``xi = P x``.  It is the only
+one, as the map contracts, so ``Q x = Q v_0 = w_s(P x)``: points off the
+graph escape.
 
 Infinite sums are truncated at certified lengths.  The orbit is cut at a
 horizon certified on two weighted spaces where the same map contracts:
@@ -100,16 +99,14 @@ class ManifoldProblem:
     """A stable-manifold computation instance.
 
     ``A`` must be hyperbolic and ``F`` causal with ``F(0) = 0`` and, where
-    it fixes a dimension, ``A``'s (else :class:`DimensionMismatch`); the two
-    admissibility bounds ``lip < 1/M_1`` and ``lip < 1/M_rho`` are
-    validated at construction before the split plan is built, each by
-    :func:`~specseq.solver.smallness_gate` from a bracket on its certified
-    supremum that refines only until it decides.  ``rho`` is the weight of
-    the outer solution operator (any value above ``r(A)`` gives the same
-    projections, so the default just steps past the radius); its gate serves
-    only the claim that the graph is the whole stable manifold (see the
-    module docstring), and no computed value reads ``M_rho``.
-    ``split`` is the Riesz splitting of the split-mode ``plan`` at the unit circle.
+    it fixes a dimension, ``A``'s (else :class:`DimensionMismatch`); the
+    one admissibility bound ``lip < 1/M_1`` is validated at construction
+    before the split plan is built, by
+    :func:`~specseq.solver.smallness_gate` from a bracket on ``M_1`` that
+    refines only until it decides.  It makes the cut-off map contract, and
+    so also makes the graph the whole stable manifold (see the module
+    docstring).  ``split`` is the Riesz splitting of the split-mode
+    ``plan`` at the unit circle.
 
     The horizon is certified on two weighted spaces ``ell_{2,w}``, with
     norm ``(sum |u_n|^2 w^(-2n))^(1/2)``: one of weight ``mu`` in
@@ -185,7 +182,6 @@ class ManifoldProblem:
 
     A: BoundedOperator
     F: StencilMap
-    rho: float | None = None
     fp_tol: float = 1e-10
     max_iter: int = 200
     horizon: int | None = None
@@ -201,16 +197,8 @@ class ManifoldProblem:
             raise AdmissibilityError(f"kernel {self.F.kernel!r} is not causal")
         if not self.F.fixes_zero:
             raise AdmissibilityError("the manifold nonlinearity must satisfy F(0) = 0")
-        radius = spectral_radius(self.A)
-        if self.rho is None:
-            self.rho = radius + 0.5
-        if self.rho <= radius + GAP_TOL:
-            raise AdmissibilityError(
-                f"outer weight rho = {self.rho} must exceed r(A) = {radius}"
-            )
         self._m_one = _SupBracket(self.A, 1.0)
         self._lip = smallness_gate(self.A, self.F, 1.0, AdmissibilityError, self._m_one)
-        smallness_gate(self.A, self.F, self.rho, AdmissibilityError)
         self.plan = ResolventPlan(self.A, 1.0, "split")
         self.split = self.plan.split
         self._mu = self._nu = self._m_mu = self._m_nu = None
@@ -309,11 +297,12 @@ class ManifoldProblem:
         return None if self._m_nu is None else self._m_nu.value()
 
     def check_stable_range(self, xi) -> np.ndarray:
-        """``xi`` as a vector; raises :class:`RangeViolation` unless
+        """``xi`` as a vector; raises :class:`DimensionMismatch` unless it has
+        ``A``'s dimension and :class:`RangeViolation` unless
         ``||P xi - xi|| <= 1e-8 ||xi||``."""
         xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
         if xi.size != self.A.dim:
-            raise InputError(f"xi has dimension {xi.size}, expected {self.A.dim}")
+            raise DimensionMismatch(f"xi has dimension {xi.size}, expected {self.A.dim}")
         # xi is scaled to a largest entry of 1 so no square overflows
         scale = float(np.max(np.abs(xi)))
         if scale == 0.0:
@@ -572,21 +561,22 @@ def spectrum_escape_check(A: BoundedOperator, x) -> bool:
     """Numerical rendering of: spectrum outside the closed unit disk forces
     every square-summable orbit to start at 0.
 
-    Requires all eigenvalue moduli above ``1 + GAP_TOL``.  The power search
-    on ``A^{-1}`` finds an ``n`` with ``||A^{-n}|| <= 1/2``, so that
+    ``x`` must have ``A``'s dimension, else :class:`DimensionMismatch`,
+    checked first.  Requires all eigenvalue moduli above ``1 + GAP_TOL``.
+    The power search on ``A^{-1}`` finds an ``n`` with ``||A^{-n}|| <= 1/2``, so that
     ``|A^{qn} x| >= 2^q |x|`` for every ``x``: no orbit but the zero one is
     square-summable, and the answer is True.  Without such an ``n`` within
     ``CERT_CAP`` steps it raises :class:`PreconditionViolation`, at once
     when the spectral radius ``1 / min |lambda|`` of ``A^{-1}`` alone rules
     the cap out.
     """
+    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if x.size != A.dim:
+        raise DimensionMismatch(f"vector has dimension {x.size}, expected {A.dim}")
     least = float(np.min(np.abs(A.eigenvalues)))
     if least <= 1.0 + GAP_TOL:
         raise PreconditionViolation(
             f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
         )
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != A.dim:
-        raise InputError(f"vector has dimension {x.size}, expected {A.dim}")
     decay_steps(np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate")
     return True

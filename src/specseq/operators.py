@@ -19,6 +19,7 @@ least :data:`GAP_TOL`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import (
     EigenSolverFailure,
     IndeterminateHyperbolic,
     InputError,
+    NormOverflow,
     PreconditionViolation,
     QuadratureError,
     SpectrumHit,
@@ -148,10 +150,13 @@ def spectral_radius(A: BoundedOperator) -> float:
 def resolvent_at(A: BoundedOperator, z: complex) -> np.ndarray:
     """The matrix ``(z I - A)^{-1}``.
 
-    Raises :class:`SpectrumHit` if ``z`` lies within :data:`EIG_TOL` of an
+    Raises :class:`InputError` for a non-finite ``z`` and
+    :class:`SpectrumHit` if ``z`` lies within :data:`EIG_TOL` of an
     eigenvalue, where the inverse is meaningless in floating point.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InputError(f"z must be finite, got {z!r}")
     dist = float(np.min(np.abs(z - A.eigenvalues)))
     if dist <= EIG_TOL:
         raise SpectrumHit(f"z={z} is within {EIG_TOL} of the spectrum (distance {dist:.3e})")
@@ -205,10 +210,13 @@ def _sup_margins(A: BoundedOperator, rho: float) -> tuple[float, float]:
     # (margin, curve) of circle_sup_resolvent: the SVD and node rounding
     # margin of a sampled sigma_min, and rho ||A||_up / 4 with a relative
     # slack of 8 eps, where ||A||_up covers the rounding of A.norm().
+    # Either may overflow to inf: an infinite curve only leaves the
+    # first-order bound, and _sup_rounds refuses an infinite margin.
     eps = np.finfo(np.float64).eps
-    norm_f = float(np.linalg.norm(A.entries))
-    margin = 8 * A.dim * eps * (rho + norm_f)
-    curve = rho * (A.norm() + 8 * A.dim * eps * norm_f) / 4.0 * (1.0 + 8 * eps)
+    with np.errstate(over="ignore"):
+        norm_f = float(np.linalg.norm(A.entries))
+        margin = 8 * A.dim * eps * (rho + norm_f)
+        curve = rho * (A.norm() + 8 * A.dim * eps * norm_f) / 4.0 * (1.0 + 8 * eps)
     return margin, curve
 
 
@@ -216,10 +224,16 @@ def _arc_lower(s: np.ndarray, arc: np.ndarray, rho: float, margin: float, curve:
     # Certified lower bound on sigma_min over each arc, from the node with
     # sample s[j] through the angle arc[j] to the next node (cyclically):
     # the larger of the first- and second-order bounds of circle_sup_resolvent.
+    # Samples above 2**500 are first scaled by a power of two so that no
+    # square or sum overflows; that scaling is exact, and below 2**500 it
+    # is 1, so the bound is the unscaled one bit for bit.
+    scale = 2.0 ** min(0, 500 - math.frexp(float(np.max(s)))[1])
+    s, rho, margin, curve = s * scale, rho * scale, margin * scale, curve * scale * scale
     s_next = np.roll(s, -1)
     low = np.maximum(np.minimum(s, s_next) - margin, 0.0)
     squared = low * low * (1.0 - 8 * np.finfo(np.float64).eps) - curve * arc * arc
-    return np.maximum((s + s_next - rho * arc) / 2.0 - margin, np.sqrt(np.maximum(squared, 0.0)))
+    lower = np.maximum((s + s_next - rho * arc) / 2.0 - margin, np.sqrt(np.maximum(squared, 0.0)))
+    return lower / scale
 
 
 def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float = math.inf):
@@ -233,6 +247,12 @@ def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float 
         raise InputError(f"rho must be positive and finite, got {rho!r}")
     _check_circle(A, rho)
     margin, curve = _sup_margins(A, rho)
+    # a finite margin bounds rho + ||A||_F, so every z I - A and its sigma_min are finite
+    if not math.isfinite(margin):
+        raise NormOverflow(
+            f"the rounding margin of sigma_min(z I - A) on |z| = {rho} overflows: "
+            "no finite bound is certified"
+        )
     theta = 2.0 * np.pi * np.arange(samples) / samples
     s = _sigma_min(A, rho * np.exp(1j * theta))
     while True:
@@ -370,17 +390,23 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> f
     only its own question, whether ``lip < 1/M_r`` or which horizon ``M_r``
     certifies, and stops refining once both ends give the same answer
     (:func:`_decide`); only where they never do does it wait for this
-    result.  The smallness gates at ``rho`` bisect only the arcs whose
-    lower bound does not exceed ``lip``; ``M_1``, ``M_mu`` and ``M_nu`` of a
-    :class:`~specseq.manifold.ManifoldProblem` follow the rounds of this
-    function, so finishing them gives its value bit for bit.
+    result.  The impulse method's smallness gate at its ``rho`` bisects
+    only the arcs whose lower bound does not exceed ``lip``; ``M_1``,
+    ``M_mu`` and ``M_nu`` of a :class:`~specseq.manifold.ManifoldProblem`
+    follow the rounds of this function, so finishing them gives its value
+    bit for bit.
+
+    Samples above ``2**500`` are scaled by an exact power of two before
+    the bounds square them, so no square overflows at a large ``rho``.
 
     Raises :class:`SpectrumOnCircle` when an eigenvalue modulus is within
     :data:`GAP_TOL` of ``rho``, when the sampled ``s`` falls so low that
     ``margin`` leaves no room for the tolerance (the circle then meets the
     spectrum of a perturbation of ``A`` at the rounding level), or when
     ``min(lower) <= 0`` at the node cap, so that no bound is certified;
-    that message gives the spectrum's distance from the circle.
+    that message gives the spectrum's distance from the circle.  Raises
+    :class:`NormOverflow` when ``margin`` overflows (``rho`` or ``A`` near
+    the float range), where no finite bound is left.
     """
     return _SupBracket(A, rho, samples).value()
 

@@ -472,7 +472,7 @@ def solve_contraction(
     contraction estimate is the largest measured increment ratio, which
     stays within 0.05 of ``lip_bound / rho``.  The state dimension is
     ``dim``, or ``F.dim`` when None (:class:`InputError` when neither gives
-    one, :class:`DimensionMismatch` when they disagree).
+    one or it is below 1, :class:`DimensionMismatch` when they disagree).
     """
     if w.p != 2.0:
         raise InputError("the contraction solver iterates in an ell_{2,rho} norm")
@@ -489,6 +489,8 @@ def solve_contraction(
         raise InputError(
             "cannot infer state dimension: pass dim= or attach forcing to the stencil"
         )
+    if dim < 1:
+        raise InputError(f"state dimension must be at least 1, got {dim}")
     F.check_dim(dim)
     # rows [lo, hi] of tau^{-1} F(u) are the rows [lo - 1, hi - 1] of F(u)
     stack = fixed_point(

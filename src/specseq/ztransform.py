@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, InputError, WindowTooWide
+from .errors import AliasingError, InputError, NormOverflow, WindowTooWide
 from .sequences import Weight, WindowedSequence, shift, weighted_norm
 
 
@@ -82,6 +82,7 @@ def ztransform(u: WindowedSequence, rho: float, n_samples: int | None = None) ->
 
     Computed as a length-N FFT of the rho^(-k)-scaled, index-rotated
     coefficient array.  Requires ``N >= 2 * width`` to avoid aliasing.
+    Raises :class:`NormOverflow` where a scaled coefficient overflows.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise InputError(f"rho must be positive and finite, got {rho!r}")
@@ -90,7 +91,7 @@ def ztransform(u: WindowedSequence, rho: float, n_samples: int | None = None) ->
     if n < 2 * width:
         raise AliasingError(f"need N >= 2 * width = {2 * width}, got N = {n}")
     k = np.arange(u.lo, u.hi + 1, dtype=np.float64)
-    scaled = u.values * np.power(float(rho), -k)[:, None]
+    scaled = _weighted(u.values, float(rho), -k)
     buf = np.zeros((n, u.dim), dtype=np.complex128)
     buf[np.arange(u.lo, u.hi + 1) % n] = scaled
     return CircleFunction(rho, np.fft.fft(buf, axis=0))
@@ -100,7 +101,8 @@ def inverse_ztransform(f: CircleFunction, window: tuple[int, int]) -> WindowedSe
     """Coefficients of ``f`` on the window, by inverse FFT and rho^k rescale.
 
     Exact inverse of :func:`ztransform` on band-limited data; the window
-    must fit in the sample count.
+    must fit in the sample count.  Raises :class:`NormOverflow` where a
+    rescaled coefficient overflows.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -110,13 +112,33 @@ def inverse_ztransform(f: CircleFunction, window: tuple[int, int]) -> WindowedSe
         raise WindowTooWide(f"window width {hi - lo + 1} exceeds N = {n}")
     buf = np.fft.ifft(f.samples, axis=0)
     k = np.arange(lo, hi + 1)
-    vals = buf[k % n] * np.power(f.rho, k.astype(np.float64))[:, None]
+    vals = _weighted(buf[k % n], f.rho, k.astype(np.float64))
     return WindowedSequence(lo, vals)
 
 
+def _weighted(rows: np.ndarray, rho: float, powers: np.ndarray) -> np.ndarray:
+    # rows[i] * rho^powers[i]; NormOverflow where a product is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows * np.power(rho, powers)[:, None]
+    if not np.isfinite(out).all():
+        raise NormOverflow(f"a weighted coefficient overflows at rho = {rho}")
+    return out
+
+
 def circle_l2_norm(f: CircleFunction) -> float:
-    """Discrete L2(S_rho) norm: sqrt of the sample mean of |f(z)|^2."""
-    return float(np.sqrt(np.mean(np.sum(np.abs(f.samples) ** 2, axis=1))))
+    """Discrete L2(S_rho) norm: sqrt of the sample mean of |f(z)|^2.
+
+    Raises :class:`NormOverflow` where the mean overflows."""
+    return _rms(f.samples, f.rho)
+
+
+def _rms(samples: np.ndarray, rho: float) -> float:
+    # sqrt of the mean over rows of |row|^2, NormOverflow where it overflows
+    with np.errstate(over="ignore"):
+        out = float(np.sqrt(np.mean(np.sum(np.abs(samples) ** 2, axis=1))))
+    if not math.isfinite(out):
+        raise NormOverflow(f"the discrete L2 norm on |z| = {rho} overflowed")
+    return out
 
 
 def parseval_check(
@@ -143,12 +165,13 @@ def multiplication_equiv_check(u: WindowedSequence, rho: float) -> float:
 
     Returns the discrete L2 norm of ``Z(tau u) - z * Z(u)`` over the default
     samples of a window one index wider than ``u``'s, the slack for the shift.
+    Raises :class:`NormOverflow` where that norm overflows.
     """
     n_samples = default_sample_count(u.width + 2)
     lhs = ztransform(shift(u, 1), rho, n_samples)
     base = ztransform(u, rho, n_samples)
     diff = lhs.samples - base.points()[:, None] * base.samples
-    return float(np.sqrt(np.mean(np.sum(np.abs(diff) ** 2, axis=1))))
+    return _rms(diff, rho)
 
 
 def positive_support_hardy_check(

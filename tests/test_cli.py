@@ -437,6 +437,119 @@ def test_escape_check_certificate_past_cap_fails_fast(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+def test_escape_check_vector_of_another_dimension_exits_4(tmp_path, capsys):
+    # the dimension is checked before the eigenvalue precondition, which
+    # the eigenvalue 0.5 fails
+    a = write_json(tmp_path / "a.json", {"dim": 2, "re": [[0.5, 1.0], [0.0, 2.0]]})
+    x = write_json(tmp_path / "x.json", {"dim": 3, "re": [1.0, 0.0, 0.0]})
+    code, out, err = run_cli(["escape-check", "--A", a, "--x", x], capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "dimension-mismatch"
+
+
+def test_stable_manifold_grid_vector_of_another_dimension(files, tmp_path, capsys):
+    # a row of its own, with the header's columns; the other rows run
+    problem = write_json(
+        tmp_path / "prob.json",
+        {"A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]}, "F": SAT, "fp_tol": 1e-12},
+    )
+    vectors = [{"dim": 2, "re": [0.2, 0.0]}, {"dim": 3, "re": [0.2, 0.0, 0.0]}, {"dim": 1, "re": [0.2]}]
+    grid = write_json(tmp_path / "grid.json", {"vectors": vectors})
+    out_csv = tmp_path / "table.csv"
+    code, _, _ = run_cli(["stable-manifold", "--problem", problem, "--grid", grid, "--out", str(out_csv)], capsys)
+    assert code == 0
+    header, *rows = list(csv.reader(out_csv.read_text().splitlines()))
+    assert [len(row) for row in rows] == [len(header)] * 3
+    assert [row[-1] for row in rows] == [
+        "",
+        "dimension-mismatch: xi has dimension 3, expected 2",
+        "dimension-mismatch: xi has dimension 1, expected 2",
+    ]
+    assert all(row[0] == row[2] == "nan" for row in rows[1:])
+
+
+def test_problem_rho_is_ignored(files, tmp_path, capsys):
+    # older problem files carry an outer weight; the one gate is at 1, so
+    # the key is ignored like any other the reader does not know
+    problem = {"A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]}, "F": SAT}
+    grid = write_json(tmp_path / "grid.json", {"vectors": [{"dim": 2, "re": [0.2, 0.0]}]})
+    tables = []
+    for extra in ({}, {"rho": 2.001}, {"rho": "text"}):
+        path = write_json(tmp_path / "prob.json", {**problem, **extra})
+        out_csv = tmp_path / "table.csv"
+        argv = ["stable-manifold", "--problem", path, "--grid", grid, "--out", str(out_csv)]
+        assert run_cli(argv, capsys)[0] == 0
+        tables.append(out_csv.read_bytes())
+    assert tables[1:] == tables[:1] * 2
+
+
+@pytest.mark.parametrize("z", [["nan", "0"], ["inf", "0"], ["0", "inf"]])
+def test_spectrum_non_finite_resolvent_z_exits_3(files, capsys, z):
+    code, out, err = run_cli(["spectrum", "--A", files["A_diag"], "--resolvent-z", *z], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_solve_contraction_dim_below_one_exits_3(files, capsys, dim):
+    argv = ["solve-contraction", "--F", files["F_sat"], "--rho", "1.0", "--window", "-2", "8"]
+    code, out, err = run_cli(argv + ["--dim", dim], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+HOSTILE_FLOATS = ["nan", "inf", "0", "-1", "1e-300", "1e155", "1e300"]
+# each option, its value written as {}, on small inputs from the files fixture
+HOSTILE_FLOAT_ARGV = {
+    "circle-sup-rho": ["spectrum", "--A", "A_diag", "--circle-sup-rho", "{}"],
+    "resolvent-z": ["spectrum", "--A", "A_diag", "--resolvent-z", "{}", "0"],
+    "gamma": ["riesz", "--A", "A_diag", "--gamma", "{}"],
+    **{
+        f"resolve-{mode}-rho": ["resolve", "--A", "A_half", "--f", "u_seq", "--rho", "{}", "--mode", mode]
+        for mode in ("causal", "split", "frequency")
+    },
+    "ztransform-rho": ["ztransform-check", "--u", "u_seq", "--rho", "{}"],
+    "solve-ivp-rho": ["solve-ivp", "--A", "A_diag", "--F", "F_sat", "--x", "x_vec", "--horizon", "16", "--rho", "{}"],
+    "contraction-rho": ["solve-contraction", "--F", "F_lin", "--rho", "{}", "--window", "-4", "20"],
+    "fp-tol": ["solve-contraction", "--F", "F_lin", "--rho", "1.0", "--window", "-4", "20", "--fp-tol", "{}"],
+}
+CONTRACT_SAT = ["solve-contraction", "--F", "F_sat", "--rho", "1.0"]
+# integers only at 0 and -1, so that no value sizes a large array
+HOSTILE_INT_ARGV = {
+    "dim": CONTRACT_SAT + ["--window", "-4", "20", "--dim", "{}"],
+    "max-iter": CONTRACT_SAT + ["--window", "-4", "20", "--dim", "1", "--max-iter", "{}"],
+    "window-lo": CONTRACT_SAT + ["--window", "{}", "20", "--dim", "1"],
+    "window-hi": CONTRACT_SAT + ["--window", "-4", "{}", "--dim", "1"],
+    "N": ["ztransform-check", "--u", "u_seq", "--rho", "1.0", "--N", "{}"],
+    "horizon": ["solve-ivp", "--A", "A_diag", "--F", "F_sat", "--x", "x_vec", "--horizon", "{}"],
+}
+HOSTILE = [(argv, v) for argv in HOSTILE_FLOAT_ARGV.values() for v in HOSTILE_FLOATS] + [
+    (argv, v) for argv in HOSTILE_INT_ARGV.values() for v in ("0", "-1")
+]
+HOSTILE_IDS = [f"{name}={v}" for name in HOSTILE_FLOAT_ARGV for v in HOSTILE_FLOATS] + [
+    f"{name}={v}" for name in HOSTILE_INT_ARGV for v in ("0", "-1")
+]
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv, value", HOSTILE, ids=HOSTILE_IDS)
+def test_hostile_numbers_give_json_or_a_typed_error(files, capsys, argv, value):
+    # never a traceback (exit 1): a result that strict JSON accepts, or a
+    # typed diagnostic on stderr
+    argv = [files.get(arg, arg).replace("{}", value) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code != 1
+    if code:
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+    else:
+        assert err == ""
+        json.loads(out, parse_constant=_no_constant)
+
+
 SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
 CONTRACTION = ["solve-contraction", "--rho", "2.0", "--window", "0", "4", "--dim", "1", "--F"]
 ZCHECK = ["ztransform-check", "--rho", "1.0", "--u"]

@@ -36,6 +36,7 @@ from specseq import (
     zero_map,
     zero_sequence,
 )
+from specseq import operators
 from specseq.manifold import _decay_rate, _first_horizon
 from specseq.resolvent import TAIL_CAP
 from testutil import counted_sigma_min, matrix_with_moduli, random_sequence, random_vector
@@ -141,13 +142,66 @@ def test_admissibility_gate_sees_resolvent_peak_between_nodes():
         ManifoldProblem(a, saturation_map(3e-5))
 
 
-def test_admissibility_gate_at_rho_after_passing_at_one():
-    # M_1 = 2 admits eps = 0.01, but the eigenvalue 2 lies 1e-3 inside
-    # |z| = 2.001, so M_rho is about 1e3 and 1/M_rho about 1.0e-3 < eps
-    a = BoundedOperator(np.diag([0.5, 2.0]))
-    assert ManifoldProblem(a, saturation_map(0.01)).m_one == pytest.approx(2.0, rel=1e-3)
-    with pytest.raises(AdmissibilityError, match=r"1/M_2\.001 = 0\.0009997"):
-        ManifoldProblem(a, saturation_map(0.01), rho=2.001)
+# M_1 = 3.935, but the Jordan pair at 3 puts M_3.5 at 41.84: a saturation
+# at 0.5 / M_1 contracts on ell_2 and is far above 1/M_3.5
+SHEARED_UNSTABLE = [[0.1, 1.0, 0.0], [0.0, 3.0, 10.0], [0.0, 0.0, 3.0]]
+
+
+def test_one_gate_admits_a_nonlinearity_above_the_outer_supremum():
+    # the gate at 1 alone makes the graph the stable manifold: points on it
+    # decay, and a push off it along e_3 escapes (the checks of c09)
+    a = BoundedOperator(SHEARED_UNSTABLE)
+    prob = ManifoldProblem(a, saturation_map(0.5 / circle_sup_resolvent(a, 1.0)), fp_tol=1e-12)
+    grid = [t * prob.split.proj_stable @ np.array([1.0, 0.0, 0.0]) for t in (-0.3, 0.1, 0.3)]
+    rows = manifold_sweep(prob, grid)
+    assert [row.error for row in rows] == [None] * 3
+    for row in rows:
+        x = row.xi + row.eta
+        fwd = solve_ivp(a, prob.F, x, 100, "recursion")
+        assert any(np.linalg.norm(fwd.at(n)) <= 1e-6 * np.linalg.norm(x) for n in range(1, 101))
+        x_off = x + 1e-3 * np.array([0.0, 0.0, 1.0])
+        fwd_off = solve_ivp(a, prob.F, x_off, 40, "recursion")
+        assert any(np.linalg.norm(fwd_off.at(n)) > 10.0 * np.linalg.norm(x_off) for n in range(1, 41))
+
+
+def test_one_gate_graph_is_the_stable_subspace_above_the_outer_supremum():
+    # ||B|| = 0.5 / M_1, so ||B|| M_3.5 is 5.3: eta is still the exact graph
+    a = BoundedOperator(SHEARED_UNSTABLE)
+    b = np.array([[0.3, -0.2j, 0.1], [0.5, 0.1, -0.4], [0.2j, 0.3, 0.2]])
+    b *= 0.5 / (np.linalg.norm(b, 2) * circle_sup_resolvent(a, 1.0))
+    assert np.linalg.norm(b, 2) * circle_sup_resolvent(a, 3.5) > 5.0
+    prob = ManifoldProblem(a, linear_map(b), fp_tol=1e-15, max_iter=5000)
+    xi = prob.split.proj_stable @ np.array([0.3, -0.2, 0.1])
+    want, rounding = linear_graph(a, b, xi, prob.split)
+    assert np.linalg.norm(want) > 0.05 * np.linalg.norm(xi)
+    q_norm = np.linalg.norm(prob.split.proj_unstable, 2)
+    error = np.linalg.norm(lp_fixed_point(prob, xi).eta - want)
+    assert error <= q_norm * SERIES_TOL * np.linalg.norm(xi) + rounding
+
+
+@pytest.mark.parametrize(
+    "entries, walked", [(np.diag([0.5, 2.0]), False), (SHEARED_UNSTABLE, True)], ids=["first-steps", "walked"]
+)
+def test_construction_samples_only_the_circles_it_reads(monkeypatch, entries, walked):
+    # the gate at 1 and the weights the horizon walks over, mu in
+    # (r_inside, 1) and nu in (1, r_outside): no circle outside the
+    # spectrum.  Where both walks keep their first step, only 1, mu and nu
+    radii = []
+    sigma_min = operators._sigma_min
+
+    def recorded(a, z):
+        radii.extend(np.abs(z))
+        return sigma_min(a, z)
+
+    monkeypatch.setattr(operators, "_sigma_min", recorded)
+    prob = ManifoldProblem(BoundedOperator(entries), saturation_map(0.01))
+    radii = np.array(radii)
+    circles = np.array([1.0, prob.mu, prob.nu])
+    hits = np.isclose(radii[:, None], circles, rtol=1e-12, atol=0.0)
+    assert hits.any(axis=0).all()
+    assert hits.any(axis=1).all() != walked
+    inside, outside = prob.split.r_inside, 1.0 / prob.split.r_outside_inv
+    assert np.all(hits[:, 0] | (inside < radii) & (radii < outside))
 
 
 def test_lp_fixed_point_is_the_ivp_orbit_when_stable():
@@ -689,20 +743,19 @@ def test_linear_graph_is_the_stable_subspace_property(seed, strength):
 
 
 def test_construction_evaluates_fewer_nodes_than_three_suprema(monkeypatch):
-    # the benchmark's d = 32 shape: the gates at 1 and rho read no value and
-    # the horizon only an integer, so construction, with four brackets,
-    # stops short of the 163 nodes that three full suprema take here
+    # the benchmark's d = 32 shape: the gate at 1 reads no value and the
+    # horizon only an integer, so construction, with three brackets, stops
+    # short of the 155 nodes that full suprema at 1, mu and nu take here
     rng = np.random.default_rng(79)
     moduli = np.concatenate([0.3 + 0.4 * (np.arange(16) + 0.5) / 16, 1.5 + (np.arange(16) + 0.5) / 16])
     a = matrix_with_moduli(rng, moduli, shear=0.5 / np.sqrt(32))
     nodes = counted_sigma_min(monkeypatch)
     prob = ManifoldProblem(a, saturation_map(0.002), fp_tol=1e-12)
-    assert prob.horizon == 39 and sum(nodes) <= 120
+    assert prob.horizon == 39 and sum(nodes) <= 100
     nodes.clear()
-    full = [circle_sup_resolvent(a, r) for r in (1.0, prob.rho, prob.mu)]
+    full = [circle_sup_resolvent(a, r) for r in (1.0, prob.mu, prob.nu)]
     assert sum(nodes) >= 150
-    assert [prob.m_one, prob.m_mu] == [full[0], full[2]]
-    assert prob.m_nu == circle_sup_resolvent(a, prob.nu)
+    assert [prob.m_one, prob.m_mu, prob.m_nu] == full
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import pathlib
 import runpy
 
@@ -15,10 +16,12 @@ from specseq import (
     IndeterminateHyperbolic,
     InputError,
     ManifoldProblem,
+    NormOverflow,
     PreconditionViolation,
     QuadratureError,
     ResolventPlan,
     SpectrumHit,
+    SpecseqError,
     SpectrumOnCircle,
     circle_sup_resolvent,
     is_hyperbolic,
@@ -186,6 +189,30 @@ def test_circle_sup_preconditions():
     # rounding margin of about 3.6e-7 can certify
     with pytest.raises(SpectrumOnCircle):
         circle_sup_resolvent(BoundedOperator([[0.5, 1e8], [0.0, 0.5]]), 1.0)
+
+
+@pytest.mark.parametrize("r", [1e150, 1e155, 1e200, 1e300])
+def test_circle_sup_at_large_radii_is_certified_or_refused(r):
+    # sup ||(z - A)^(-1)|| = 1 / (r - 2) on |z| = r; the squares of the
+    # second-order bound pass the float range near 1.34e154
+    exact = 1.0 / (r - 2.0)
+    try:
+        sup = circle_sup_resolvent(BoundedOperator(np.diag([0.5, 2.0])), r)
+    except SpecseqError:
+        return
+    assert exact <= sup <= (1 + SUP_REL_TOL) * exact
+
+
+def test_circle_sup_refuses_an_overflowing_margin():
+    # ||A||_F overflows, so the SVD's rounding margin certifies nothing
+    with pytest.raises(NormOverflow, match="no finite bound is certified"):
+        circle_sup_resolvent(BoundedOperator([[1e200, 1e200], [0.0, 1.0]]), 2.0)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.0, -math.inf)])
+def test_resolvent_rejects_non_finite_z(z):
+    with pytest.raises(InputError, match="z must be finite"):
+        resolvent_at(BoundedOperator([[0.5]]), z)
 
 
 @st.composite

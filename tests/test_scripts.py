@@ -61,9 +61,9 @@ def test_lp_memory_reports_every_dimension(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["d", "horizon", "mu", "nu", "G", "nodes", "pass_ms", "minflt", "lp_peak", "MB"]
     assert [row.split()[:6] for row in rows] == [
-        ["2", "32", "0.5453", "1.8340", "16", "74"],
-        ["8", "33", "0.6860", "1.5293", "16", "98"],
-        ["32", "39", "0.7205", "1.4518", "16", "115"],
+        ["2", "32", "0.5453", "1.8340", "16", "58"],
+        ["8", "33", "0.6860", "1.5293", "16", "82"],
+        ["32", "39", "0.7205", "1.4518", "16", "97"],
     ]
     for row in rows:
         pass_ms, faults, peak, mb = map(float, row.split()[6:])
