@@ -60,10 +60,8 @@ from .resolvent import (
 from .sequences import (
     Weight,
     WindowedSequence,
-    embed_one_sided,
     impulse,
     inner_product,
-    max_abs_diff,
     shift,
     support,
     support_subset_geq,

@@ -29,7 +29,14 @@ from .resolvent import (
     equation_residual,
 )
 from .sequences import Weight
-from .solver import solve_contraction, solve_ivp, solve_ivp_all, stability_classify
+from .solver import (
+    FP_TOL,
+    MAX_ITER,
+    solve_contraction,
+    solve_ivp,
+    solve_ivp_all,
+    stability_classify,
+)
 from .ztransform import multiplication_equiv_check, parseval_check, ztransform
 
 
@@ -265,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--window", type=int, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--fp-tol", type=float, default=1e-10, dest="fp_tol")
-    p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
+    p.add_argument("--fp-tol", type=float, default=FP_TOL, dest="fp_tol")
+    p.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_solve_contraction)

@@ -65,6 +65,7 @@ from .operators import (
 from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_steps
 from .sequences import WindowedSequence, entry_norms
 from .solver import (
+    FP_TOL,
     StencilMap,
     check_iteration_limits,
     forward_orbit,
@@ -182,7 +183,7 @@ class ManifoldProblem:
 
     A: BoundedOperator
     F: StencilMap
-    fp_tol: float = 1e-10
+    fp_tol: float = FP_TOL
     max_iter: int = 200
     horizon: int | None = None
     split: SpectralSplit = field(init=False)

@@ -357,12 +357,14 @@ def apply_resolvent_window(
     ``f`` holds the rows ``f_lo, f_{lo+1}, ...`` of the data (zero
     elsewhere), each a vector or, with a column axis, a ``(G, d)`` stack.
     The causal branch ``u_n = sum_{k <= n-1} M^{n-1-k} P f_k`` runs forward
-    from ``lo`` only up to ``out_hi``; the anticausal branch
+    from ``lo`` up to ``out_hi``; the anticausal branch
     ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` runs backward from the last row of
-    ``f`` only down to ``out_lo``.  Each row equals the same row of the
-    full-window application: the causal branch ends ``tail_cut`` rows past
-    the support of ``f`` (of all columns together) and the anticausal
-    branch starts ``tail_cut`` rows before it.
+    ``f`` down to ``out_lo``.  No row is cut: every row of the window is the
+    series' own value, and a row inside the plan's certified window (that of
+    :func:`apply_resolvent_causal` or :func:`apply_resolvent_split`) equals
+    the same row of that full application bit for bit.  Past that window
+    every row is a sum of the powers the tail cuts drop, each of which
+    bounds its terms by :data:`SERIES_TOL` relative to ``||f||_{2,rho}``.
 
     The rows are written into ``out``, a C-contiguous complex array of the
     window's shape (a new one when None); the rows of each branch are lent
@@ -374,47 +376,37 @@ def apply_resolvent_window(
         out = np.zeros((out_hi - out_lo + 1,) + f.shape[1:], dtype=np.complex128)
     else:
         out.fill(0)
-    support = np.flatnonzero(np.any(f.reshape(len(f), -1) != 0, axis=1))
-    if not support.size:
-        return out
-    # Room for the causal rows (lo .. out_hi - 1 at most) counted before the
-    # zero rows of f are trimmed, so that calls whose data differ only in
-    # support, like the steps of an iteration, take buffers of one size.
-    room = max(len(f), out_hi - lo)
-    f = f[support[0] : support[-1] + 1]
-    lo, hi = lo + int(support[0]), lo + int(support[-1])
+    hi = lo + len(f) - 1
     ws = Workspace() if ws is None else ws
     causal_powers, anticausal_powers = plan._scan_squares
     # Each branch's rows are added to the zeroed window as soon as they are
-    # computed, so one branch's rows are held at a time.  The causal branch
-    # goes first: in an iteration its buffer is the longer one, and the
-    # anticausal rows then fit in it (0 + a + c is the same sum bit for bit
-    # in either order).
+    # computed, so one branch's rows are held at a time (0 + a + c is the
+    # same sum bit for bit in either order).
     if plan._causal is not None:
-        mat, proj, tail = plan._causal
-        # row n reads f_k for k <= n - 1: run the rows lo .. end - 1
-        start, end = max(out_lo, lo + 1), min(out_hi, hi + tail + 1)
-        if start <= end:
-            rows = ws.take((room,) + f.shape[1:])
+        mat, proj, _ = plan._causal
+        # row n reads f_k for k <= n - 1: run the rows lo .. out_hi - 1
+        start = max(out_lo, lo + 1)
+        if start <= out_hi:
+            g = ws.take((out_hi - lo,) + f.shape[1:])
+            data = f[: len(g)]
             if proj is None:
-                rows[: len(f)] = f
+                g[: len(data)] = data
             else:  # one product over all rows and columns
                 d = f.shape[-1]
-                np.matmul(f.reshape(-1, d), proj.T, out=rows[: len(f)].reshape(-1, d))
-            g = rows[: end - lo]
-            g[len(f) :] = 0
+                np.matmul(data.reshape(-1, d), proj.T, out=g[: len(data)].reshape(-1, d))
+            g[len(data) :] = 0
             linear_recurrence(mat, g, out=g, powers=causal_powers)
-            out[start - out_lo : end - out_lo + 1] += g[start - lo - 1 :]
-            ws.give(rows)
+            out[start - out_lo :] += g[start - lo - 1 :]
+            ws.give(g)
     if plan._anticausal is not None:
-        mat, tail = plan._anticausal
-        # row n reads f_k for k >= n: run the rows hi down to start
-        start, end = max(out_lo, lo - tail), min(out_hi, hi)
-        if start <= end:
-            g = dense_rows(f, lo, start, hi)
+        mat, _ = plan._anticausal
+        # row n reads f_k for k >= n: run the rows hi down to out_lo
+        end = min(out_hi, hi)
+        if out_lo <= end:
+            g = dense_rows(f, lo, out_lo, hi)
             rows = ws.take(g.shape)
             linear_recurrence(mat, g, reverse=True, out=rows, powers=anticausal_powers)
-            out[start - out_lo : end - out_lo + 1] += rows[: end - start + 1]
+            out[: end - out_lo + 1] += rows[: end - out_lo + 1]
             ws.give(rows)
     return out
 

@@ -14,7 +14,7 @@ tolerates geometric growth.  For p = 2 the norm comes from the inner product
 
 All values are immutable; every operation returns a new sequence with an
 exactly computed window.  Truncation never happens silently: it is the
-explicit :func:`truncate` operation, invoked by solver configurations.
+explicit :func:`truncate` operation.
 """
 
 from __future__ import annotations
@@ -300,23 +300,6 @@ def support_subset_geq(u: WindowedSequence, a: int) -> bool:
     return spt is None or spt[0] >= a
 
 
-def embed_one_sided(values, start: int = 0, dim: int | None = None) -> WindowedSequence:
-    """Zero-extension of a one-sided sequence indexed from ``start``.
-
-    The embedding is an isometry: every weighted norm of the result equals
-    the corresponding one-sided norm of the input.  An empty input requires
-    an explicit ``dim`` and yields the zero sequence.
-    """
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.size == 0:
-        if dim is None:
-            raise InputError("embedding an empty sequence requires an explicit dim")
-        return zero_sequence(dim)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return WindowedSequence(start, arr)
-
-
 def truncate(u: WindowedSequence, lo: int | None = None, hi: int | None = None) -> WindowedSequence:
     """Explicitly restrict ``u`` to ``[lo, hi]``, zeroing everything outside."""
     a = u.lo if lo is None else int(lo)
@@ -327,8 +310,3 @@ def truncate(u: WindowedSequence, lo: int | None = None, hi: int | None = None) 
     b = min(b, u.hi)
     return WindowedSequence(a, u.values[a - u.lo : b - u.lo + 1])
 
-
-def max_abs_diff(u: WindowedSequence, v: WindowedSequence) -> float:
-    """Largest pointwise Euclidean deviation |u_n - v_n| over all n."""
-    lo, a, b = _aligned(u, v)
-    return float(np.max(np.linalg.norm(a - b, axis=1)))

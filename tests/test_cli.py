@@ -275,6 +275,25 @@ def test_solve_ivp_single_method(files, capsys):
     assert json.loads(out)["method"] == "variation_of_constants"
 
 
+def test_solve_ivp_impulse_writes_every_row_of_the_horizon(tmp_path, capsys):
+    # x = 1 is the impulse map's only data, so every row past row 0 comes
+    # from the causal branch running on to the horizon: u_n = 1.5^n
+    a = write_json(tmp_path / "a.json", {"dim": 1, "re": [[1.5]]})
+    f = write_json(tmp_path / "f.json", {"kernel": "zero", "params": {}})
+    x = write_json(tmp_path / "x.json", {"dim": 1, "re": [1.0]})
+    rows = {}
+    for method in ("impulse", "recursion"):
+        argv = ["solve-ivp", "--A", a, "--F", f, "--x", x, "--method", method]
+        code, out, _ = run_cli(argv + ["--horizon", "120", "--rho", "2.5"], capsys)
+        assert code == 0
+        solution = json.loads(out)["solution"]
+        assert solution["lo"] == 0
+        rows[method] = np.array([complex(re[0], im[0]) for re, im in solution["values"]])
+    assert len(rows["impulse"]) == len(rows["recursion"]) == 121
+    err = np.abs(rows["impulse"] - rows["recursion"])
+    assert np.all(err <= 1e-12 * np.abs(rows["recursion"]))
+
+
 def test_solve_contraction_cli(files, tmp_path, capsys):
     stencil = write_json(
         tmp_path / "flin.json",

@@ -25,7 +25,6 @@ from specseq import (
     lp_apply,
     lp_fixed_point,
     manifold_sweep,
-    max_abs_diff,
     polynomial_map,
     riesz_split,
     saturation_map,
@@ -39,7 +38,13 @@ from specseq import (
 from specseq import operators
 from specseq.manifold import _decay_rate, _first_horizon
 from specseq.resolvent import TAIL_CAP
-from testutil import counted_sigma_min, matrix_with_moduli, random_sequence, random_vector
+from testutil import (
+    counted_sigma_min,
+    matrix_with_moduli,
+    max_abs_diff,
+    random_sequence,
+    random_vector,
+)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from specseq import (
     circle_sup_resolvent,
     equation_residual,
     impulse,
-    max_abs_diff,
     spectral_radius,
     support,
     support_subset_geq,
@@ -39,7 +38,13 @@ from specseq.resolvent import (
     decay_steps,
     linear_recurrence,
 )
-from testutil import matrix_with_moduli, random_sequence, random_unitary, random_vector
+from testutil import (
+    matrix_with_moduli,
+    max_abs_diff,
+    random_sequence,
+    random_unitary,
+    random_vector,
+)
 
 SERIES_SLACK = 1e-11  # 10 * series_tol
 
@@ -323,19 +328,27 @@ def test_plan_branches_square_their_scan_powers_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["causal", "split"])
 def test_window_application_equals_truncated_full_window(mode):
-    # every row of a window, including windows that cut through the support
-    # of f, is the same row of the full-window application, bit for bit
+    # every row of a window inside the certified one, including windows that
+    # cut through the support of f, is the same row of the full-window
+    # application, bit for bit; rows past it are the series' own values,
+    # which the tail cuts bound relative to ||f||
     rng = np.random.default_rng(37)
     moduli = [0.4, 0.7, 0.8] if mode == "causal" else [0.4, 0.7, 1.6]
     plan = ResolventPlan(matrix_with_moduli(rng, moduli, shear=0.3), 1.0, mode)
     apply_full = apply_resolvent_causal if mode == "causal" else apply_resolvent_split
     f = random_sequence(rng, 3, -4, 11)
     full = apply_full(plan, f)
-    windows = [(-4, 11), (0, 5), (3, 20), (-30, -2), (9, 9), (12, 12 + plan.tail_cut + 3)]
-    windows.append(full.window)
-    for lo, hi in windows:
+    for lo, hi in [(-4, 11), (0, 5), (3, 20), (-30, -2), (9, 9), full.window]:
         got = apply_resolvent_window(plan, f.values, f.lo, lo, hi)
         assert np.array_equal(got, truncate(full, lo, hi).dense(lo, hi))
+    lo, hi = 12, 12 + plan.tail_cut + 3
+    got = apply_resolvent_window(plan, f.values, f.lo, lo, hi)
+    inside = full.hi - lo + 1
+    assert 0 < inside < len(got)
+    assert np.array_equal(got[:inside], full.dense(lo, full.hi))
+    past = WindowedSequence(full.hi + 1, got[inside:])
+    assert not past.is_zero
+    assert weighted_norm(past, Weight(1.0, 2.0)) <= SERIES_SLACK * weighted_norm(f, Weight(1.0, 2.0))
     # with a column axis, each column is the full application of its own data
     stack = np.stack([f.values, 2.0 * f.values[::-1]], axis=1)
     got = apply_resolvent_window(plan, stack, f.lo, -2, 14)

@@ -10,10 +10,8 @@ from specseq import (
     NormOverflow,
     Weight,
     WindowedSequence,
-    embed_one_sided,
     impulse,
     inner_product,
-    max_abs_diff,
     shift,
     support,
     support_subset_geq,
@@ -23,7 +21,7 @@ from specseq import (
 )
 from specseq.sequences import entry_norms
 from specseq.workspace import Workspace
-from testutil import random_sequence
+from testutil import max_abs_diff, random_sequence
 
 P_VALUES = (1.0, 2.0, math.inf)
 
@@ -175,14 +173,14 @@ def test_support_ignores_stray_entries_below_tolerance():
 
 
 def test_embed_one_sided_single_entry():
-    out = embed_one_sided([[2.0, 1.0]], start=0)
+    out = WindowedSequence(0, [[2.0, 1.0]])
     assert max_abs_diff(out, impulse(0, [2.0, 1.0])) == 0.0
 
 
 def test_embed_one_sided_isometry():
     rng = np.random.default_rng(23)
     arr = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
-    u = embed_one_sided(arr, start=2)
+    u = WindowedSequence(2, arr)
     for p in P_VALUES:
         w = Weight(1.4, p)
         # one-sided norm by direct loop
@@ -192,7 +190,7 @@ def test_embed_one_sided_isometry():
 
 
 def test_embed_one_sided_empty_is_zero():
-    assert embed_one_sided([], dim=3).is_zero
+    assert zero_sequence(3).is_zero and zero_sequence(3).dim == 3
 
 
 def test_scale_of_spaces_chain_and_embedding_constant():

@@ -19,11 +19,9 @@ from specseq import (
     WindowedSequence,
     apply_resolvent_causal,
     circle_sup_resolvent,
-    embed_one_sided,
     impulse,
     implicit_euler_map,
     linear_map,
-    max_abs_diff,
     operator_norm,
     polynomial_map,
     saturation_map,
@@ -42,7 +40,7 @@ from specseq import resolvent
 from specseq.operators import SUP_REL_TOL
 from specseq.solver import _causal_row, fixed_point, forward_orbit, smallness_gate
 from specseq.workspace import Workspace
-from testutil import matrix_with_moduli, random_sequence, random_vector
+from testutil import matrix_with_moduli, max_abs_diff, random_sequence, random_vector
 
 
 def test_stencil_registry_validation():
@@ -172,7 +170,7 @@ def test_solve_contraction_implicit_euler_closed_form():
         assert report.solution.at(n)[0].real == pytest.approx(x / 1.1 ** (n + 1), rel=1e-8)
     for n in range(-4, 0):
         assert np.linalg.norm(report.solution.at(n)) <= 1e-10
-    oracle = embed_one_sided([[x / 1.1 ** (n + 1)] for n in range(0, 61)], start=0)
+    oracle = WindowedSequence(0, [[x / 1.1 ** (n + 1)] for n in range(0, 61)])
     assert weighted_norm(report.solution - oracle, w) <= 1e-10
     assert report.contraction_estimate <= (1.0 + 0.1 * 2.0) / 2.0 + 0.05
 
@@ -303,6 +301,36 @@ def test_solve_ivp_forced_three_methods_agree():
     assert max(devs.values()) <= 1e-8
     assert max_abs_diff(sols["impulse"], sols["recursion"]) <= 1e-8
     assert not sols["recursion"].is_zero
+
+
+@st.composite
+def ivp_cases(draw):
+    dim = draw(st.integers(1, 8))
+    moduli = draw(st.lists(st.floats(0.2, 1.8), min_size=dim, max_size=dim))
+    shear = draw(st.floats(0.0, 1.0))
+    horizon = draw(st.integers(20, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.array(moduli), shear, horizon, seed
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=ivp_cases())
+def test_ivp_formulations_agree_row_by_row_property(forced, case):
+    # the impulse fixed point on ell_{2,rho} (default rho = r(A) + 1) is the
+    # forward orbit on every row of [0, horizon], also where the data of the
+    # impulse map, x and the forcing, end long before the horizon
+    moduli, shear, horizon, seed = case
+    rng = np.random.default_rng(seed)
+    a = matrix_with_moduli(rng, moduli, shear=shear)
+    x = random_vector(rng, a.dim)
+    f = zero_map(WindowedSequence(0, rng.standard_normal((5, a.dim))) if forced else None)
+    want = solve_ivp(a, f, x, horizon, "recursion").dense(0, horizon)
+    scale = np.linalg.norm(want, axis=1)
+    assert np.all(scale > 0.0)
+    for method in ("variation_of_constants", "impulse"):
+        got = solve_ivp(a, f, x, horizon, method).dense(0, horizon)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-10 * scale), method
 
 
 def test_solve_ivp_forcing_must_be_one_sided():

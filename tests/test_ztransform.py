@@ -9,7 +9,6 @@ from specseq import (
     WindowTooWide,
     impulse,
     inverse_ztransform,
-    max_abs_diff,
     multiplication_equiv_check,
     parseval_check,
     positive_support_hardy_check,
@@ -18,7 +17,7 @@ from specseq import (
     zero_sequence,
     ztransform,
 )
-from testutil import random_sequence
+from testutil import max_abs_diff, random_sequence
 
 
 def naive_transform(u, rho, n_samples):

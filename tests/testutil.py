@@ -1,8 +1,15 @@
 """Shared randomized-instance generators for the test suite."""
 
+import math
+
 import numpy as np
 
-from specseq import BoundedOperator, WindowedSequence, operators
+from specseq import BoundedOperator, Weight, WindowedSequence, operators, weighted_norm
+
+
+def max_abs_diff(u, v):
+    """Largest pointwise Euclidean deviation |u_n - v_n| over all n."""
+    return weighted_norm(u - v, Weight(1.0, math.inf))
 
 
 def random_unitary(rng, dim):
