@@ -9,6 +9,9 @@ and ``nu`` of its certificate, the sweep's block width ``G`` and ``nodes``, the
 number of smallest-singular-value evaluations (circle nodes of the
 certified suprema) one ``ManifoldProblem`` construction makes, then:
 
+* ``construct_ms``: the fastest of five ``ManifoldProblem`` constructions
+  from the decoded problem file;
+* ``sweep_ms``: the fastest of five ``manifold_sweep`` calls over the grid;
 * ``pass_ms``: the fastest of five ``stable-manifold`` passes through
   ``specseq.cli.main``, after one warm-up pass;
 * ``minflt``: the median number of minor page faults per pass
@@ -42,7 +45,7 @@ import workloads  # noqa: E402
 
 from specseq import io, operators  # noqa: E402
 from specseq.cli import main as cli_main  # noqa: E402
-from specseq.manifold import _block_width, _manifold_points  # noqa: E402
+from specseq.manifold import _block_width, _manifold_points, manifold_sweep  # noqa: E402
 
 SEED = 7
 PASSES = 5
@@ -57,6 +60,16 @@ def _pass(job):
     if code != 0:
         raise RuntimeError(f"{job.kind} exited {code}")
     return 1e3 * elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def _fastest_ms(call):
+    # the fastest of PASSES calls, in ms
+    times = []
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
 
 
 def _construction(path):
@@ -94,21 +107,34 @@ def _block_peak(job):
     return peak / ((h + 1) * len(xis) * d * 16), peak, prob, len(xis), nodes
 
 
+def _stage_ms(job, prob):
+    # the fastest construction of the job's problem from its decoded file,
+    # and the fastest sweep of its grid, in ms
+    argv = dict(zip(job.argv[1::2], job.argv[2::2]))
+    problem = io.load_json(argv["--problem"])
+    grid = io.grid_from_json(io.load_json(argv["--grid"]))
+    return (
+        _fastest_ms(lambda: io.manifold_problem_from_json(problem)),
+        _fastest_ms(lambda: manifold_sweep(prob, grid)),
+    )
+
+
 def run(argv=None):
     if argv:
         print(f"usage: {sys.argv[0]} (takes no options)", file=sys.stderr)
         return 2
     print(f"{'d':>3} {'horizon':>7} {'mu':>6} {'nu':>6} {'G':>3} {'nodes':>5} ", end="")
-    print(f"{'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
+    print(f"{'construct_ms':>12} {'sweep_ms':>8} {'pass_ms':>8} {'minflt':>7} {'lp_peak':>8} {'MB':>6}")
     with tempfile.TemporaryDirectory() as tmp:
         for d in workloads.DIMS:
             (job,) = workloads.make_pass("manifold-sweep", SEED, 0, d, os.path.join(tmp, f"d{d}"))
             _pass(job)
             runs = [_pass(job) for _ in range(PASSES)]
             arrays, peak, prob, g, nodes = _block_peak(job)
+            construct_ms, sweep_ms = _stage_ms(job, prob)
             print(
                 f"{d:>3} {prob.horizon:>7} {prob.mu:>6.4f} {prob.nu:>6.4f} {g:>3} {nodes:>5} "
-                f"{min(ms for ms, _ in runs):>8.1f} "
+                f"{construct_ms:>12.2f} {sweep_ms:>8.2f} {min(ms for ms, _ in runs):>8.1f} "
                 f"{statistics.median(f for _, f in runs):>7.0f} {arrays:>8.2f} {peak / 1e6:>6.2f}"
             )
     return 0

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_step
 from .sequences import WindowedSequence, entry_norms
 from .solver import (
     FP_TOL,
+    StackedReport,
     StencilMap,
     check_iteration_limits,
     forward_orbit,
@@ -367,19 +369,29 @@ def _characterization_defects(
     return tuple(defects)
 
 
-def _decay_rate(u: WindowedSequence, fp_tol: float) -> float:
-    # Least-squares slope of log |u_n| over the entries an iteration stopped
-    # at fp_tol resolves: those above 1e3 fp_tol times the peak.
-    mags = np.linalg.norm(u.values, axis=1)
-    top = float(np.max(mags)) if mags.size else 0.0
-    if top == 0.0:
-        return 0.0
-    idx = np.flatnonzero(mags > 1e3 * fp_tol * top)
-    if idx.size < 3:
-        return 0.0
-    n = np.arange(u.lo, u.hi + 1)[idx]
-    slope = np.polyfit(n.astype(float), np.log(mags[idx]), 1)[0]
-    return float(np.exp(slope))
+def _decay_rates(u: np.ndarray, fp_tol: float, ws: Workspace | None = None) -> np.ndarray:
+    """Per column of the ``(h + 1, G, d)`` orbits ``u``, ``exp`` of the
+    least-squares slope of ``log |u_n|`` over the entries an iteration
+    stopped at ``fp_tol`` resolves: those above ``1e3 fp_tol`` times the
+    column's peak.  A column with fewer than 3 such entries (an all-zero one
+    has none) gives 0.0.
+
+    The slope is the closed form of the fit, with ``n`` and ``log |u_n|``
+    centred on their means over the entries a column reads, for all columns
+    at once.
+    """
+    mags = entry_norms(u, ws=ws)
+    mask = mags > 1e3 * fp_tol * np.max(mags, axis=0)
+    count = np.count_nonzero(mask, axis=0)
+    logs = np.log(mags, out=np.zeros_like(mags), where=mask)
+    n = np.where(mask, np.arange(len(u), dtype=float)[:, None], 0.0)
+    denom = np.maximum(count, 1)
+    n -= np.where(mask, np.sum(n, axis=0) / denom, 0.0)
+    logs -= np.where(mask, np.sum(logs, axis=0) / denom, 0.0)
+    fits = count >= 3
+    slope = np.zeros(len(count))
+    np.divide(np.sum(n * logs, axis=0), np.sum(n * n, axis=0), out=slope, where=fits)
+    return np.where(fits, np.exp(slope), 0.0)
 
 
 def _forward_agreement_window(prob: ManifoldProblem, residual: float, scale: float) -> int:
@@ -394,7 +406,21 @@ def _forward_agreement_window(prob: ManifoldProblem, residual: float, scale: flo
     return max(1, min(prob.horizon, n))
 
 
-def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) -> list:
+class _Block(NamedTuple):
+    """One stacked block of :func:`_manifold_points`, aligned with its ``xis``.
+
+    ``errors`` holds ``None`` for a certified row and otherwise the typed
+    error that stopped it; ``etas``, ``decay_rates`` and the iteration's
+    ``report`` are read only where ``errors`` is ``None``.
+    """
+
+    errors: list
+    etas: np.ndarray
+    decay_rates: np.ndarray
+    report: StackedReport
+
+
+def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) -> _Block:
     """Certified fixed points ``T(xi)`` for the stable-range rows of ``xis``.
 
     One stacked iteration runs every row from its linear profile to
@@ -402,59 +428,59 @@ def _manifold_points(prob: ManifoldProblem, xis: np.ndarray, check_orbit: bool) 
     characterization sums to ``10 * fp_tol``; with ``check_orbit`` the
     forward solution through ``xi + eta`` must also reproduce it to
     ``1e-8 max(1, |xi|)`` on the error-safe prefix (computed only that far).
-    Returns one entry per row: its :class:`ManifoldPoint`, or the typed
-    error that stopped that row.
+    The certified rows get their ``eta`` and their decay rate
+    (:func:`_decay_rates`) in one stacked step each.
     """
     h = prob.horizon
     ws = Workspace()  # every LP step and check of the block runs in its arrays
     stack = impulse_fixed_point(prob.plan, prob.F, xis, h, prob.fp_tol, prob.max_iter, ws)
-    results = list(stack.errors)
-    ok = np.flatnonzero([e is None for e in results])
+    errors = list(stack.errors)
+    etas = np.zeros(xis.shape, dtype=np.complex128)
+    decay_rates = np.zeros(len(xis))
+    ok = np.flatnonzero([e is None for e in errors])
     if not ok.size:
-        return results
-    u = stack.solution if ok.size == len(results) else stack.solution[:, ok]
+        return _Block(errors, etas, decay_rates, stack)
+    u = stack.solution if ok.size == len(errors) else stack.solution[:, ok]
     defect = np.maximum(*_characterization_defects(prob, xis[ok], u, ws))
-    etas = u[0] @ prob.split.proj_unstable.T
+    etas[ok] = u[0] @ prob.split.proj_unstable.T
+    decay_rates[ok] = _decay_rates(u, prob.fp_tol, ws)
     if check_orbit:
         scale = np.maximum(1.0, np.linalg.norm(xis[ok], axis=1))
         n_cmp = np.array(
             [_forward_agreement_window(prob, stack.residual[c], scale[j]) for j, c in enumerate(ok)]
         )
-        fwd = forward_orbit(prob.A, prob.F, xis[ok] + etas, int(np.max(n_cmp)))
+        fwd = forward_orbit(prob.A, prob.F, xis[ok] + etas[ok], int(np.max(n_cmp)))
         dist = np.linalg.norm(fwd - u[: len(fwd)], axis=-1)
         in_window = np.arange(len(fwd))[:, None] <= n_cmp
         dev = np.max(np.where(in_window, dist, 0.0), axis=0)
-    del ws  # its arrays go before the orbits below copy the columns of u
     bound = 10.0 * prob.fp_tol
     for j, c in enumerate(ok):
         if defect[j] > bound:
-            results[c] = InternalInconsistency(
+            errors[c] = InternalInconsistency(
                 f"characterization sums defect {defect[j]:.3e} above {bound:.3e}"
             )
         elif check_orbit and dev[j] > 1e-8 * scale[j]:
-            results[c] = InternalInconsistency(
+            errors[c] = InternalInconsistency(
                 f"forward orbit deviates by {dev[j]:.3e} from the fixed point on [0, {n_cmp[j]}]"
             )
-        else:
-            orbit = WindowedSequence(0, u[:, j])
-            results[c] = ManifoldPoint(
-                xi=xis[c],
-                eta=etas[j],
-                orbit=orbit,
-                decay_rate_estimate=_decay_rate(orbit, prob.fp_tol),
-                iterations=int(stack.iterations[c]),
-                residual=float(stack.residual[c]),
-                contraction_estimate=float(stack.contraction_estimate[c]),
-            )
-    return results
+    return _Block(errors, etas, decay_rates, stack)
 
 
 def _one_point(prob: ManifoldProblem, xi, check_orbit: bool) -> ManifoldPoint:
     xi = prob.check_stable_range(xi)
-    result = _manifold_points(prob, xi[None], check_orbit)[0]
-    if not isinstance(result, ManifoldPoint):
-        raise result
-    return result
+    block = _manifold_points(prob, xi[None], check_orbit)
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    report = block.report
+    return ManifoldPoint(
+        xi=xi,
+        eta=block.etas[0],
+        orbit=WindowedSequence(0, report.solution[:, 0]),
+        decay_rate_estimate=float(block.decay_rates[0]),
+        iterations=int(report.iterations[0]),
+        residual=float(report.residual[0]),
+        contraction_estimate=float(report.contraction_estimate[0]),
+    )
 
 
 def lp_fixed_point(prob: ManifoldProblem, xi) -> ManifoldPoint:
@@ -512,8 +538,9 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     block runs in one :class:`Workspace`, whose arrays its first steps
     allocate and every later step and certificate reuses; its peak is about
     4.7 stacked arrays at d = 32 (horizon 39, 16 columns of a 25-column
-    block), and each point becomes its row before the next block runs, so
-    the sweep peaks there.
+    block).  Each row reads only its ``eta``, its decay rate (one stacked
+    fit per block) and its iteration counts, and the block's orbits go
+    before the next block runs, so the sweep peaks there.
     Rows are independent; per-row failures (a vector off the stable range,
     no convergence, a failed certificate, a non-finite iterate) are recorded
     in the ``error`` field with the same code and message as a one-row run,
@@ -527,26 +554,28 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
             prob.check_stable_range(xi)
             valid.append(i)
         except SpecseqError as exc:  # per-row isolation
-            table[i] = _sweep_row(i, xi, exc)
+            table[i] = _error_row(i, xi, exc)
     block = _block_width(prob)
     for start in range(0, len(valid), block):
         rows = valid[start : start + block]
         points = _manifold_points(prob, np.array([grid[i] for i in rows]), check_orbit=True)
-        for i in rows:  # each point becomes its row, and its orbit goes, before the next block
-            table[i] = _sweep_row(i, grid[i], points.pop(0))
+        for j, i in enumerate(rows):
+            if points.errors[j] is None:
+                table[i] = SweepRow(
+                    index=i,
+                    xi=grid[i],
+                    eta=points.etas[j],
+                    decay_rate=float(points.decay_rates[j]),
+                    iterations=int(points.report.iterations[j]),
+                    residual=float(points.report.residual[j]),
+                )
+            else:
+                table[i] = _error_row(i, grid[i], points.errors[j])
+        del points  # the block's orbits go before the next block runs
     return table
 
 
-def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
-    if isinstance(result, ManifoldPoint):
-        return SweepRow(
-            index=index,
-            xi=xi,
-            eta=result.eta,
-            decay_rate=result.decay_rate_estimate,
-            iterations=result.iterations,
-            residual=result.residual,
-        )
+def _error_row(index: int, xi: np.ndarray, error: SpecseqError) -> SweepRow:
     return SweepRow(
         index=index,
         xi=xi,
@@ -554,7 +583,7 @@ def _sweep_row(index: int, xi: np.ndarray, result) -> SweepRow:
         decay_rate=float("nan"),
         iterations=0,
         residual=float("nan"),
-        error=f"{result.code}: {result}",
+        error=f"{error.code}: {error}",
     )
 
 

@@ -19,7 +19,10 @@ Infinite tails are truncated at a certified length in every mode: each cut
 is the first ``K`` with ``||M^K|| w^K <= SERIES_TOL`` for the matrix ``M``
 that acts on ``f`` itself (``A``, ``PAP`` with ``w = 1/rho``; ``M_Q`` with
 ``w = rho``), so every dropped power bounds its terms relative to
-``||f||_{2,rho}``.
+``||f||_{2,rho}``.  A plan computes its cuts on first use by a full route,
+the one reader of its output window; a caller that asks
+:func:`apply_resolvent_window` for rows of its own choosing never pays for
+them.
 
 The time-domain routes share one array-level application,
 :func:`apply_resolvent_window`, which fills only a requested output window
@@ -274,23 +277,27 @@ class ResolventPlan:
     ``mode`` picks the route.  Every mode carries the branches of a
     time-domain route, which fix its certified output window: in mode
     "causal", and in mode "frequency" when ``rho > r(A) + GAP_TOL``, the
-    causal branch ``(A, None, tail)``; otherwise the branches of the Riesz
-    splitting at ``gamma = rho``, a causal branch ``(PAP, P, tail)`` and an
-    anticausal branch ``(M_Q, tail)`` for
-    ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k`` with ``M_Q = (QAQ + P)^{-1} Q``;
-    a branch on a zero-rank range is ``None``.  ``split`` is computed, not
-    supplied: that splitting, or ``None`` where no branch needs it.
-    ``tail_cut`` is computed: the longer of the branch cuts, each bounding
-    the dropped terms relative to ``||f||_{2,rho}``.  A spectral gap so
-    small that a certified cut would exceed ``TAIL_CAP`` terms raises
-    ``PreconditionViolation``.
+    causal branch ``(A, None)``; otherwise the branches of the Riesz
+    splitting at ``gamma = rho``, a causal branch ``(PAP, P)`` and an
+    anticausal branch ``M_Q`` for ``u_n = -sum_{k >= n} M_Q^{k-n+1} f_k``
+    with ``M_Q = (QAQ + P)^{-1} Q``; a branch on a zero-rank range is
+    ``None``.  ``split`` is computed, not supplied: that splitting, or
+    ``None`` where no branch needs it.
+
+    ``tail_cut`` is the longer of the branch cuts, each bounding the
+    dropped terms relative to ``||f||_{2,rho}``.  The cuts are computed on
+    first use by a full route (:func:`apply_resolvent_causal`,
+    :func:`apply_resolvent_split`, :func:`apply_resolvent_frequency`), or
+    on the first read of ``tail_cut``, before any window is allocated; a
+    spectral gap so small that a certified cut would exceed ``TAIL_CAP``
+    terms raises ``PreconditionViolation`` there.  Windows of the caller's
+    choosing (:func:`apply_resolvent_window`) read no cut.
     """
 
     A: BoundedOperator
     rho: float
     mode: str
     split: SpectralSplit | None = field(init=False, default=None)
-    tail_cut: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -309,37 +316,51 @@ class ResolventPlan:
             self.split = riesz_split(self.A, self.rho)
             self._prepare_split()
         else:
-            self.tail_cut = _tail_cut(self.A.entries, radius, 1.0 / self.rho)
-            self._causal = (self.A.entries, None, self.tail_cut)
+            self._causal = (self.A.entries, None)
 
     def _prepare_split(self):
         split = self.split
         p, q = split.proj_stable, split.proj_unstable
         a = self.A.entries
         if split.rank_stable:
-            pap = p @ a @ p
-            self._causal = (pap, p, _tail_cut(pap, split.r_inside, 1.0 / self.rho))
+            self._causal = (p @ a @ p, p)
         if split.rank_unstable:
             # M_Q = (QAQ + P)^{-1} Q: A^{-1} on range(Q), zero on range(P)
             try:
-                mq = np.linalg.solve(q @ a @ q + p, q)
+                self._anticausal = np.linalg.solve(q @ a @ q + p, q)
             except np.linalg.LinAlgError as exc:
                 raise InternalInconsistency(
                     "restriction of A to range(Q) is numerically singular; "
                     "this contradicts the spectral gap"
                 ) from exc
-            self._anticausal = (mq, _tail_cut(mq, split.r_outside_inv, self.rho))
-        branches = (self._causal, self._anticausal)
-        self.tail_cut = max([b[-1] for b in branches if b is not None] + [1])
+
+    @cached_property
+    def _tails(self) -> tuple[int | None, int | None]:
+        # The certified cuts of the causal and the anticausal branch (None
+        # for a missing branch), the causal one searched first; the radius
+        # of each branch matrix comes from the cached eigendata
+        causal = anticausal = None
+        if self._causal is not None:
+            radius = spectral_radius(self.A) if self.split is None else self.split.r_inside
+            causal = _tail_cut(self._causal[0], radius, 1.0 / self.rho)
+        if self._anticausal is not None:
+            anticausal = _tail_cut(self._anticausal, self.split.r_outside_inv, self.rho)
+        return causal, anticausal
+
+    @property
+    def tail_cut(self) -> int:
+        """The longer of the certified branch cuts, at least 1."""
+        return max([t for t in self._tails if t is not None] + [1])
 
     @cached_property
     def _scan_squares(self) -> tuple:
         # The doubling-scan powers of the causal and the anticausal branch
         # matrix (None for a missing branch), squared once per plan, when a
         # window is first applied, for any number of rows.
+        causal = None if self._causal is None else self._causal[0]
         return tuple(
-            None if b is None else _scan_powers(b[0], _SCAN_BUDGET, 1)
-            for b in (self._causal, self._anticausal)
+            None if m is None else _scan_powers(m, _SCAN_BUDGET, 1)
+            for m in (causal, self._anticausal)
         )
 
 
@@ -383,7 +404,7 @@ def apply_resolvent_window(
     # computed, so one branch's rows are held at a time (0 + a + c is the
     # same sum bit for bit in either order).
     if plan._causal is not None:
-        mat, proj, _ = plan._causal
+        mat, proj = plan._causal
         # row n reads f_k for k <= n - 1: run the rows lo .. out_hi - 1
         start = max(out_lo, lo + 1)
         if start <= out_hi:
@@ -399,7 +420,7 @@ def apply_resolvent_window(
             out[start - out_lo :] += g[start - lo - 1 :]
             ws.give(g)
     if plan._anticausal is not None:
-        mat, _ = plan._anticausal
+        mat = plan._anticausal
         # row n reads f_k for k >= n: run the rows hi down to out_lo
         end = min(out_hi, hi)
         if out_lo <= end:
@@ -411,25 +432,24 @@ def apply_resolvent_window(
     return out
 
 
-def _output_window(plan: ResolventPlan, f: WindowedSequence) -> tuple[int, int]:
-    # The whole certified output window: [lo - tail_Q, hi + tail_P + 1], with
-    # a missing branch contributing no rows beyond the data's side.
-    causal, anticausal = plan._causal, plan._anticausal  # tails come last
-    out_lo = f.lo - anticausal[-1] if anticausal else f.lo + 1
-    out_hi = f.hi + causal[-1] + 1 if causal else f.hi
-    return out_lo, out_hi
-
-
 def _plan_window(plan: ResolventPlan, f: WindowedSequence, mode: str) -> tuple[int, int] | None:
     # Where a plan meets its data: the plan's mode and f's dimension are
-    # checked, then the certified output window (None for f = 0) is returned.
+    # checked, the cuts computed (so an uncertifiable one raises for f = 0
+    # too), then the whole certified output window, [lo - tail_Q,
+    # hi + tail_P + 1] with a missing branch contributing no rows beyond the
+    # data's side, is returned (None for f = 0).
     if plan.mode != mode:
         raise InputError(f"plan mode is {plan.mode!r}, expected {mode!r}")
     if f.dim != plan.A.dim:
         raise DimensionMismatch(
             f"sequence has dimension {f.dim}, the operator has dimension {plan.A.dim}"
         )
-    return None if f.is_zero else _output_window(plan, f)
+    causal, anticausal = plan._tails
+    if f.is_zero:
+        return None
+    out_lo = f.lo + 1 if anticausal is None else f.lo - anticausal
+    out_hi = f.hi if causal is None else f.hi + causal + 1
+    return out_lo, out_hi
 
 
 def _apply_full(plan: ResolventPlan, f: WindowedSequence, mode: str) -> WindowedSequence:

@@ -353,6 +353,34 @@ def test_resolve_forcing_of_another_dimension_exits_4(files, capsys, mode, rho):
     assert json.loads(err)["error"] == "dimension-mismatch"
 
 
+@pytest.mark.parametrize(
+    "mode, diagonal, rho",
+    [("causal", [0.9, 0.5], "0.9001"), ("split", [0.5, 1.0001], "1"), ("frequency", [0.9999, 0.5], "1")],
+)
+def test_resolve_tail_cut_past_the_cap_exits_20_before_any_window(
+    files, capsys, monkeypatch, mode, diagonal, rho
+):
+    # a plan computes its cuts on first use; a full route reads them before
+    # it allocates a window or transforms its data
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a window was allocated")
+
+    monkeypatch.setattr(resolvent, "apply_resolvent_window", unreachable)
+    monkeypatch.setattr(resolvent, "ztransform", unreachable)
+    a = write_json(files["tmp"] / "a.json", {"dim": 2, "re": np.diag(diagonal).tolist()})
+    f = write_json(files["tmp"] / "f.json", {"dim": 2, "lo": -1, "values": [[[1.0, 1.0], [0.0, 0.0]]]})
+    code, out, err = run_cli(["resolve", "--A", a, "--f", f, "--rho", rho, "--mode", mode], capsys)
+    assert (code, out) == (20, "")
+    diag = json.loads(err)
+    assert diag["error"] == "precondition-violated"
+    assert "series tail cut needs at least" in diag["message"]
+    assert f"cap of {resolvent.TAIL_CAP}" in diag["message"]
+    if mode == "split":
+        with pytest.raises(specseq.PreconditionViolation) as info:
+            specseq.causality_probe(specseq.BoundedOperator.diagonal(diagonal), 1.0, [1.0, 1.0])
+        assert str(info.value) == diag["message"]
+
+
 def test_stability_cli(files, capsys):
     code, out, _ = run_cli(["stability", "--A", files["A_half"]], capsys)
     assert code == 0

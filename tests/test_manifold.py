@@ -36,7 +36,7 @@ from specseq import (
     zero_sequence,
 )
 from specseq import operators
-from specseq.manifold import _decay_rate, _first_horizon
+from specseq.manifold import _decay_rates, _first_horizon
 from specseq.resolvent import TAIL_CAP
 from testutil import (
     counted_sigma_min,
@@ -89,23 +89,91 @@ def brute_force_characterization(prob, xi, orbit):
     return defect_p, defect_q
 
 
+def polyfit_decay_rate(orbit: np.ndarray, fp_tol: float) -> float:
+    # Reference fit of one (rows, d) orbit: np.polyfit's least-squares slope of
+    # log |u_n| over the entries above 1e3 fp_tol times the peak, 0.0 for
+    # fewer than 3 of them
+    mags = np.linalg.norm(orbit, axis=1)
+    top = float(np.max(mags))
+    if top == 0.0:
+        return 0.0
+    idx = np.flatnonzero(mags > 1e3 * fp_tol * top)
+    if idx.size < 3:
+        return 0.0
+    return float(np.exp(np.polyfit(idx.astype(float), np.log(mags[idx]), 1)[0]))
+
+
 def test_decay_rate_ignores_noise_below_iteration_tolerance():
     # the fit reads only entries the iteration resolves, so noise at the
     # rounding level of the orbit's peak barely moves it; a fit down to
     # 1e-13 of the peak moved by ~1e-4 here
     prob = ManifoldProblem(BoundedOperator(np.diag([0.5, 2.0])), saturation_map(0.01))
-    orbit = lp_fixed_point(prob, [1.0, 0.0]).orbit
-    rate = _decay_rate(orbit, prob.fp_tol)
+    orbit = lp_fixed_point(prob, [1.0, 0.0]).orbit.dense(0, prob.horizon)
+    (rate,) = _decay_rates(orbit[:, None], prob.fp_tol)
     assert rate == pytest.approx(0.5, rel=1e-3)
     rng = np.random.default_rng(3)
-    peak = float(np.max(np.abs(orbit.values)))
-    shape = orbit.values.shape
-    for _ in range(10):
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        noisy = WindowedSequence(0, orbit.values + 1e-15 * peak * noise)
-        assert abs(_decay_rate(noisy, prob.fp_tol) - rate) <= 1e-9 * rate
+    peak = float(np.max(np.abs(orbit)))
+    shape = (len(orbit), 10, orbit.shape[1])
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rates = _decay_rates(orbit[:, None] + 1e-15 * peak * noise, prob.fp_tol)
+    assert np.all(np.abs(rates - rate) <= 1e-9 * rate)
     # at least 3 resolved entries are needed for a slope
-    assert _decay_rate(WindowedSequence(0, [[1.0], [1e-8], [1e-9]]), 1e-10) == 0.0
+    assert _decay_rates(np.array([[[1.0]], [[1e-8]], [[1e-9]]]), 1e-10)[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(3, 80),
+    columns=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    fp_tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+)
+def test_stacked_decay_rates_match_a_polyfit_per_column(seed, rows, columns, dim, fp_tol):
+    # noisy geometric orbits, some rows zero, plus an all-zero column and one
+    # with fewer than 3 resolved entries
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(0.05, 1.5, columns)
+    n = np.arange(rows)[:, None, None]
+    scale = rng.uniform(1e-3, 1e3, (1, columns, 1)) * rate[None, :, None] ** n
+    noise = 1.0 + 0.1 * rng.standard_normal((rows, columns, dim))
+    u = scale * noise * np.exp(2j * np.pi * rng.uniform(size=(rows, columns, dim)))
+    u[rng.uniform(size=rows) < 0.1] = 0.0
+    few = np.zeros((rows, 1, dim), dtype=np.complex128)
+    few[:2, 0, 0] = (1.0, 0.5)
+    few[2:, 0, 0] = 1e-3 * fp_tol
+    u = np.concatenate([u, np.zeros_like(few), few], axis=1)
+    got = _decay_rates(u, fp_tol)
+    assert got[columns] == 0.0 and got[columns + 1] == 0.0
+    for j in range(u.shape[1]):
+        want = polyfit_decay_rate(u[:, j], fp_tol)
+        assert abs(got[j] - want) <= 1e-12 * abs(want), (j, got[j], want)
+
+
+def test_sweep_fits_each_block_once(desk_problem, monkeypatch):
+    # a 16-row sweep reads each row's decay rate from one stacked fit: no
+    # np.polyfit, and no per-row orbit sequence
+    calls = {"polyfit": 0, "sequences": 0}
+    polyfit, post_init = np.polyfit, WindowedSequence.__post_init__
+
+    def counted_polyfit(*args, **kwargs):
+        calls["polyfit"] += 1
+        return polyfit(*args, **kwargs)
+
+    def counted_post_init(self):
+        calls["sequences"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np, "polyfit", counted_polyfit)
+    monkeypatch.setattr(WindowedSequence, "__post_init__", counted_post_init)
+    grid = [np.array([0.02 * k, 0.0]) for k in range(-8, 8)]
+    rows = manifold_sweep(desk_problem, grid)
+    assert all(row.error is None for row in rows)
+    assert calls == {"polyfit": 0, "sequences": 0}
+    # the one-row API still builds its orbit, and reads the same fit
+    point = lp_fixed_point(desk_problem, grid[1])
+    assert calls == {"polyfit": 0, "sequences": 1}
+    assert point.decay_rate_estimate == pytest.approx(rows[1].decay_rate, rel=1e-9)
 
 
 def test_lp_apply_linear_part_only(desk_problem):
@@ -517,12 +585,28 @@ def test_default_horizon_is_certified_near_the_circle(r, s, horizon):
     assert row.error is None and np.all(np.isfinite(row.eta))
 
 
-def test_decay_length_beyond_tail_cap_fails_fast():
-    # the certified cut of the stable range needs 27 618 terms, above TAIL_CAP
+def test_near_circle_problems_past_the_tail_cap_are_admitted():
+    # the split plan of diag(0.999, *) needs a 27 618-term tail cut for a
+    # full route, above TAIL_CAP, and refused these problems at construction
+    # although no LP row reads that cut; their certificates need 40 and 32 rows
+    a = BoundedOperator(np.diag([0.999, 2.0]))
     start = time.perf_counter()
-    with pytest.raises(PreconditionViolation, match="27618 terms"):
-        ManifoldProblem(BoundedOperator(np.diag([0.999, 2.0])), saturation_map(1e-6))
+    prob = ManifoldProblem(a, saturation_map(1e-6))
     assert time.perf_counter() - start < 0.5
+    assert prob.horizon == 40
+    eta, point = stable_manifold_point(prob, [1.0, 0.0])
+    assert point.iterations >= 1 and abs(eta[0]) == 0.0 and 0.0 < abs(eta[1]) < 1e-6
+    with pytest.raises(PreconditionViolation, match="27618 terms"):
+        prob.plan.tail_cut  # a full route still refuses the cut
+    a = BoundedOperator(np.diag([0.999, 3.0]))
+    assert ManifoldProblem(a, saturation_map(0.5 / circle_sup_resolvent(a, 1.0))).horizon == 32
+    # the impulse IVP's causal plan reads no cut either: a 248 694-term cut
+    # refused this one
+    a = BoundedOperator([[0.9]])
+    u = solve_ivp(a, saturation_map(1e-6), [1.0], 60, "impulse", rho=0.9001)
+    v = solve_ivp(a, saturation_map(1e-6), [1.0], 60, "recursion")
+    assert u.window == v.window == (0, 60)
+    assert max_abs_diff(u, v) <= 2.3e-16
 
 
 def shear_problem(**kwargs):

@@ -91,12 +91,14 @@ def test_causal_requires_supercritical_weight():
 
 def test_tail_cut_overflow_is_a_precondition_violation(monkeypatch):
     # the gap 1e-4 passes GAP_TOL, but the certified tail is longer than the
-    # cap; ||A^K|| >= r(A)^K settles that before any power step
+    # cap; ||A^K|| >= r(A)^K settles that before any power step, at the
+    # first read of the cut (a plan computes its cuts on first use)
     calls = []
     norm = resolvent.operator_norm
     monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    plan = ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
     with pytest.raises(PreconditionViolation):
-        ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
+        plan.tail_cut
     assert calls == []
     # a nilpotent A (r(A) = 0) still takes the step search: K = 1 fails on
     # the Frobenius lower bound alone (||A||_F / sqrt(2) * 2 = sqrt(2)), and
@@ -106,12 +108,15 @@ def test_tail_cut_overflow_is_a_precondition_violation(monkeypatch):
 
 
 def test_tail_cut_violation_states_predicted_length():
-    with pytest.raises(PreconditionViolation) as info:
-        ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
+    # the read of the cut and the full route's first application raise the same
+    plan = ResolventPlan(BoundedOperator.diagonal([0.9, 0.5]), 0.9001, "causal")
     predicted = math.ceil(math.log(SERIES_TOL) / (math.log(0.9) + math.log(1.0 / 0.9001)))
     assert predicted == 248694
-    assert f"{predicted} terms" in str(info.value)
-    assert f"cap of {TAIL_CAP}" in str(info.value)
+    for use in (lambda: plan.tail_cut, lambda: apply_resolvent_causal(plan, impulse(-1, [1.0, 0.0]))):
+        with pytest.raises(PreconditionViolation) as info:
+            use()
+        assert f"{predicted} terms" in str(info.value)
+        assert f"cap of {TAIL_CAP}" in str(info.value)
 
 
 def test_anticausal_tail_overflow_fails_on_outside_radius(monkeypatch):
@@ -121,8 +126,9 @@ def test_anticausal_tail_overflow_fails_on_outside_radius(monkeypatch):
     calls = []
     norm = resolvent.operator_norm
     monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
+    plan = ResolventPlan(BoundedOperator.diagonal([0.5, 1.0001]), 1.0, "split")
     with pytest.raises(PreconditionViolation) as info:
-        ResolventPlan(BoundedOperator.diagonal([0.5, 1.0001]), 1.0, "split")
+        apply_resolvent_split(plan, impulse(-1, [1.0, 1.0]))
     predicted = math.ceil(math.log(SERIES_TOL) / math.log(1.0 / 1.0001))
     assert predicted == 276325
     assert f"{predicted} terms" in str(info.value)
@@ -314,7 +320,7 @@ def test_plan_branches_square_their_scan_powers_once(monkeypatch):
         assert np.array_equal(apply_resolvent_window(plan, f, 0, -20, 40), first)
     assert not calls
     monkeypatch.undo()
-    for mat, powers in zip((plan._causal[0], plan._anticausal[0]), plan._scan_squares):
+    for mat, powers in zip((plan._causal[0], plan._anticausal), plan._scan_squares):
         assert len(powers) > 2
         for rows in (0, 1, 2, 3, 5, 9, 300):
             want = _scan_powers(mat, rows, 1)
@@ -324,6 +330,22 @@ def test_plan_branches_square_their_scan_powers_once(monkeypatch):
             for reverse in (False, True):
                 got = linear_recurrence(mat, g, reverse, powers=powers)
                 assert np.array_equal(got, linear_recurrence(mat, g, reverse))
+
+
+def test_windows_of_the_callers_choosing_compute_no_tail_cut(monkeypatch):
+    # only a full route reads the cuts: the windows of the LP and the impulse
+    # IVP run on plans whose cuts would exceed TAIL_CAP, and compute none
+    def refuse(*args):
+        raise AssertionError("a tail cut was computed")
+
+    monkeypatch.setattr(resolvent, "_tail_cut", refuse)
+    f = np.ones((4, 2, 2), dtype=np.complex128)
+    for a, rho, mode in (([0.999, 2.0], 1.0, "split"), ([0.9, 0.5], 0.9001, "causal")):
+        plan = ResolventPlan(BoundedOperator.diagonal(a), rho, mode)
+        u = apply_resolvent_window(plan, f, -1, 0, 40)
+        assert u.shape == (41, 2, 2) and np.all(np.isfinite(u))
+        with pytest.raises(AssertionError, match="a tail cut was computed"):
+            plan.tail_cut
 
 
 @pytest.mark.parametrize("mode", ["causal", "split"])
@@ -501,10 +523,11 @@ def test_frequency_window_equals_split_window():
     f = random_sequence(np.random.default_rng(43), 8, -6, 9)
     split = ResolventPlan(a, 1.0, "split")
     plan = ResolventPlan(a, 1.0, "frequency")
-    assert plan.tail_cut == split.tail_cut == max(split._causal[-1], split._anticausal[-1])
+    causal_cut, anticausal_cut = split._tails
+    assert plan.tail_cut == split.tail_cut == max(causal_cut, anticausal_cut)
     u_split = apply_resolvent_split(split, f)
     u = apply_resolvent_frequency(plan, f)
-    assert u.window == u_split.window == (-6 - split._anticausal[-1], 9 + split._causal[-1] + 1)
+    assert u.window == u_split.window == (-6 - anticausal_cut, 9 + causal_cut + 1)
     assert max_abs_diff(u, u_split) <= 1e-12 * np.max(np.abs(u_split.values))
     norm_f = weighted_norm(f, Weight(1.0, 2.0))
     assert equation_residual(u, a, f, 1.0) <= SERIES_SLACK * norm_f
@@ -517,8 +540,9 @@ def test_frequency_gap_beyond_tail_cap_raises_at_once(monkeypatch):
     norm = resolvent.operator_norm
     monkeypatch.setattr(resolvent, "operator_norm", lambda m: calls.append(1) or norm(m))
     start = time.perf_counter()
+    plan = ResolventPlan(BoundedOperator.diagonal([0.9999, 0.5]), 1.0, "frequency")
     with pytest.raises(PreconditionViolation):
-        ResolventPlan(BoundedOperator.diagonal([0.9999, 0.5]), 1.0, "frequency")
+        apply_resolvent_frequency(plan, impulse(-1, [1.0, 1.0]))
     assert time.perf_counter() - start < 0.1
     assert calls == []
 

@@ -59,12 +59,16 @@ def test_lp_memory_reports_every_dimension(capsys):
     assert run(["--seed", "3"]) == 2
     assert run([]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["d", "horizon", "mu", "nu", "G", "nodes", "pass_ms", "minflt", "lp_peak", "MB"]
+    assert header.split() == [
+        "d", "horizon", "mu", "nu", "G", "nodes",
+        "construct_ms", "sweep_ms", "pass_ms", "minflt", "lp_peak", "MB",
+    ]
     assert [row.split()[:6] for row in rows] == [
         ["2", "32", "0.5453", "1.8340", "16", "58"],
         ["8", "33", "0.6860", "1.5293", "16", "82"],
         ["32", "39", "0.7205", "1.4518", "16", "97"],
     ]
     for row in rows:
-        pass_ms, faults, peak, mb = map(float, row.split()[6:])
+        construct_ms, sweep_ms, pass_ms, faults, peak, mb = map(float, row.split()[6:])
+        assert 0 < construct_ms and 0 < sweep_ms
         assert pass_ms > 0 and faults >= 0 and 0 < peak and 0 < mb
