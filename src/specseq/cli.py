@@ -115,7 +115,7 @@ def _cmd_ztransform_check(args):
     _emit(
         {
             "rho": args.rho,
-            "n_samples": args.N,
+            "n_samples": f.n_samples,
             "parseval_lhs": lhs,
             "parseval_rhs": rhs,
             "multiplication_defect": defect,

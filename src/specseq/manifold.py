@@ -608,5 +608,7 @@ def spectrum_escape_check(A: BoundedOperator, x) -> bool:
         raise PreconditionViolation(
             f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
         )
-    decay_steps(np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate")
+    decay_steps(
+        np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate", bound=False
+    )
     return True

@@ -236,9 +236,10 @@ def _arc_lower(s: np.ndarray, arc: np.ndarray, rho: float, margin: float, curve:
     return lower / scale
 
 
-def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float = math.inf):
+def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16):
     # The refinement of circle_sup_resolvent, yielding its certified bracket
-    # (1 / (min s_hat + margin), 1 / min(lower)) each round; see _SupBracket.
+    # (1 / (min s_hat + margin), 1 / min(lower)) each round, the last high
+    # its value; see _SupBracket.
     if not 16 <= samples <= MAX_SUP_NODES:
         raise PreconditionViolation(
             f"circle supremum needs 16 <= samples <= {MAX_SUP_NODES}, got {samples}"
@@ -268,7 +269,7 @@ def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float 
         lower = _arc_lower(s, ends - theta, rho, margin, curve)
         bound = float(np.min(lower))
         yield 1.0 / (floor + margin), (1.0 / bound if bound > 0.0 else math.inf)
-        open_ = np.flatnonzero(((1.0 + SUP_REL_TOL) * lower < floor) & (lower <= level))
+        open_ = np.flatnonzero((1.0 + SUP_REL_TOL) * lower < floor)
         if not open_.size or theta.size + open_.size > MAX_SUP_NODES:
             break
         mid = (theta[open_] + ends[open_]) / 2.0
@@ -282,8 +283,6 @@ def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16, level: float 
             f"not the spectrum, ends the certificate (the spectrum is {gap:.1e} from "
             "the circle)"
         )
-    if level < math.inf:
-        yield from _sup_rounds(A, rho, samples)
 
 
 class _SupBracket:
@@ -291,16 +290,13 @@ class _SupBracket:
     ``sup_{|z| = rho} ||(z - A)^{-1}||``, one round of
     :func:`circle_sup_resolvent` per :meth:`refine`.
 
-    With the default ``level`` the rounds are that function's, so once
-    ``done``, ``high`` is its value bit for bit.  A finite ``level``
-    bisects only the arcs whose lower bound is at most ``level``; when those
-    rounds end, the full rounds follow from the start grid, so ``done``
-    means the same.  Constructing it raises what that function raises
-    before its first round.
+    The rounds are that function's, so once ``done``, ``high`` is its value
+    bit for bit.  Constructing it raises what that function raises before
+    its first round.
     """
 
-    def __init__(self, A: BoundedOperator, rho: float, samples: int = 16, level: float = math.inf):
-        self._rounds = _sup_rounds(A, rho, samples, level)
+    def __init__(self, A: BoundedOperator, rho: float, samples: int = 16):
+        self._rounds = _sup_rounds(A, rho, samples)
         self.low, self.high = next(self._rounds)
         self.done = False
 
@@ -390,11 +386,8 @@ def circle_sup_resolvent(A: BoundedOperator, rho: float, samples: int = 16) -> f
     only its own question, whether ``lip < 1/M_r`` or which horizon ``M_r``
     certifies, and stops refining once both ends give the same answer
     (:func:`_decide`); only where they never do does it wait for this
-    result.  The impulse method's smallness gate at its ``rho`` bisects
-    only the arcs whose lower bound does not exceed ``lip``; ``M_1``,
-    ``M_mu`` and ``M_nu`` of a :class:`~specseq.manifold.ManifoldProblem`
-    follow the rounds of this function, so finishing them gives its value
-    bit for bit.
+    result.  Every bracket follows the rounds of this function, so a
+    finished one gives its value bit for bit.
 
     Samples above ``2**500`` are scaled by an exact power of two before
     the bounds square them, so no square overflows at a large ``rho``.

@@ -161,26 +161,22 @@ def _scan_length(rows: int, columns: int) -> int:
     return 1 if columns > 1 else max(rows - 1, 0).bit_length() + 1
 
 
-def _scan_powers(M: np.ndarray, rows: int, columns: int) -> list[np.ndarray]:
-    """``[M, M^2, M^4, ..., M^L]`` for the doubling scan of ``rows`` rows.
+def _scan_powers(M: np.ndarray) -> list[np.ndarray]:
+    """``[M, M^2, M^4, ..., M^L]`` for the doubling scan of a single column.
 
-    ``L`` doubles only for a single column with a finite ``||M||_F``, while
-    ``2L d^2`` stays within :data:`_SCAN_BUDGET`, and only up to the first
-    square whose Frobenius norm exceeds ``max(1, ||M||_F)``: each product
-    of the scan then rounds no worse than one step of the sequential loop.
-    The search stops once ``L >= rows``, as longer chunks change no row; so
-    every row is the same for any longer run with the same ``M``, and the
-    list for ``rows`` rows is the first :func:`_scan_length` entries of the
-    list for more rows.
+    ``L`` doubles only for a finite ``||M||_F``, while ``2L d^2`` stays
+    within :data:`_SCAN_BUDGET`, and only up to the first square whose
+    Frobenius norm exceeds ``max(1, ||M||_F)``: each product of the scan
+    then rounds no worse than one step of the sequential loop.  A scan of
+    ``rows`` rows in ``columns`` columns uses the first :func:`_scan_length`
+    entries, as longer chunks change no row; so every row is the same for
+    any longer run with the same ``M``.
     """
     powers = [M]
-    length = _scan_length(rows, columns)
-    if length == 1:
-        return powers
     limit = max(1.0, np.vdot(M, M).real)  # squared norms: one vdot each
     if not limit < math.inf:
         return powers
-    while len(powers) < length and 2 ** len(powers) * M.size <= _SCAN_BUDGET:
+    while 2 ** len(powers) * M.size <= _SCAN_BUDGET:
         square = powers[-1] @ powers[-1]
         if not np.vdot(square, square).real <= limit:
             break
@@ -231,15 +227,11 @@ def linear_recurrence(
 
     The rows are written into ``out``, a C-contiguous complex array of the
     shape of ``g`` (a new one when None), which may be ``g`` itself.
-    ``powers``, when given, is ``_scan_powers(M, _SCAN_BUDGET, 1)``, kept by
-    the caller (a plan keeps one per branch) so that no call squares ``M``
-    again.
+    ``powers``, when given, is ``_scan_powers(M)``, kept by the caller (a
+    plan keeps one per branch) so that no call squares ``M`` again.
     """
     columns = g.shape[1] if g.ndim == 3 else 1
-    if powers is None:
-        powers = _scan_powers(M, len(g), columns)
-    else:
-        powers = powers[: _scan_length(len(g), columns)]
+    powers = (_scan_powers(M) if powers is None else powers)[: _scan_length(len(g), columns)]
     if out is None:
         out = np.empty(g.shape, dtype=np.complex128)
     if out is not g:
@@ -358,10 +350,7 @@ class ResolventPlan:
         # matrix (None for a missing branch), squared once per plan, when a
         # window is first applied, for any number of rows.
         causal = None if self._causal is None else self._causal[0]
-        return tuple(
-            None if m is None else _scan_powers(m, _SCAN_BUDGET, 1)
-            for m in (causal, self._anticausal)
-        )
+        return tuple(None if m is None else _scan_powers(m) for m in (causal, self._anticausal))
 
 
 def apply_resolvent_window(

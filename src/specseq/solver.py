@@ -640,11 +640,10 @@ def smallness_gate(
     proves ``lip < 1/M_rho`` or ``lip >= 1/M_rho``; where it proves
     neither, the full supremum decides, as the message names it.  ``sup``
     is a bracket the caller keeps for the value (``ManifoldProblem``'s
-    ``M_1``); by default one that bisects only the arcs whose lower bound
-    on ``sigma_min`` does not exceed ``lip``.
+    ``M_1``), by default a fresh one.
     """
     lip = F.lip_bound(rho)
-    sup = _SupBracket(A, rho, level=lip) if sup is None else sup
+    sup = _SupBracket(A, rho) if sup is None else sup
     if not _decide(lambda m: lip < 1.0 / m, sup):
         raise error(
             f"lip bound {lip:.6g} on ell_(2,rho) is not below "

@@ -206,6 +206,17 @@ def test_ztransform_check(files, tmp_path, capsys):
     rows = list(csv.reader(circle.read_text().splitlines()))
     assert rows[0] == ["theta", "abs"]
     assert len(rows) == 65
+    assert data["n_samples"] == 64
+
+
+def test_ztransform_check_reports_the_default_sample_count(files, tmp_path, capsys):
+    # without --N the transform picks its own count, and n_samples names it
+    circle = tmp_path / "circle.csv"
+    argv = ["ztransform-check", "--u", files["u_seq"], "--rho", "1.0", "--circle-csv", str(circle)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = circle.read_text().splitlines()
+    assert json.loads(out)["n_samples"] == len(rows) - 1 > 0
 
 
 def test_ztransform_check_transforms_once(files, tmp_path, capsys, monkeypatch):

@@ -37,7 +37,7 @@ from specseq import (
 )
 from specseq import operators
 from specseq.manifold import _decay_rates, _first_horizon
-from specseq.resolvent import TAIL_CAP
+from specseq.resolvent import _LOG_SLACK, CERT_CAP, TAIL_CAP, decay_steps
 from testutil import (
     counted_sigma_min,
     matrix_with_moduli,
@@ -499,6 +499,30 @@ def test_spectrum_escape_check_certifies_a_shrinking_start():
     x = np.linalg.svd(np.linalg.matrix_power(a, 50))[2][-1].conj()
     assert np.linalg.norm(np.linalg.matrix_power(a, 50) @ x) < 1e-3
     assert spectrum_escape_check(BoundedOperator(a), x)
+
+
+def test_escape_check_takes_no_norm_the_spectral_radius_rules_out(monkeypatch):
+    # the certificate reads no bound M, so below k = ceil((log(1/2) + slack) /
+    # log r(A^-1)), where ||A^-k|| >= r(A^-1)^k already fails, it takes no
+    # norm; K is that of the search that takes every one
+    frobenius = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda m, *a: norm(m, *a) if a else frobenius.append(1) or norm(m))
+    fixtures = (
+        [[2.0]],
+        np.diag([1.5, 3.0]),
+        [[1.01, 100.0], [0.0, 1.01]],
+        np.diag([1.001, 1.002]),
+        np.diag(np.linspace(1.01, 3.0, 32)),
+    )
+    for entries in fixtures:
+        a = BoundedOperator(entries)
+        radius = 1.0 / float(np.min(np.abs(a.eigenvalues)))
+        want, _ = decay_steps(np.linalg.inv(a.entries), radius, 1.0, 0.5, CERT_CAP, "every norm")
+        first = max(1, math.ceil((math.log(0.5) + _LOG_SLACK) / math.log(radius)))
+        frobenius.clear()
+        assert spectrum_escape_check(a, np.ones(a.dim))
+        assert len(frobenius) == want + 1 - first
 
 
 def test_spectrum_escape_check_precondition():

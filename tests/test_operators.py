@@ -219,8 +219,8 @@ def test_resolvent_rejects_non_finite_z(z):
 def sup_brackets(draw):
     # seeded operators with d <= 8 and shears up to 2 (scaled by 2 / d, as in
     # the hundred fixtures below), on circles within 0.1% to 50% of one
-    # eigenvalue modulus, inside or outside it, and a level for the bracket
-    # that bisects only the arcs at or below it
+    # eigenvalue modulus, inside or outside it, and a Lipschitz bound for a
+    # gate, as a multiple of 1/M
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     moduli = rng.uniform(0.2, 2.0, dim)
@@ -243,20 +243,24 @@ def _rounds(bracket):
 def test_sup_bracket_holds_the_supremum_at_every_round_property(case):
     # the level-set oracle stops within a relative 1e-9 above the true
     # supremum's reciprocal, so the true supremum lies in [oracle, oracle (1 + 2e-9)]
-    a, rho, level_scale = case
+    a, rho, lip_scale = case
     try:
         full = circle_sup_resolvent(a, rho)
-    except SpectrumOnCircle:  # then so does every bracket, at the same round
-        for level in (np.inf, 1.0):
-            with pytest.raises(SpectrumOnCircle):
-                list(_rounds(operators._SupBracket(a, rho, level=level)))
+    except SpectrumOnCircle:  # then so does the bracket, at the same round
+        with pytest.raises(SpectrumOnCircle):
+            list(_rounds(operators._SupBracket(a, rho)))
         return
     oracle = level_set_sup(a.entries, rho)
-    for level in (np.inf, level_scale / full):
-        bracket = operators._SupBracket(a, rho, level=level)
-        for low, high in _rounds(bracket):
-            assert low <= oracle * (1 + 2e-9) and oracle <= high
-        assert bracket.done and bracket.high == full
+    bracket = operators._SupBracket(a, rho)
+    for low, high in _rounds(bracket):
+        assert low <= oracle * (1 + 2e-9) and oracle <= high
+    assert bracket.done and bracket.high == full
+    # a gate at lip = lip_scale / M gives the full supremum's verdict off the
+    # band [1/M, (1 + SUP_REL_TOL)/M), where that verdict is also the true one
+    lip = lip_scale / full
+    verdict = operators._decide(lambda m: lip < 1.0 / m, operators._SupBracket(a, rho))
+    if not 1.0 <= lip_scale < 1.0 + SUP_REL_TOL:
+        assert verdict is (lip < 1.0 / full)
 
 
 def test_sup_bracket_decides_only_what_it_is_asked(monkeypatch):
@@ -271,7 +275,7 @@ def test_sup_bracket_decides_only_what_it_is_asked(monkeypatch):
     full_nodes = sum(nodes)
     for lip, verdict in ((0.002, True), (0.5, False)):
         nodes.clear()
-        gate = operators._SupBracket(a, 1.0, level=lip)
+        gate = operators._SupBracket(a, 1.0)
         assert operators._decide(lambda m: lip < 1.0 / m, gate) is verdict
         assert sum(nodes) == 16
     nodes.clear()

@@ -33,6 +33,7 @@ from specseq import resolvent
 from specseq.resolvent import (
     SERIES_TOL,
     TAIL_CAP,
+    _scan_length,
     _scan_powers,
     apply_resolvent_window,
     decay_steps,
@@ -272,7 +273,7 @@ def test_linear_recurrence_matches_rowwise_loop(case):
     got, want = linear_recurrence(m, g, reverse), reference_recurrence(m, g, reverse)
     assert got.shape == g.shape
     single = columns in (None, 1)
-    powers = _scan_powers(m, rows, 1 if single else columns)
+    powers = _scan_powers(m)[: _scan_length(rows, 1 if single else columns)]
     if family == "jordan" and dim > 1:
         assert len(powers) == 1
     if len(powers) == 1:  # L = 1 is the row-by-row loop itself
@@ -282,7 +283,7 @@ def test_linear_recurrence_matches_rowwise_loop(case):
     # terms of every row; both loops stay within a few eps of it
     with np.errstate(over="ignore", invalid="ignore"):
         terms = reference_recurrence(np.abs(m), -np.abs(g) if reverse else np.abs(g), reverse)
-    scale = np.linalg.norm(terms, axis=-1)
+    scale = np.hypot.reduce(np.abs(terms), axis=-1)  # terms near 1e154 square past the range
     assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-14 * scale)
     # a single column's rows do not depend on how many rows follow (in
     # reverse, precede) them, bit for bit
@@ -294,15 +295,18 @@ def test_linear_recurrence_matches_rowwise_loop(case):
 
 
 def test_scan_powers_guard_and_budget():
-    # single columns double while L d^2 <= 2**12 and the squares do not grow;
-    # several columns, or a square above max(1, ||M||_F), keep L = 1
+    # the list doubles while L d^2 <= 2**12 and the squares do not grow; a
+    # scan of K rows uses its powers up to the first L >= K, several columns
+    # only M, and a square above max(1, ||M||_F) keeps L = 1
     m = 0.5 * random_unitary(np.random.default_rng(3), 2)
-    assert len(_scan_powers(m, 4000, 1)) == 11  # L = 1024 = 2**12 / 2**2
-    assert len(_scan_powers(m, 160, 1)) == 9  # L = 256 >= 160 rows
-    assert len(_scan_powers(np.kron(np.eye(16), m), 4000, 1)) == 3  # d = 32: L = 4
-    assert len(_scan_powers(m, 4000, 2)) == 1
-    assert len(_scan_powers(_jordan(2, 0.9, 2.0), 4000, 1)) == 1
-    assert len(_scan_powers(np.full((1, 1), np.nan), 4000, 1)) == 1
+    assert len(_scan_powers(m)) == 11  # L = 1024 = 2**12 / 2**2
+    assert _scan_length(4000, 1) == 13 and _scan_length(160, 1) == 9  # L = 256 >= 160 rows
+    assert _scan_length(4000, 2) == 1
+    assert len(_scan_powers(np.kron(np.eye(16), m))) == 3  # d = 32: L = 4
+    assert len(_scan_powers(_jordan(2, 0.9, 2.0))) == 1
+    assert len(_scan_powers(np.full((1, 1), np.nan))) == 1
+    # at d = 1 the budget allows L = 2**12, so no row count limits the list
+    assert len(_scan_powers(np.full((1, 1), 0.5))) == _scan_length(2**12, 1) == 13
 
 
 def test_plan_branches_square_their_scan_powers_once(monkeypatch):
@@ -323,7 +327,7 @@ def test_plan_branches_square_their_scan_powers_once(monkeypatch):
     for mat, powers in zip((plan._causal[0], plan._anticausal), plan._scan_squares):
         assert len(powers) > 2
         for rows in (0, 1, 2, 3, 5, 9, 300):
-            want = _scan_powers(mat, rows, 1)
+            want = _scan_powers(mat)[: _scan_length(rows, 1)]
             assert len(want) <= len(powers)
             assert all(np.array_equal(p, q) for p, q in zip(want, powers))
             g = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))

@@ -1,3 +1,5 @@
+import importlib
+import pathlib
 import time
 
 import numpy as np
@@ -37,10 +39,19 @@ from specseq import (
     zero_sequence,
 )
 from specseq import resolvent
-from specseq.operators import SUP_REL_TOL
+from specseq.cli import main
+from specseq.operators import MAX_SUP_NODES, SUP_REL_TOL
 from specseq.solver import _causal_row, fixed_point, forward_orbit, smallness_gate
 from specseq.workspace import Workspace
-from testutil import matrix_with_moduli, max_abs_diff, random_sequence, random_vector
+from testutil import (
+    counted_sigma_min,
+    matrix_with_moduli,
+    max_abs_diff,
+    random_sequence,
+    random_vector,
+)
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_stencil_registry_validation():
@@ -282,6 +293,40 @@ def test_smallness_gate_verdict_is_the_full_supremum_verdict_outside_the_band(se
             else:
                 with pytest.raises(NotContractive, match=f"1/M_{rho:g} = {1.0 / m_rho:.6g} "):
                     smallness_gate(a, F, rho, NotContractive)
+
+
+def test_smallness_gate_in_the_band_evaluates_the_full_supremum_once(monkeypatch):
+    # inside the band the gate waits for the full supremum, and its rounds
+    # are circle_sup_resolvent's: the bench-like d = 32 operator at |z| = 1
+    # takes 77 nodes, and 3N at d = 8, whose sigma_min is flat, the node cap
+    nodes = counted_sigma_min(monkeypatch)
+    spaced = (np.arange(16) + 0.5) / 16
+    moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
+    bench_like = matrix_with_moduli(np.random.default_rng([7, 0]), moduli, shear=0.5 / np.sqrt(32))
+    jordan = BoundedOperator(3.0 * np.eye(8, k=1))
+    for a, factor, want in ((bench_like, 1.0001, 77), (jordan, 1.0005, MAX_SUP_NODES)):
+        nodes.clear()
+        m_one = circle_sup_resolvent(a, 1.0)
+        assert sum(nodes) == want
+        nodes.clear()
+        with pytest.raises(NotContractive, match=f"1/M_1 = {1.0 / m_one:.6g} "):
+            smallness_gate(a, saturation_map(factor / m_one), 1.0, NotContractive)
+        assert sum(nodes) == want
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_bench_solve_ivp_gates_decide_on_the_start_grid(d, tmp_path, monkeypatch):
+    # the benchmark's solve-ivp jobs at seed 7, streams 0 to 2: the impulse
+    # gate at rho = r(A) + 1 decides on the 16-node start grid
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    nodes = counted_sigma_min(monkeypatch)
+    for stream in range(3):
+        job = workloads.make_pass("ivp-solve", 7, stream, d, str(tmp_path / str(stream)))[0]
+        assert job.kind == "solve-ivp"
+        nodes.clear()
+        assert main(job.argv + ["--out", str(tmp_path / f"{stream}.json")]) == 0
+        assert nodes == [16]
 
 
 def test_solve_ivp_impulse_gate_message_names_rho():
