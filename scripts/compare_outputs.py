@@ -10,13 +10,16 @@ temporary directory.  Each job then runs as ``python -m specseq`` (BLAS on
 one thread) with ``PYTHONPATH`` set to each tree in turn.
 
 Per job kind the report gives the jobs whose stdout, stderr, exit status and
-written files are byte-identical, the exit statuses that differ, the bench
-checks that fail, and every output field that moved: its largest absolute
-deviation and that deviation relative to the field's largest magnitude in
-the old output.  Sequences are compared on their shared window; each window
-that changed is listed with the largest entry outside the shared part.  The
-exit status is 1 when an exit status differs or a bench check fails on the
-new tree, else 0.  A full run takes about a minute on one core.
+written files are byte-identical; the jobs equal as parsed (the same exit
+status, and each of those outputs byte-equal or parsed to the same values
+and windows, NaN equal to NaN), so a change of layout alone keeps a job
+equal; the exit statuses that differ; the bench checks that fail; and every
+output field that moved: its largest absolute deviation and that deviation
+relative to the field's largest magnitude in the old output.  Sequences
+are compared on their shared window; each window that changed is listed
+with the largest entry outside the shared part.  The exit status is 1 when
+an exit status differs or a bench check fails on the new tree, else 0.  A
+full run takes about a minute on one core.
 """
 
 import argparse
@@ -105,9 +108,28 @@ def _is_nan(value):
     return value != value
 
 
+def same_as_parsed(old, new):
+    """Whether two outputs are byte-equal or parse to the same values and
+    windows, a NaN equal to a NaN in the same place."""
+    if old == new:
+        return True
+    if old is None or new is None:
+        return False
+    try:
+        (old_values, old_windows), (new_values, new_windows) = parse(old), parse(new)
+    except (UnicodeDecodeError, ValueError, IndexError):
+        return False
+    if old_windows != new_windows or old_values.keys() != new_values.keys():
+        return False
+    return all(
+        a == new_values[key] or _is_nan(a) and _is_nan(new_values[key])
+        for key, a in old_values.items()
+    )
+
+
 class KindReport:
     def __init__(self):
-        self.jobs = self.identical = 0
+        self.jobs = self.identical = self.parsed_equal = 0
         self.exit_diffs = []
         self.check_failures = []
         self.unmatched = set()
@@ -177,6 +199,8 @@ def compare_trees(old_src, new_src, workdir):
                         report.identical += 1
                     if old[0] != new[0]:
                         report.exit_diffs.append(f"{label}: exit {old[0]} -> {new[0]}")
+                    elif all(map(same_as_parsed, [*old[1:3], *old[3]], [*new[1:3], *new[3]])):
+                        report.parsed_equal += 1
                     # the new tree's files are still on disk
                     code, stdout, stderr, _ = new
                     data = bench_run.result_bytes(job, stdout.decode())
@@ -194,11 +218,14 @@ def compare_trees(old_src, new_src, workdir):
 def print_report(reports):
     total = sum(r.jobs for r in reports.values())
     identical = sum(r.identical for r in reports.values())
+    parsed_equal = sum(r.parsed_equal for r in reports.values())
     print(f"{identical}/{total} jobs byte-identical")
+    print(f"{parsed_equal}/{total} jobs equal as parsed")
     for kind in sorted(reports):
         r = reports[kind]
         print(
-            f"{kind}: {r.identical}/{r.jobs} identical, {len(r.exit_diffs)} exit status changes, "
+            f"{kind}: {r.identical}/{r.jobs} identical, {r.parsed_equal}/{r.jobs} equal as parsed, "
+            f"{len(r.exit_diffs)} exit status changes, "
             f"{len(r.check_failures)} failed checks on the new tree"
         )
         for field in sorted(r.deviation):

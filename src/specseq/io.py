@@ -25,11 +25,10 @@ booleans, fractions and text are InputError.  Every other numeric field
 (matrix, vector and sequence entries, fp_tol and the stencil's eps, h,
 clip_radius and coeffs) holds JSON numbers; text such as "2.0" and booleans
 are InputError.  Complex entries are assembled from their parts bit for
-bit, so a -0.0 in either part is kept.  Every JSON result is written as
-json.dumps(result, indent=2, sort_keys=True) + "\n", byte for byte
-(dump_json).  An input that cannot be read, is not UTF-8 JSON or is nested
-too deeply to decode, and an output that cannot be written, are InputError
-naming the file.
+bit, so a -0.0 in either part is kept.  Every JSON result is one line,
+json.dumps(result, sort_keys=True) + "\n" (dump_json).  An input that
+cannot be read, is not UTF-8 JSON or is nested too deeply to decode, and
+an output that cannot be written, are InputError naming the file.
 """
 
 from __future__ import annotations
@@ -65,18 +64,10 @@ def load_json(path):
 
 
 def dump_json(obj, path=None) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    also written to ``path`` when one is given.
-
-    The stdlib encodes with an indent in pure Python, one generator step
-    per float.  Here every list of numbers nested to one depth is encoded
-    by a single call of the C encoder and then re-indented
-    (``_numeric_array``); dicts and other lists are walked in Python, with
-    each key and scalar still encoded by the C encoder."""
-    chunks = []
-    _write(obj, 0, chunks.append)
-    chunks.append("\n")
-    text = "".join(chunks)
+    """``json.dumps(obj, sort_keys=True) + "\\n"``: one line, keys sorted,
+    ``NaN`` and ``Infinity`` as the stdlib spells them; also written to
+    ``path`` when one is given.  ``python -m json.tool`` indents it."""
+    text = json.dumps(obj, sort_keys=True) + "\n"
     if path is not None:
         _write_text(path, text)
     return text
@@ -92,99 +83,7 @@ def _write_text(path, text):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-_encode = json.JSONEncoder().encode
 _NUMBERS = {int, float}
-
-
-def _write(obj, level, out):
-    """Append the indented encoding of ``obj`` at nesting ``level``."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        depth = _numeric_depth(obj)
-        if depth:
-            out(_numeric_array(obj, depth, level))
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "[" + inner
-        for item in obj:
-            out(sep)
-            _write(item, level + 1, out)
-            sep = "," + inner
-        out("\n" + "  " * level + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out(sep)
-            out(_encode(_key(key)))
-            out(": ")
-            _write(value, level + 1, out)
-            sep = "," + inner
-        out("\n" + "  " * level + "}")
-    else:
-        out(_encode(obj))
-
-
-def _key(key):
-    """A dict key as the stdlib writes it: a string, with numbers, booleans
-    and None spelled as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _numeric_depth(seq) -> int:
-    """``k`` when ``seq`` is a list of nonempty lists nested ``k`` deep whose
-    leaves are all ``int`` or ``float`` (not ``bool``), else 0.
-
-    The tree is checked one level at a time, by C-level ``map`` and ``set``
-    over the items of the whole level, so a sublist costs no Python call.
-    Only levels of lists are gathered into a list; the leaf level is
-    only iterated."""
-    if type(seq) is not list or not seq:
-        return 0
-    level, depth = seq, 1
-    kinds = set(map(type, level))
-    while kinds == {list} and all(level):
-        depth += 1
-        kinds = set(map(type, chain.from_iterable(level)))
-        if kinds == {list}:
-            level = list(chain.from_iterable(level))
-    return depth if kinds <= _NUMBERS else 0
-
-
-def _numeric_array(seq, depth, level):
-    """The ``indent=2`` layout at nesting ``level`` of a list with
-    ``_numeric_depth`` ``depth``, from one call of the C encoder.
-
-    The encoder already puts the indented separator between numbers.  Number
-    tokens contain no ``[`` or ``]``, so between two sublists that separator
-    sits in a run ``"]" * j + sep + "[" * j`` that closes and reopens ``j``
-    levels.  Runs are replaced longest first, so a shorter run never matches
-    inside a longer one.  The runs of ``depth`` brackets left are the outer
-    ones, at the two ends.  Every step is one ``str.replace``, so at most two
-    copies of the text are alive at once."""
-    pad = ["\n" + "  " * (level + i) for i in range(depth + 1)]
-
-    def closes(j):
-        return "".join(pad[depth - 1 - i] + "]" for i in range(j))
-
-    def opens(j):
-        return "".join(pad[depth - j + i] + "[" for i in range(j)) + pad[depth]
-
-    sep = "," + pad[depth]
-    text = json.JSONEncoder(separators=(sep, ": ")).encode(seq)
-    for j in range(depth - 1, 0, -1):
-        text = text.replace("]" * j + sep + "[" * j, closes(j) + "," + opens(j))
-    text = text.replace("[" * depth, "[" + opens(depth - 1), 1)
-    return text.replace("]" * depth, closes(depth))
 
 
 def _require(obj, key, context):

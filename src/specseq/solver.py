@@ -638,16 +638,17 @@ def smallness_gate(
     The answer is read from a bracket on ``M_rho`` (see
     :func:`~specseq.operators.circle_sup_resolvent`), refined only until it
     proves ``lip < 1/M_rho`` or ``lip >= 1/M_rho``; where it proves
-    neither, the full supremum decides, as the message names it.  ``sup``
-    is a bracket the caller keeps for the value (``ManifoldProblem``'s
-    ``M_1``), by default a fresh one.
+    neither, the full supremum decides.  A failed gate names the interval
+    its bracket holds ``1/M_rho`` in.  ``sup`` is a bracket the caller
+    keeps for the value (``ManifoldProblem``'s ``M_1``), by default a
+    fresh one.
     """
     lip = F.lip_bound(rho)
     sup = _SupBracket(A, rho) if sup is None else sup
     if not _decide(lambda m: lip < 1.0 / m, sup):
         raise error(
-            f"lip bound {lip:.6g} on ell_(2,rho) is not below "
-            f"1/M_{rho:g} = {1.0 / sup.value():.6g} at rho = {rho!r}"
+            f"lip bound {lip:.6g} on ell_(2,rho) is not below 1/M_{rho:g}, which lies in "
+            f"[{1.0 / sup.high:.6g}, {1.0 / sup.low:.6g}] at rho = {rho!r}"
         )
     return lip
 

@@ -758,13 +758,13 @@ LAYOUT = {
 
 
 @pytest.mark.parametrize("argv", LAYOUT.values(), ids=LAYOUT.keys())
-def test_json_output_layout_is_stdlib_indent_sorted(files, capsys, argv):
+def test_json_output_layout_is_one_stdlib_sorted_line(files, capsys, argv):
     # every JSON result, and the error diagnostic on stderr, is laid out as
-    # json.dumps(indent=2, sort_keys=True) + newline, byte for byte
+    # json.dumps(sort_keys=True) + newline, byte for byte: one line
     code, out, err = run_cli([files.get(arg, arg) for arg in argv], capsys)
     text, other = (err, out) if code else (out, err)
     assert other == "" and text
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_error_codes_are_distinct():

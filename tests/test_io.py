@@ -1,7 +1,7 @@
-"""The wire layer against its oracles: io.dump_json against the stdlib
-writer it must match byte for byte, json.dumps(obj, indent=2,
-sort_keys=True) + "\\n"; the sequence decoder against a per-row decoder;
-the CSV writers against csv.writer."""
+"""The wire layer against its oracles: io.dump_json against the one-line
+stdlib layout it must match byte for byte, json.dumps(obj, sort_keys=True)
++ "\\n"; the sequence decoder against a per-row decoder; the CSV writers
+against csv.writer."""
 
 import csv
 import json
@@ -19,7 +19,7 @@ from specseq.sequences import WindowedSequence, zero_sequence
 
 
 def oracle(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 NAN, INF = float("nan"), float("inf")
@@ -97,7 +97,7 @@ def test_dump_json_matches_stdlib_on_the_empty_sequence():
 
 def numeric_arrays():
     """Lists of numbers nested to one depth, with sublists of any nonzero
-    length: the shape that takes the single-encoder-call route."""
+    length: the shape of the wire's sequences, matrices and vectors."""
     numbers = st.floats() | st.integers()
 
     def nest(depth):

@@ -53,6 +53,25 @@ def test_compare_outputs_aligns_windows_and_columns():
     assert report.unmatched == {"eta_*_re", "error"}
 
 
+def test_compare_outputs_tells_layout_from_values():
+    same_as_parsed = runpy.run_path(str(SCRIPTS / "compare_outputs.py"), run_name="not_main")[
+        "same_as_parsed"
+    ]
+    obj = {"residual": float("nan"), "solution": {"dim": 1, "lo": 0, "values": [[[1.0], [-0.5]]]}}
+    one_line = (json.dumps(obj, sort_keys=True) + "\n").encode()
+    indented = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert one_line != indented and same_as_parsed(indented, one_line)
+    assert same_as_parsed(None, None) and not same_as_parsed(indented, None)
+    moved = json.loads(one_line)
+    moved["solution"]["values"][0][1] = [-0.25]
+    assert not same_as_parsed(indented, json.dumps(moved).encode())
+    shifted = dict(obj, solution=dict(obj["solution"], lo=1))
+    assert not same_as_parsed(indented, json.dumps(shifted).encode())
+    header = "xi_0_re,eta_0_re,error\n"
+    assert same_as_parsed((header + "1.0,nan,\r\n").encode(), (header + "1.0,nan,\n").encode())
+    assert not same_as_parsed((header + "1.0,nan,\n").encode(), (header + "1.0,0.5,\n").encode())
+
+
 def test_lp_memory_reports_every_dimension(capsys):
     # the benchmark's manifold inputs at d = 2, 8, 32, one row each
     run = load_run("lp_memory.py")

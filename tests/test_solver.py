@@ -1,5 +1,6 @@
 import importlib
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -291,8 +292,25 @@ def test_smallness_gate_verdict_is_the_full_supremum_verdict_outside_the_band(se
             if factor < 1.0:
                 assert smallness_gate(a, F, rho, NotContractive) == factor / m_rho
             else:
-                with pytest.raises(NotContractive, match=f"1/M_{rho:g} = {1.0 / m_rho:.6g} "):
+                with pytest.raises(NotContractive, match=f"1/M_{rho:g}, which lies in ") as info:
                     smallness_gate(a, F, rho, NotContractive)
+                assert in_printed_interval(1.0 / m_rho, info.value)
+
+
+def in_printed_interval(value, exc):
+    """Whether ``value``, printed as the gate prints, lies in the interval a
+    failed gate's message names (rounding to 6 digits keeps the order)."""
+    low, high = map(float, re.search(r"lies in \[(\S+), (\S+)\]", str(exc)).groups())
+    return low <= float(f"{value:.6g}") <= high
+
+
+def gate_operators():
+    """The bench-like d = 32 operator, whose M_1 takes 77 nodes, and 3N at
+    d = 8, whose flat sigma_min takes the node cap."""
+    spaced = (np.arange(16) + 0.5) / 16
+    moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
+    bench_like = matrix_with_moduli(np.random.default_rng([7, 0]), moduli, shear=0.5 / np.sqrt(32))
+    return bench_like, BoundedOperator(3.0 * np.eye(8, k=1))
 
 
 def test_smallness_gate_in_the_band_evaluates_the_full_supremum_once(monkeypatch):
@@ -300,18 +318,29 @@ def test_smallness_gate_in_the_band_evaluates_the_full_supremum_once(monkeypatch
     # are circle_sup_resolvent's: the bench-like d = 32 operator at |z| = 1
     # takes 77 nodes, and 3N at d = 8, whose sigma_min is flat, the node cap
     nodes = counted_sigma_min(monkeypatch)
-    spaced = (np.arange(16) + 0.5) / 16
-    moduli = np.concatenate([0.3 + 0.4 * spaced, 1.5 + spaced])
-    bench_like = matrix_with_moduli(np.random.default_rng([7, 0]), moduli, shear=0.5 / np.sqrt(32))
-    jordan = BoundedOperator(3.0 * np.eye(8, k=1))
+    bench_like, jordan = gate_operators()
     for a, factor, want in ((bench_like, 1.0001, 77), (jordan, 1.0005, MAX_SUP_NODES)):
         nodes.clear()
         m_one = circle_sup_resolvent(a, 1.0)
         assert sum(nodes) == want
         nodes.clear()
-        with pytest.raises(NotContractive, match=f"1/M_1 = {1.0 / m_one:.6g} "):
+        finished = re.escape(f"1/M_1, which lies in [{1.0 / m_one:.6g}, ")
+        with pytest.raises(NotContractive, match=finished):
             smallness_gate(a, saturation_map(factor / m_one), 1.0, NotContractive)
         assert sum(nodes) == want
+
+
+def test_failed_smallness_gate_stops_at_its_bracket(monkeypatch):
+    # lip = 2/M_1 is refuted on the 16-node start grid: the message names the
+    # interval the bracket holds 1/M_1 in, and no node past that grid is taken
+    nodes = counted_sigma_min(monkeypatch)
+    for a in gate_operators():
+        m_one = circle_sup_resolvent(a, 1.0)
+        nodes.clear()
+        with pytest.raises(NotContractive, match="1/M_1, which lies in ") as info:
+            smallness_gate(a, saturation_map(2.0 / m_one), 1.0, NotContractive)
+        assert nodes == [16]
+        assert in_printed_interval(1.0 / m_one, info.value)
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -331,7 +360,7 @@ def test_bench_solve_ivp_gates_decide_on_the_start_grid(d, tmp_path, monkeypatch
 
 def test_solve_ivp_impulse_gate_message_names_rho():
     a = BoundedOperator(np.diag([0.5, 2.0]))
-    with pytest.raises(NotContractive, match=r"1/M_2\.5 = .* at rho = 2\.5"):
+    with pytest.raises(NotContractive, match=r"1/M_2\.5, which lies in \[\S+, \S+\] at rho = 2\.5"):
         solve_ivp(a, saturation_map(1.0), [0.1, 0.1], 10, "impulse", rho=2.5)
 
 
