@@ -22,13 +22,15 @@ Sweep CSV rows: (xi_*, eta_*, decay_rate, iterations, residual, error).
 
 dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
 booleans, fractions and text are InputError.  Every other numeric field
-(matrix, vector and sequence entries, fp_tol and the stencil's eps, h,
-clip_radius and coeffs) holds JSON numbers; text such as "2.0" and booleans
-are InputError.  Complex entries are assembled from their parts bit for
-bit, so a -0.0 in either part is kept.  Every JSON result is one line,
-json.dumps(result, sort_keys=True) + "\n" (dump_json).  An input that
-cannot be read, is not UTF-8 JSON or is nested too deeply to decode, and
-an output that cannot be written, are InputError naming the file.
+(matrix, vector and sequence entries, and fp_tol) holds JSON numbers; text
+such as "2.0" and booleans are InputError.  A stencil's parameters other
+than a linear kernel's matrix object are passed to StencilMap as decoded,
+and its checks, the same for library callers, refuse them with an
+InputError naming the parameter.  Complex entries are assembled from their
+parts bit for bit, so a -0.0 in either part is kept.  Every JSON result is
+one line, json.dumps(result, sort_keys=True) + "\n" (dump_json).  An input
+that cannot be read, is not UTF-8 JSON or is nested too deeply to decode,
+and an output that cannot be written, are InputError naming the file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import InputError
 from .manifold import ManifoldProblem, SweepRow
 from .operators import BoundedOperator
 from .sequences import WindowedSequence, zero_sequence
-from .solver import StencilMap
+from .solver import StencilMap, _integer, _number
 from .ztransform import CircleFunction
 
 
@@ -130,31 +132,12 @@ def _floats(value, what) -> np.ndarray:
     return _parse(arr.reshape, shape, what)  # numpy allows at most 64 axes
 
 
-def _number(value, what) -> float:
-    """A scalar numeric field: a JSON number, not a boolean or text, as a
-    float."""
-    if type(value) not in _NUMBERS:
-        raise InputError(f"{what} must be a JSON number, got {value!r}")
-    return _parse(float, value, what)
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """``re + 1j im`` with both parts kept bit for bit, signed zeros
     included, which the sum ``re + 1j * im`` does not do."""
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
-
-
-def _integer(value, what) -> int:
-    """A JSON integer, or a float with an integral value such as ``2.0``.
-    Booleans, fractions, infinities and non-numbers are InputError, so a
-    ``"lo": 2.9`` never shifts a sequence silently."""
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _dim(obj, context) -> int:
@@ -287,21 +270,14 @@ def write_sweep_csv(rows: list[SweepRow], dim: int, path):
 
 
 def stencil_from_json(obj, context="stencil") -> StencilMap:
+    # the kernel's parameters are checked by StencilMap
     kernel = _require(obj, "kernel", context)
     params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise InputError(f"{context} params must be an object")
-    params = dict(params)
-    for key in ("eps", "h", "clip_radius"):
-        if key in params:
-            params[key] = _number(params[key], f"{context} {key}")
-    if "coeffs" in params:
-        _floats(params["coeffs"], f"{context} coeffs")
-    if kernel == "linear" and "matrix" in params:
-        params["matrix"] = matrix_from_json(params["matrix"], f"{context}.matrix").entries
+    if kernel == "linear" and isinstance(params, dict) and "matrix" in params:
+        params = {**params, "matrix": matrix_from_json(params["matrix"], f"{context}.matrix").entries}
     forcing = obj.get("forcing")
     seq = sequence_from_json(forcing, f"{context}.forcing") if forcing else None
-    return _parse(lambda p: StencilMap(kernel, p, seq), params, f"{context} params")
+    return StencilMap(kernel, params, seq)
 
 
 def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:

@@ -69,6 +69,7 @@ from .solver import (
     FP_TOL,
     StackedReport,
     StencilMap,
+    _integer,
     check_iteration_limits,
     forward_orbit,
     impulse_fixed_point,
@@ -161,7 +162,9 @@ class ManifoldProblem:
     problem that rule admits is refused, and one it refuses for more than
     ``TAIL_CAP`` rows is admitted where ``E_nu`` certifies fewer.  The default ``horizon`` is the
     first ``h`` with ``E_nu(h) <= SERIES_TOL``, at least 32.  A supplied
-    ``horizon`` must lie in ``[0, TAIL_CAP]``, else :class:`InputError`;
+    ``horizon`` must be an integer (an integral float such as ``64.0``
+    counts) in ``[0, TAIL_CAP]``, as ``max_iter`` must be one of at least
+    1, else :class:`InputError`;
     one below the first certified ``h``, or a certified ``h`` above
     ``TAIL_CAP``, raises :class:`PreconditionViolation`.
 
@@ -191,9 +194,11 @@ class ManifoldProblem:
     split: SpectralSplit = field(init=False)
 
     def __post_init__(self):
-        check_iteration_limits(self.fp_tol, self.max_iter)
-        if self.horizon is not None and not 0 <= self.horizon <= TAIL_CAP:
-            raise InputError(f"horizon must lie in [0, {TAIL_CAP}], got {self.horizon}")
+        self.fp_tol, self.max_iter = check_iteration_limits(self.fp_tol, self.max_iter)
+        if self.horizon is not None:
+            self.horizon = _integer(self.horizon, "horizon")
+            if not 0 <= self.horizon <= TAIL_CAP:
+                raise InputError(f"horizon must lie in [0, {TAIL_CAP}], got {self.horizon}")
         self.F.check_dim(self.A.dim)
         is_hyperbolic(self.A)
         if not self.F.causal:

@@ -19,6 +19,15 @@ bound (a contraction hypothesis must be checkable, not trusted):
     F(u)_n = u_n + h * f(u_{n+1}) with f from a small field table; the
     lookahead makes this non-causal.  Bound 1 + h L_f rho on ell_{2,rho}.
 
+Each kernel is one entry of ``_KERNELS``: its evaluation function, its
+lookahead, a check per parameter and its bound.  ``StencilMap`` runs the
+checks on construction, so the library and the JSON wire format refuse the
+same values: a missing parameter, a boolean or text where a number belongs,
+a non-finite number, an eps, h or clip_radius that is not positive, an
+empty coefficient list or a matrix that is not square are
+:class:`InputError` naming the parameter.  A bound that overflows is
+``inf``, which every gate refuses.
+
 An optional additive ``forcing`` sequence folds affine terms into F; it
 does not change the Lipschitz bound.
 
@@ -30,7 +39,9 @@ and one fixed-point loop.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,64 +154,112 @@ def _kernel_implicit_euler(args, params, out):
     return np.add(args[0], params["h"] * fn(args[1]), out=out)
 
 
+def _number(value, what: str, kind: type = float):
+    """``value`` as a finite ``kind``, float or complex; a boolean, text,
+    other non-number or non-finite value is :class:`InputError` naming
+    ``what``."""
+    try:
+        x = None if isinstance(value, (bool, np.bool_, str, bytes)) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None:
+        raise InputError(f"{what} must be a number, got {value!r}")
+    if not cmath.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _positive(value, what: str) -> float:
+    x = _number(value, what)
+    if not x > 0:
+        raise InputError(f"{what} must be positive, got {x!r}")
+    return x
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, or an integral float such as
+    ``50.0``; booleans, fractions, infinities and non-numbers are
+    :class:`InputError`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _matrix(value, what: str) -> np.ndarray:
+    try:
+        mat = np.asarray(value)
+    except ValueError as exc:  # a ragged nest
+        raise InputError(f"{what} is malformed: {exc}") from None
+    if mat.dtype.kind not in "iufc" or mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InputError(f"{what} must be a square array of numbers")
+    if not np.isfinite(mat).all():
+        raise InputError(f"{what} must be finite")
+    return mat.astype(np.complex128, copy=False)
+
+
+def _coefficients(value, what: str) -> list[complex]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise InputError(f"{what} must be a nonempty list (powers from 1), got {value!r}")
+    return [_number(c, what, complex) for c in value]
+
+
+def _field(value, what: str) -> str:
+    if not isinstance(value, str) or value not in FIELD_TABLE:
+        raise InputError(f"{what} must be one of {sorted(FIELD_TABLE)}, got {value!r}")
+    return value
+
+
+def _polynomial_bound(p, rho):
+    # sum_k k |c_k| R^(k-1) over the coefficients c_k of s^k: a zero
+    # coefficient adds 0, and a power that overflows makes the bound inf
+    radius = p["clip_radius"]
+    try:
+        return sum(((k + 1) * abs(c) * radius**k for k, c in enumerate(p["coeffs"]) if c), 0.0)
+    except OverflowError:
+        return math.inf
+
+
 _KERNELS = {
-    # name: (fn, lookahead)
-    "zero": (_kernel_zero, 0),
-    "linear": (_kernel_linear, 0),
-    "scaled_bounded_saturation": (_kernel_saturation, 0),
-    "polynomial_clipped": (_kernel_polynomial, 0),
-    "implicit_euler": (_kernel_implicit_euler, 1),
+    # name: (fn, lookahead, {parameter: check (value, what) -> value kept},
+    #        Lipschitz bound (params, rho) -> sum_j L_j rho^j on ell_{2,rho})
+    "zero": (_kernel_zero, 0, {}, lambda p, rho: 0.0),
+    "linear": (_kernel_linear, 0, {"matrix": _matrix}, lambda p, rho: operator_norm(p["matrix"])),
+    "scaled_bounded_saturation": (_kernel_saturation, 0, {"eps": _positive}, lambda p, rho: p["eps"]),
+    "polynomial_clipped": (
+        _kernel_polynomial, 0, {"coeffs": _coefficients, "clip_radius": _positive}, _polynomial_bound
+    ),
+    # offset 0 of the implicit Euler step has L_0 = 1, offset 1 has h L_f
+    "implicit_euler": (
+        _kernel_implicit_euler, 1, {"h": _positive, "field": _field},
+        lambda p, rho: 1.0 + p["h"] * FIELD_TABLE[p["field"]][1] * rho,
+    ),
 }
 
 
 @dataclass(eq=False)
 class StencilMap:
-    """Finite-stencil nonlinearity from the closed kernel registry."""
+    """Finite-stencil nonlinearity from the closed kernel registry.  A
+    missing, non-numeric (booleans and text included), non-finite or
+    out-of-range parameter is :class:`InputError` naming it."""
 
     kernel: str
     params: dict = field(default_factory=dict)
     forcing: WindowedSequence | None = None
 
     def __post_init__(self):
-        if self.kernel not in _KERNELS:
+        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
             raise InputError(f"unknown kernel {self.kernel!r}; known: {sorted(_KERNELS)}")
+        if not isinstance(self.params, dict):
+            raise InputError(f"stencil params must be a mapping, got {self.params!r}")
         p = dict(self.params)
-        if self.kernel == "linear":
-            if "matrix" not in p:
-                raise InputError("linear kernel needs a 'matrix' parameter")
-            mat = np.asarray(p["matrix"], dtype=np.complex128)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise InputError("linear kernel matrix must be square")
-            if self.forcing is not None and self.forcing.dim != mat.shape[0]:
-                raise DimensionMismatch(
-                    f"linear kernel matrix is {mat.shape[0]}x{mat.shape[0]} but its forcing "
-                    f"has dimension {self.forcing.dim}"
-                )
-            p["matrix"] = mat
-        elif self.kernel == "scaled_bounded_saturation":
-            eps = float(p.get("eps", 0.0))
-            if not (math.isfinite(eps) and eps > 0):
-                raise InputError("saturation kernel needs eps > 0")
-            p["eps"] = eps
-        elif self.kernel == "polynomial_clipped":
-            coeffs = [complex(c) for c in p.get("coeffs", [])]
-            radius = float(p.get("clip_radius", 0.0))
-            if not coeffs:
-                raise InputError("polynomial kernel needs nonempty 'coeffs' (powers from 1)")
-            if not (math.isfinite(radius) and radius > 0):
-                raise InputError("polynomial kernel needs clip_radius > 0")
-            p["coeffs"] = coeffs
-            p["clip_radius"] = radius
-        elif self.kernel == "implicit_euler":
-            h = float(p.get("h", 0.0))
-            if not (math.isfinite(h) and h > 0):
-                raise InputError("implicit Euler kernel needs step h > 0")
-            if p.get("field") not in FIELD_TABLE:
-                raise InputError(
-                    f"implicit Euler field must be one of {sorted(FIELD_TABLE)}"
-                )
-            p["h"] = h
+        for name, check in _KERNELS[self.kernel][2].items():
+            if name not in p:
+                raise InputError(f"stencil {name} is missing: kernel {self.kernel!r} needs it")
+            p[name] = check(p[name], f"stencil {name}")
         self.params = p
+        if self.forcing is not None:
+            self.check_dim(self.forcing.dim, "its forcing")
 
     @property
     def dim(self) -> int | None:
@@ -210,13 +269,12 @@ class StencilMap:
             return self.params["matrix"].shape[0]
         return None if self.forcing is None else self.forcing.dim
 
-    def check_dim(self, dim: int) -> None:
+    def check_dim(self, dim: int, of: str = "the state") -> None:
         """Raise :class:`DimensionMismatch` unless the stencil can act on
-        sequences of dimension ``dim``."""
+        sequences of dimension ``dim``, that of ``of``."""
         if self.dim is not None and self.dim != dim:
             raise DimensionMismatch(
-                f"stencil {self.kernel!r} acts on dimension {self.dim}, "
-                f"the state has dimension {dim}"
+                f"stencil {self.kernel!r} acts on dimension {self.dim}, {of} has dimension {dim}"
             )
 
     @property
@@ -235,19 +293,9 @@ class StencilMap:
 
     def lip_bound(self, rho: float) -> float:
         """Declared Lipschitz bound on ell_{2,rho}: ``sum_j L_j rho^j`` over the
-        pointwise Lipschitz constants ``L_j`` of the stencil offsets ``j``."""
-        p = self.params
-        if self.kernel == "zero":
-            return 0.0
-        if self.kernel == "linear":
-            return operator_norm(p["matrix"])
-        if self.kernel == "scaled_bounded_saturation":
-            return p["eps"]
-        if self.kernel == "polynomial_clipped":
-            radius = p["clip_radius"]
-            return sum((k + 1) * abs(c) * radius**k for k, c in enumerate(p["coeffs"]))
-        # offset 0 of the implicit Euler step has L_0 = 1, offset 1 has h L_f
-        return 1.0 + p["h"] * FIELD_TABLE[p["field"]][1] * rho
+        pointwise Lipschitz constants ``L_j`` of the stencil offsets ``j``;
+        ``inf`` where it overflows."""
+        return _KERNELS[self.kernel][3](self.params, rho)
 
     def apply(self, u: WindowedSequence) -> WindowedSequence:
         """Evaluate F(u) on its exact output window."""
@@ -267,7 +315,7 @@ class StencilMap:
         to every column.  The rows are written into ``out``, a C-contiguous
         complex array of their shape (a new one when None).
         """
-        fn, r = _KERNELS[self.kernel]
+        fn, r, _, _ = _KERNELS[self.kernel]
         args = [dense_rows(vals, lo, out_lo + j, out_hi + j) for j in range(r + 1)]
         shape = args[0].shape
         if out is None:
@@ -338,13 +386,14 @@ class StackedReport:
     errors: list
 
 
-def check_iteration_limits(fp_tol: float, max_iter: int) -> None:
-    """Raise :class:`InputError` unless ``fp_tol`` is positive and finite
-    and ``max_iter >= 1``."""
-    if not (math.isfinite(fp_tol) and fp_tol > 0):
-        raise InputError(f"fp_tol must be positive and finite, got {fp_tol!r}")
+def check_iteration_limits(fp_tol: float, max_iter: int) -> tuple[float, int]:
+    """``(fp_tol, max_iter)`` as a float and an int; :class:`InputError`
+    unless ``fp_tol`` is a positive finite number and ``max_iter`` an
+    integer (or an integral float such as ``50.0``) of at least 1."""
+    fp_tol, max_iter = _positive(fp_tol, "fp_tol"), _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter!r}")
+    return fp_tol, max_iter
 
 
 def fixed_point(
@@ -376,7 +425,7 @@ def fixed_point(
     column stopped (or the last one), with each later-stopping column's last
     iterate written into it.
     """
-    check_iteration_limits(fp_tol, max_iter)
+    fp_tol, max_iter = check_iteration_limits(fp_tol, max_iter)
     ws = Workspace() if ws is None else ws
     u0 = np.asarray(u0, dtype=np.complex128)
     cols = u0.shape[1]
@@ -476,11 +525,11 @@ def solve_contraction(
     if w.p != 2.0:
         raise InputError("the contraction solver iterates in an ell_{2,rho} norm")
     lip = F.lip_bound(w.rho)
-    if lip >= w.rho:
+    if not lip < w.rho:
         raise NotContractive(
             f"declared Lipschitz bound {lip:.6g} is not below rho = {w.rho}"
         )
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _integer(window[0], "window lo"), _integer(window[1], "window hi")
     if hi < lo:
         raise InputError("solve window is empty")
     dim = F.dim if dim is None else dim
@@ -534,7 +583,7 @@ def solve_ivp(
     if x.size != A.dim:
         raise DimensionMismatch(f"initial value has dimension {x.size}, operator {A.dim}")
     F.check_dim(A.dim)
-    horizon = int(horizon)
+    horizon = _integer(horizon, "horizon")
     if horizon < 0:
         raise InputError("horizon must be nonnegative")
 

@@ -55,6 +55,8 @@ def files(tmp_path):
             "forcing": {"dim": 1, "lo": -1, "values": [[[1.0], [0.0]]]},
         },
     )
+    paths["grid"] = write_json(tmp_path / "grid.json", {"vectors": [{"dim": 2, "re": [0.1, 0.0]}]})
+    paths["out_csv"] = str(tmp_path / "out.csv")
     paths["tmp"] = tmp_path
     return paths
 
@@ -571,6 +573,22 @@ HOSTILE_FLOAT_ARGV = {
     "contraction-rho": ["solve-contraction", "--F", "F_lin", "--rho", "{}", "--window", "-4", "20"],
     "fp-tol": ["solve-contraction", "--F", "F_lin", "--rho", "1.0", "--window", "-4", "20", "--fp-tol", "{}"],
 }
+# each stencil parameter, its value written into the stencil's JSON as a
+# number or as the token NaN or Infinity; a dict argument is such a file
+HOSTILE_STENCILS = {
+    "eps": {"kernel": "scaled_bounded_saturation", "params": {"eps": "{}"}},
+    "h": {"kernel": "implicit_euler", "params": {"h": "{}", "field": "linear_decay"}},
+    "clip_radius": {"kernel": "polynomial_clipped", "params": {"coeffs": [0.1, 5.0, 0.0], "clip_radius": "{}"}},
+    "coeffs": {"kernel": "polynomial_clipped", "params": {"coeffs": [0.1, "{}", 0.0], "clip_radius": 1.0}},
+}
+for name, stencil in HOSTILE_STENCILS.items():
+    HOSTILE_FLOAT_ARGV[f"contraction-{name}"] = [
+        "solve-contraction", "--F", stencil, "--rho", "2", "--window", "0", "5", "--dim", "1",
+    ]
+    HOSTILE_FLOAT_ARGV[f"manifold-{name}"] = [
+        "stable-manifold", "--grid", "grid", "--out", "out_csv",
+        "--problem", {"A": {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]}, "F": stencil},
+    ]
 CONTRACT_SAT = ["solve-contraction", "--F", "F_sat", "--rho", "1.0"]
 # integers only at 0 and -1, so that no value sizes a large array
 HOSTILE_INT_ARGV = {
@@ -593,19 +611,52 @@ def _no_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+def _hostile_arg(files, arg, value):
+    # a dict is a JSON file holding the value where it holds "{}"
+    if isinstance(arg, dict):
+        token = {"nan": "NaN", "inf": "Infinity"}.get(value, value)
+        path = files["tmp"] / "hostile.json"
+        path.write_text(json.dumps(arg).replace('"{}"', token))
+        return str(path)
+    return files.get(arg, arg).replace("{}", value)
+
+
 @pytest.mark.parametrize("argv, value", HOSTILE, ids=HOSTILE_IDS)
 def test_hostile_numbers_give_json_or_a_typed_error(files, capsys, argv, value):
     # never a traceback (exit 1): a result that strict JSON accepts, or a
     # typed diagnostic on stderr
-    argv = [files.get(arg, arg).replace("{}", value) for arg in argv]
+    argv = [_hostile_arg(files, arg, value) for arg in argv]
     code, out, err = run_cli(argv, capsys)
     assert code != 1
     if code:
         assert out == ""
         assert set(json.loads(err)) == {"error", "message"}
+    elif argv[0] == "stable-manifold":  # the result is the sweep CSV
+        assert (out, err) == ("", "")
+        with open(files["out_csv"], newline="") as fh:
+            assert len(list(csv.reader(fh))) == 2
     else:
         assert err == ""
         json.loads(out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["solve-contraction", "--rho", "2", "--window", "0", "5", "--dim", "1", "--F"], 12, "not-contractive"),
+        (["stable-manifold", "--grid", "grid", "--out", "out_csv", "--problem"], 19, "not-admissible"),
+    ],
+    ids=["solve-contraction", "stable-manifold"],
+)
+def test_overflowing_polynomial_bound_is_refused(files, capsys, argv, code, error):
+    # R^2 overflows a float at R = 1e200, but its coefficient is 0: the
+    # bound is 2 * 5 * 1e200, which no gate admits
+    F = {"kernel": "polynomial_clipped", "params": {"coeffs": [0.1, 5.0, 0.0], "clip_radius": 1e200}}
+    A = {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]}
+    path = write_json(files["tmp"] / "in.json", F if argv[0] == "solve-contraction" else {"A": A, "F": F})
+    got, out, err = run_cli([files.get(arg, arg) for arg in argv] + [path], capsys)
+    assert (got, out, json.loads(err)["error"]) == (code, "", error)
+    assert "bound 1e+201 " in json.loads(err)["message"]
 
 
 SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}

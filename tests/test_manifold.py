@@ -12,6 +12,7 @@ from specseq import (
     AdmissibilityError,
     BoundedOperator,
     DimensionMismatch,
+    InputError,
     ManifoldProblem,
     circle_sup_resolvent,
     PreconditionViolation,
@@ -28,6 +29,7 @@ from specseq import (
     polynomial_map,
     riesz_split,
     saturation_map,
+    solve_contraction,
     solve_ivp,
     spectrum_escape_check,
     stable_manifold_point,
@@ -637,6 +639,32 @@ def shear_problem(**kwargs):
     # A = diag(0.9, 0.8, 2) + triu(0.3, 1) with saturation eps = 0.02
     a = BoundedOperator(np.diag([0.9, 0.8, 2.0]) + np.triu(np.full((3, 3), 0.3), 1))
     return ManifoldProblem(a, saturation_map(0.02), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"horizon": 40.5}, "horizon"),
+        ({"horizon": True}, "horizon"),
+        ({"horizon": "64"}, "horizon"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+        ({"fp_tol": "1e-10"}, "fp_tol"),
+        ({"fp_tol": True}, "fp_tol"),
+    ],
+)
+def test_iteration_limits_and_horizon_reject_what_they_cannot_use(kwargs, field):
+    # these used to construct and then raise TypeError on the first point,
+    # or, for max_iter = True, run a single step
+    with pytest.raises(InputError, match=f"^{field} must be"):
+        shear_problem(**kwargs)
+    if "horizon" not in kwargs:
+        with pytest.raises(InputError, match=f"^{field} must be"):
+            solve_contraction(saturation_map(0.1), Weight(1.0, 2.0), (0, 4), dim=1, **kwargs)
+    # integral floats are integers, as on the wire
+    prob = shear_problem(horizon=64.0, max_iter=50.0)
+    assert (prob.horizon, prob.max_iter) == (64, 50)
+    assert type(prob.horizon) is int and type(prob.max_iter) is int
 
 
 def test_horizon_below_the_certificate_is_a_precondition_violation():

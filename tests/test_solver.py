@@ -42,7 +42,7 @@ from specseq import (
 from specseq import resolvent
 from specseq.cli import main
 from specseq.operators import MAX_SUP_NODES, SUP_REL_TOL
-from specseq.solver import _causal_row, fixed_point, forward_orbit, smallness_gate
+from specseq.solver import _KERNELS, _causal_row, fixed_point, forward_orbit, smallness_gate
 from specseq.workspace import Workspace
 from testutil import (
     counted_sigma_min,
@@ -66,6 +66,31 @@ def test_stencil_registry_validation():
         StencilMap("polynomial_clipped", {"coeffs": [], "clip_radius": 1.0})
     with pytest.raises(InputError):
         StencilMap("implicit_euler", {"h": 0.1, "field": "nope"})
+    # every refusal names its parameter: non-finite, boolean, text and
+    # malformed values, which used to build a stencil with a NaN bound, or
+    # escape as TypeError, ValueError or LinAlgError
+    refused = [
+        (lambda: linear_map([[np.nan]]), "stencil matrix "),
+        (lambda: linear_map([[1.0, 2.0], [3.0]]), "stencil matrix "),
+        (lambda: linear_map([["1"]]), "stencil matrix "),
+        (lambda: polynomial_map([np.nan], 1.0), "stencil coeffs "),
+        (lambda: polynomial_map([0.5, np.inf], 1.0), "stencil coeffs "),
+        (lambda: polynomial_map(["0.5"], 1.0), "stencil coeffs "),
+        (lambda: polynomial_map([0.5], 10**400), "stencil clip_radius "),
+        (lambda: saturation_map(True), "stencil eps "),
+        (lambda: saturation_map("0.1"), "stencil eps "),
+        (lambda: saturation_map(np.inf), "stencil eps "),
+        (lambda: implicit_euler_map(0.1, ["linear_decay"]), "stencil field "),
+        (lambda: StencilMap("scaled_bounded_saturation"), "stencil eps "),
+        (lambda: StencilMap("zero", [("eps", 1.0)]), "stencil params "),
+        (lambda: StencilMap(["zero"]), "unknown kernel "),
+    ]
+    for make, prefix in refused:
+        with pytest.raises(InputError, match=f"^{prefix}"):
+            make()
+    # numpy numbers and integral values are numbers
+    assert saturation_map(np.float32(0.5)).params["eps"] == 0.5
+    assert polynomial_map([np.int64(1)], 2).lip_bound(1.0) == 1.0
 
 
 def test_stencil_lip_bounds():
@@ -78,6 +103,10 @@ def test_stencil_lip_bounds():
     assert not ie.causal
     poly = polynomial_map([0.2, 0.0, 0.1], clip_radius=2.0)
     assert poly.lip_bound(1.0) == pytest.approx(0.2 + 3 * 0.1 * 4.0)
+    # R^2 overflows at R = 1e200: with a zero coefficient it adds 0, else
+    # the bound is inf
+    assert polynomial_map([0.1, 5.0, 0.0], 1e200).lip_bound(1.0) == 0.1 + 2 * 5.0 * 1e200
+    assert polynomial_map([0.1, 5.0, 1.0], 1e200).lip_bound(1.0) == np.inf
 
 
 def lipschitz_probe(F: StencilMap, w: Weight, trials: int = 32, dim: int = 1) -> float:
@@ -118,12 +147,17 @@ def test_lipschitz_probe_saturation_below_declared():
 
 
 def test_empirical_lipschitz_within_declared_bound():
+    # one example per registry kernel, the lookahead of implicit_euler
+    # included, so a kernel added without one fails here
     rng = np.random.default_rng(1)
     maps = [
+        zero_map(),
         linear_map(0.4 * rng.standard_normal((2, 2))),
         saturation_map(0.3),
         polynomial_map([0.1, 0.05], clip_radius=1.5),
+        implicit_euler_map(0.2, "saturating_decay"),
     ]
+    assert sorted(f.kernel for f in maps) == sorted(_KERNELS)
     for f in maps:
         for rho in (0.7, 1.0, 1.6):
             w = Weight(rho, 2.0)
@@ -210,6 +244,13 @@ def test_stencil_dimension_is_checked_once_at_each_entry():
 def test_solve_contraction_rejects_supercritical_lipschitz():
     with pytest.raises(NotContractive):
         solve_contraction(linear_map(np.eye(2) * 2.0), Weight(1.0, 2.0), (-2, 2))
+    with pytest.raises(NotContractive):
+        solve_contraction(polynomial_map([0.1, 0.0, 1.0], 1e200), Weight(2.0, 2.0), (0, 5), dim=1)
+    # a NaN bound, which construction no longer lets through, is refused too
+    f = saturation_map(0.1)
+    f.params["eps"] = np.nan
+    with pytest.raises(NotContractive):
+        solve_contraction(f, Weight(1.0, 2.0), (0, 4), dim=1)
 
 
 def test_solve_contraction_no_convergence_and_iteration_limits():
@@ -220,6 +261,13 @@ def test_solve_contraction_no_convergence_and_iteration_limits():
         solve_contraction(f, Weight(1.0, 2.0), (-2, 40), max_iter=0)
     with pytest.raises(InputError):
         solve_contraction(f, Weight(1.0, 2.0), (-2, 40), fp_tol=float("nan"))
+    # a fractional window end or horizon, which used to be truncated
+    with pytest.raises(InputError, match="^window lo must be an integer"):
+        solve_contraction(f, Weight(1.0, 2.0), (-2.5, 40))
+    with pytest.raises(InputError, match="^horizon must be an integer"):
+        solve_ivp(BoundedOperator([[0.5]]), zero_map(), [1.0], 8.5)
+    whole = solve_contraction(f, Weight(1.0, 2.0), (-2, 40)).solution
+    assert (solve_contraction(f, Weight(1.0, 2.0), (-2.0, 40.0)).solution - whole).is_zero
 
 
 def test_solve_ivp_linear_closed_form():
