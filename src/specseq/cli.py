@@ -3,6 +3,12 @@
 One entry point with subcommands; every run is deterministic given its
 configuration.  Module errors surface as a structured JSON diagnostic on
 stderr plus a distinct nonzero exit status.
+
+Every run is a fresh process, and without cached bytecode Python compiles
+each module it imports, so each subcommand imports the library modules it
+calls inside its own function: ``spectrum`` never compiles the solver, the
+resolvent or the Lyapunov-Perron code.  The module itself imports only
+``io`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -13,31 +19,6 @@ import sys
 
 from . import io
 from .errors import IndeterminateHyperbolic, SpecseqError
-from .manifold import manifold_sweep, spectrum_escape_check
-from .operators import (
-    circle_sup_resolvent,
-    is_hyperbolic,
-    resolvent_at,
-    riesz_split,
-    spectral_radius,
-)
-from .resolvent import (
-    ResolventPlan,
-    apply_resolvent_causal,
-    apply_resolvent_frequency,
-    apply_resolvent_split,
-    equation_residual,
-)
-from .sequences import Weight
-from .solver import (
-    FP_TOL,
-    MAX_ITER,
-    solve_contraction,
-    solve_ivp,
-    solve_ivp_all,
-    stability_classify,
-)
-from .ztransform import multiplication_equiv_check, parseval_check, ztransform
 
 
 def _emit(obj, out_path):
@@ -47,6 +28,8 @@ def _emit(obj, out_path):
 
 
 def _cmd_spectrum(args):
+    from .operators import circle_sup_resolvent, is_hyperbolic, resolvent_at, spectral_radius
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     try:
         hyperbolic = is_hyperbolic(A)
@@ -63,6 +46,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_riesz(args):
+    from .operators import riesz_split
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     split = riesz_split(A, args.gamma)
     _emit(
@@ -82,6 +67,14 @@ def _cmd_riesz(args):
 
 
 def _cmd_resolve(args):
+    from .resolvent import (
+        ResolventPlan,
+        apply_resolvent_causal,
+        apply_resolvent_frequency,
+        apply_resolvent_split,
+        equation_residual,
+    )
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     f = io.sequence_from_json(io.load_json(args.f), "f")
     plan = ResolventPlan(A, args.rho, args.mode)
@@ -106,6 +99,8 @@ def _cmd_resolve(args):
 
 
 def _cmd_ztransform_check(args):
+    from .ztransform import multiplication_equiv_check, parseval_check, ztransform
+
     u = io.sequence_from_json(io.load_json(args.u), "u")
     f = ztransform(u, args.rho, args.N)
     lhs, rhs = parseval_check(u, args.rho, transform=f)
@@ -126,6 +121,8 @@ def _cmd_ztransform_check(args):
 
 
 def _cmd_solve_ivp(args):
+    from .solver import solve_ivp, solve_ivp_all
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     F = io.stencil_from_json(io.load_json(args.F), "F")
     x = io.vector_from_json(io.load_json(args.x), "x")
@@ -154,13 +151,16 @@ def _cmd_solve_ivp(args):
 
 
 def _cmd_solve_contraction(args):
+    from .sequences import Weight
+    from .solver import FP_TOL, MAX_ITER, solve_contraction
+
     F = io.stencil_from_json(io.load_json(args.F), "F")
     report = solve_contraction(
         F,
         Weight(args.rho, 2.0),
         (args.window[0], args.window[1]),
-        fp_tol=args.fp_tol,
-        max_iter=args.max_iter,
+        fp_tol=FP_TOL if args.fp_tol is None else args.fp_tol,
+        max_iter=MAX_ITER if args.max_iter is None else args.max_iter,
         dim=args.dim,
     )
     _emit(
@@ -178,6 +178,8 @@ def _cmd_solve_contraction(args):
 
 
 def _cmd_stability(args):
+    from .solver import stability_classify
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     report = stability_classify(A)
     _emit(
@@ -194,6 +196,8 @@ def _cmd_stability(args):
 
 
 def _cmd_stable_manifold(args):
+    from .manifold import manifold_sweep
+
     prob = io.manifold_problem_from_json(io.load_json(args.problem), "problem")
     grid = io.grid_from_json(io.load_json(args.grid), "grid")
     io.write_sweep_csv(manifold_sweep(prob, grid), prob.A.dim, args.out)
@@ -201,6 +205,8 @@ def _cmd_stable_manifold(args):
 
 
 def _cmd_escape_check(args):
+    from .manifold import spectrum_escape_check
+
     A = io.matrix_from_json(io.load_json(args.A), "A")
     x = io.vector_from_json(io.load_json(args.x), "x")
     _emit({"escapes": spectrum_escape_check(A, x)}, args.out)
@@ -272,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--window", type=int, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--fp-tol", type=float, default=FP_TOL, dest="fp_tol")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter")
+    # None stands for solver.FP_TOL and solver.MAX_ITER, read when the command runs
+    p.add_argument("--fp-tol", type=float, default=None, dest="fp_tol")
+    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_solve_contraction)

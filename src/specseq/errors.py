@@ -2,7 +2,15 @@
 
 Every error carries a stable machine-readable ``code`` (surfaced by the CLI
 in structured stderr diagnostics) and a distinct process ``exit_status``.
+The scalar checks ``_number`` and ``_integer``, which raise
+:class:`InputError`, live here too: the solver, the manifold problem and
+the JSON reader all use them.
 """
+
+import cmath
+import numbers
+
+import numpy as np
 
 
 class SpecseqError(Exception):
@@ -149,3 +157,37 @@ class InternalInconsistency(SpecseqError):
 def all_error_types():
     """All concrete error classes, for diagnostics and registry tests."""
     return SpecseqError.__subclasses__()
+
+
+def _shown(value) -> str:
+    """``repr(value)``; an int too long for the interpreter's limit on
+    integer text (``sys.set_int_max_str_digits``) is described by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
+def _number(value, what: str, kind: type = float):
+    """``value`` as a finite ``kind``, float or complex; a boolean, text,
+    other non-number or non-finite value is :class:`InputError` naming
+    ``what``."""
+    try:
+        x = None if isinstance(value, (bool, np.bool_, str, bytes)) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None:
+        raise InputError(f"{what} must be a number, got {_shown(value)}")
+    if not cmath.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, or an integral float such as
+    ``50.0``; booleans, fractions, infinities and non-numbers are
+    :class:`InputError`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")

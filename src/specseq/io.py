@@ -11,7 +11,8 @@ Sequences:   {"dim": d, "lo": n, "values": [[[re..],[im..]], ...]}
              but JSON numbers is named.
 Stencils:    {"kernel": name, "params": {...}, "forcing": sequence-or-null}
              linear params carry a matrix object; polynomial coefficients
-             are listed from power 1.
+             are listed from power 1.  A missing or null forcing is none;
+             any other value must be a sequence.
 Problems:    {"A": matrix, "F": stencil, "fp_tol"?, "max_iter"?, "horizon"?}
              a supplied horizon lies in [0, resolvent.TAIL_CAP = 20000];
              ManifoldProblem refuses one below its certified horizon.
@@ -20,17 +21,20 @@ Problems:    {"A": matrix, "F": stencil, "fp_tol"?, "max_iter"?, "horizon"?}
 Sequence CSV rows: (n, component, re, im).
 Sweep CSV rows: (xi_*, eta_*, decay_rate, iterations, residual, error).
 
-dim, lo, max_iter and horizon are JSON integers or integral floats (2.0);
-booleans, fractions and text are InputError.  Every other numeric field
-(matrix, vector and sequence entries, and fp_tol) holds JSON numbers; text
-such as "2.0" and booleans are InputError.  A stencil's parameters other
-than a linear kernel's matrix object are passed to StencilMap as decoded,
-and its checks, the same for library callers, refuse them with an
-InputError naming the parameter.  Complex entries are assembled from their
-parts bit for bit, so a -0.0 in either part is kept.  Every JSON result is
-one line, json.dumps(result, sort_keys=True) + "\n" (dump_json).  An input
-that cannot be read, is not UTF-8 JSON or is nested too deeply to decode,
-and an output that cannot be written, are InputError naming the file.
+dim, lo, max_iter and horizon are JSON integers or integral floats
+(2.0); booleans, fractions and text are InputError.  Every other numeric
+field (matrix, vector and sequence entries, and fp_tol) holds JSON
+numbers; text such as "2.0" and booleans are InputError.  A stencil's
+parameters other than a linear kernel's matrix object are passed to
+StencilMap as decoded, and its checks, the same for library callers,
+refuse them, and any parameter the kernel does not take, with an
+InputError naming the parameter.  Complex entries are assembled from
+their parts bit for bit, so a -0.0 in either part is kept.  Every JSON
+result is one line, json.dumps(result, sort_keys=True) + "\n"
+(dump_json).  An input that cannot be read, is not UTF-8 JSON, holds an
+integer longer than the interpreter's limit on integer text (4300 digits
+by default) or is nested too deeply to decode, and an output that cannot
+be written, are InputError naming the file.
 """
 
 from __future__ import annotations
@@ -40,15 +44,18 @@ import json
 import struct
 from io import StringIO
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
-from .manifold import ManifoldProblem, SweepRow
+from .errors import InputError, _integer, _number
 from .operators import BoundedOperator
 from .sequences import WindowedSequence, zero_sequence
-from .solver import StencilMap, _integer, _number
-from .ztransform import CircleFunction
+
+if TYPE_CHECKING:
+    from .manifold import ManifoldProblem, SweepRow
+    from .solver import StencilMap
+    from .ztransform import CircleFunction
 
 
 def load_json(path):
@@ -59,7 +66,7 @@ def load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply to decode: {exc}") from exc
@@ -271,16 +278,20 @@ def write_sweep_csv(rows: list[SweepRow], dim: int, path):
 
 def stencil_from_json(obj, context="stencil") -> StencilMap:
     # the kernel's parameters are checked by StencilMap
+    from .solver import StencilMap
+
     kernel = _require(obj, "kernel", context)
     params = obj.get("params", {})
     if kernel == "linear" and isinstance(params, dict) and "matrix" in params:
         params = {**params, "matrix": matrix_from_json(params["matrix"], f"{context}.matrix").entries}
     forcing = obj.get("forcing")
-    seq = sequence_from_json(forcing, f"{context}.forcing") if forcing else None
+    seq = None if forcing is None else sequence_from_json(forcing, f"{context}.forcing")
     return StencilMap(kernel, params, seq)
 
 
 def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
+    from .manifold import ManifoldProblem
+
     if not isinstance(obj, dict):
         raise InputError(f"{context} must be a JSON object")
     kwargs = {}

@@ -53,6 +53,7 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
     SpecseqError,
+    _integer,
 )
 from .operators import (
     GAP_TOL,
@@ -69,7 +70,6 @@ from .solver import (
     FP_TOL,
     StackedReport,
     StencilMap,
-    _integer,
     check_iteration_limits,
     forward_orbit,
     impulse_fixed_point,

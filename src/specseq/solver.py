@@ -21,11 +21,11 @@ bound (a contraction hypothesis must be checkable, not trusted):
 
 Each kernel is one entry of ``_KERNELS``: its evaluation function, its
 lookahead, a check per parameter and its bound.  ``StencilMap`` runs the
-checks on construction, so the library and the JSON wire format refuse the
-same values: a missing parameter, a boolean or text where a number belongs,
-a non-finite number, an eps, h or clip_radius that is not positive, an
-empty coefficient list or a matrix that is not square are
-:class:`InputError` naming the parameter.  A bound that overflows is
+checks on construction, so the library and the JSON wire format refuse
+the same values: a missing or unknown parameter, a boolean or text where
+a number belongs, a non-finite number, an eps, h or clip_radius that is
+not positive, an empty coefficient list or a matrix that is not square
+are :class:`InputError` naming the parameter.  A bound that overflows is
 ``inf``, which every gate refuses.
 
 An optional additive ``forcing`` sequence folds affine terms into F; it
@@ -39,9 +39,7 @@ and one fixed-point loop.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +55,8 @@ from .errors import (
     NotCausalRegime,
     NotContractive,
     PreconditionViolation,
+    _integer,
+    _number,
 )
 from .operators import (
     GAP_TOL,
@@ -154,36 +154,11 @@ def _kernel_implicit_euler(args, params, out):
     return np.add(args[0], params["h"] * fn(args[1]), out=out)
 
 
-def _number(value, what: str, kind: type = float):
-    """``value`` as a finite ``kind``, float or complex; a boolean, text,
-    other non-number or non-finite value is :class:`InputError` naming
-    ``what``."""
-    try:
-        x = None if isinstance(value, (bool, np.bool_, str, bytes)) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        x = None
-    if x is None:
-        raise InputError(f"{what} must be a number, got {value!r}")
-    if not cmath.isfinite(x):
-        raise InputError(f"{what} must be finite, got {value!r}")
-    return x
-
-
 def _positive(value, what: str) -> float:
     x = _number(value, what)
     if not x > 0:
         raise InputError(f"{what} must be positive, got {x!r}")
     return x
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an integer, or an integral float such as
-    ``50.0``; booleans, fractions, infinities and non-numbers are
-    :class:`InputError`."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _matrix(value, what: str) -> np.ndarray:
@@ -240,8 +215,9 @@ _KERNELS = {
 @dataclass(eq=False)
 class StencilMap:
     """Finite-stencil nonlinearity from the closed kernel registry.  A
-    missing, non-numeric (booleans and text included), non-finite or
-    out-of-range parameter is :class:`InputError` naming it."""
+    parameter the kernel does not take, and a missing, non-numeric (booleans
+    and text included), non-finite or out-of-range one, is
+    :class:`InputError` naming it."""
 
     kernel: str
     params: dict = field(default_factory=dict)
@@ -252,8 +228,13 @@ class StencilMap:
             raise InputError(f"unknown kernel {self.kernel!r}; known: {sorted(_KERNELS)}")
         if not isinstance(self.params, dict):
             raise InputError(f"stencil params must be a mapping, got {self.params!r}")
-        p = dict(self.params)
-        for name, check in _KERNELS[self.kernel][2].items():
+        p, checks = dict(self.params), _KERNELS[self.kernel][2]
+        for name in p:
+            if name not in checks:
+                raise InputError(
+                    f"stencil parameter {name!r} is unknown: kernel {self.kernel!r} takes {sorted(checks)}"
+                )
+        for name, check in checks.items():
             if name not in p:
                 raise InputError(f"stencil {name} is missing: kernel {self.kernel!r} needs it")
             p[name] = check(p[name], f"stencil {name}")

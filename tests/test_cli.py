@@ -224,7 +224,8 @@ def test_ztransform_check_reports_the_default_sample_count(files, tmp_path, caps
 def test_ztransform_check_transforms_once(files, tmp_path, capsys, monkeypatch):
     # the Parseval sides and the circle CSV read one transform at N = 64
     # (the intertwining check transforms at its own sample count); the
-    # package exports the function under the module's name, hence import_module
+    # package exports the function under the module's name, hence
+    # import_module, and the command reads the module's attribute when it runs
     ztransform = importlib.import_module("specseq.ztransform")
     counts = []
     plain = ztransform.ztransform
@@ -234,7 +235,6 @@ def test_ztransform_check_transforms_once(files, tmp_path, capsys, monkeypatch):
         return plain(u, rho, n_samples)
 
     monkeypatch.setattr(ztransform, "ztransform", counted)
-    monkeypatch.setattr(specseq.cli, "ztransform", counted)
     argv = ["ztransform-check", "--u", files["u_seq"], "--rho", "1.0", "--N", "64"]
     code, _, _ = run_cli(argv + ["--circle-csv", str(tmp_path / "circle.csv")], capsys)
     assert code == 0
@@ -705,6 +705,13 @@ IMPULSE = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]]]}
         # numeric fields hold JSON numbers, not text or booleans
         (["spectrum", "--A"], {"dim": 1, "re": [["2.0"]]}),
         (ZCHECK, {"dim": 1, "lo": 0, "values": [[[True], [0.0]]]}),
+        # integer text past the interpreter's 4300-digit limit
+        (CONTRACTION, '{"kernel": "scaled_bounded_saturation", "params": {"eps": ' + "9" * 5000 + "}}"),
+        (ZCHECK, '{"dim": ' + "1" * 5000 + ', "lo": 0, "values": []}'),
+        # a forcing other than null must be a sequence
+        *((CONTRACTION, {**SAT, "forcing": forcing}) for forcing in ({}, [], 0, False, "")),
+        # a parameter the kernel does not take
+        (CONTRACTION, {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.1, "epsilon": 9}}),
     ],
     ids=[
         "not-json",
@@ -737,6 +744,14 @@ IMPULSE = {"dim": 1, "lo": 0, "values": [[[1.0], [0.0]]]}
         "unwritable-manifold-out",
         "text-matrix-entry",
         "bool-sequence-entry",
+        "huge-integer-eps",
+        "huge-integer-dim",
+        "empty-object-forcing",
+        "empty-list-forcing",
+        "zero-forcing",
+        "false-forcing",
+        "empty-text-forcing",
+        "unknown-parameter",
     ],
 )
 def test_invalid_input_error(tmp_path, capsys, argv, bad, monkeypatch):
@@ -826,13 +841,14 @@ def test_error_codes_are_distinct():
     assert all(status != 0 for status in statuses)
 
 
-def fresh_run(argv, cwd=None):
-    """``python -m specseq *argv`` in a new process; the child imports the
-    same specseq as this test, installed or not."""
+def fresh_run(argv, cwd=None, code=None):
+    """``python -m specseq *argv`` in a new process, or ``python -c code
+    *argv`` when ``code`` is given; the child imports the same specseq as
+    this test, installed or not."""
     src = os.path.dirname(os.path.dirname(specseq.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "specseq", *argv],
+        [sys.executable, *(("-m", "specseq") if code is None else ("-c", code)), *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -857,6 +873,95 @@ def test_module_entry_point(files):
     code, out, _ = fresh_run(["spectrum", "--A", files["A_diag"]])
     assert code == 0
     assert json.loads(out)["r"] == 2.0
+
+
+# runs ``python -m specseq`` and then prints its exit status and the specseq
+# modules the process loaded, as one JSON line
+MODULES_LOADED = """
+import json, runpy, sys
+try:
+    runpy.run_module("specseq", run_name="__main__")
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("specseq."))]))
+"""
+
+
+def test_each_subcommand_loads_only_its_modules(files, tmp_path):
+    # every run is a fresh process that compiles each module it imports
+    out = tmp_path / "out.json"
+    argv = ["spectrum", "--A", files["A_diag"], "--out", str(out)]
+    code, stdout, err = fresh_run(argv, code=MODULES_LOADED)
+    assert (code, err) == (0, "")
+    status, loaded = json.loads(stdout)
+    assert status == 0 and json.loads(out.read_text())["r"] == 2.0
+    assert not {"specseq.resolvent", "specseq.solver", "specseq.manifold"} & set(loaded)
+    A = {"dim": 2, "re": [[0.5, 0.0], [0.0, 2.0]]}
+    problem = write_json(tmp_path / "problem.json", {"A": A, "F": SAT})
+    argv = ["stable-manifold", "--problem", problem, "--grid", files["grid"], "--out", files["out_csv"]]
+    code, stdout, err = fresh_run(argv, code=MODULES_LOADED)
+    assert (code, err) == (0, "")
+    status, loaded = json.loads(stdout)
+    assert status == 0
+    assert {"specseq.manifold", "specseq.solver", "specseq.resolvent", "specseq.operators"} <= set(loaded)
+
+
+# every name the package exported when it imported all its modules at once
+EXPORTED = {
+    "AdmissibilityError", "AliasingError", "BoundedOperator", "CausalityRequired",
+    "CircleFunction", "DimensionMismatch", "EigenSolverFailure", "GAP_TOL",
+    "IndeterminateHyperbolic", "IndeterminateStability", "InputError",
+    "InternalInconsistency", "ManifoldProblem", "NoConvergence", "NormOverflow",
+    "NotCausalRegime", "NotContractive", "PreconditionViolation", "QuadratureError",
+    "RangeViolation", "ResolventPlan", "SERIES_TOL", "SpecseqError", "SpectralSplit",
+    "SpectrumHit", "SpectrumOnCircle", "StencilMap", "Weight", "WindowTooWide",
+    "WindowedSequence", "apply_resolvent_causal", "apply_resolvent_frequency",
+    "apply_resolvent_split", "causality_probe", "circle_sup_resolvent", "equation_residual",
+    "implicit_euler_map", "impulse", "inner_product", "inverse_ztransform", "is_hyperbolic",
+    "linear_map", "lp_apply", "lp_fixed_point", "manifold_sweep",
+    "multiplication_equiv_check", "operator_norm", "parseval_check", "polynomial_map",
+    "positive_support_hardy_check", "resolvent_at", "riesz_split", "saturation_map",
+    "shift", "solve_contraction", "solve_ivp", "solve_ivp_all", "spectral_radius",
+    "spectrum_escape_check", "stability_classify", "stable_manifold_point", "support",
+    "support_subset_geq", "truncate", "weighted_norm", "zero_map", "zero_sequence",
+    "ztransform",
+}
+
+# imports the package in a fresh process, then reports what loaded with it,
+# what specseq.solver is before anything imported it, its __all__, what a
+# star import binds and what specseq.ztransform is once the ztransform
+# submodule and the modules that import it have loaded
+PACKAGE_LOADED = """
+import json, sys
+import specseq
+loaded = sorted(m for m in sys.modules if m.startswith("specseq."))
+submodule = type(specseq.solver).__name__
+star = {}
+exec("from specseq import *", star)
+import specseq.resolvent, specseq.ztransform
+print(json.dumps({
+    "loaded": loaded,
+    "all": specseq.__all__,
+    "star": sorted(name for name in star if not name.startswith("__")),
+    "ztransform": type(specseq.ztransform).__name__,
+    "submodule": submodule,
+}))
+"""
+
+
+def test_package_exports_every_name_on_first_access():
+    code, stdout, err = fresh_run([], code=PACKAGE_LOADED)
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    lazy = {"specseq.operators", "specseq.resolvent", "specseq.solver", "specseq.manifold"}
+    assert not lazy & set(report["loaded"])
+    assert sorted(report["all"]) == report["star"] == sorted(EXPORTED)
+    assert report["ztransform"] == "function"
+    assert report["submodule"] == "module"
+    assert all(hasattr(specseq, name) for name in EXPORTED)
+    assert EXPORTED <= set(dir(specseq))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        specseq.no_such_name
 
 
 def files_in(directory):

@@ -203,6 +203,24 @@ def test_malformed_sequence_entry_is_named(entry):
         io.sequence_from_json(obj, "f")
 
 
+def test_integer_past_the_digit_limit_is_invalid_input(tmp_path):
+    # json decodes integer text through int(), which refuses more than
+    # sys.get_int_max_str_digits() digits with a plain ValueError
+    path = tmp_path / "f.json"
+    path.write_text('{"kernel": "scaled_bounded_saturation", "params": {"eps": ' + "9" * 5000 + "}}")
+    with pytest.raises(InputError, match=f"^{path} is not valid JSON: Exceeds the limit"):
+        io.load_json(path)
+
+
+@pytest.mark.parametrize("forcing", [{}, [], 0, False, ""])
+def test_falsy_forcing_is_refused(forcing):
+    obj = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.1}, "forcing": forcing}
+    with pytest.raises(InputError, match="^F.forcing "):
+        io.stencil_from_json(obj, "F")
+    # null, like a missing forcing, is none
+    assert io.stencil_from_json({**obj, "forcing": None}, "F").forcing is None
+
+
 def oracle_sequence_csv(u, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

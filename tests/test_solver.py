@@ -84,6 +84,14 @@ def test_stencil_registry_validation():
         (lambda: StencilMap("scaled_bounded_saturation"), "stencil eps "),
         (lambda: StencilMap("zero", [("eps", 1.0)]), "stencil params "),
         (lambda: StencilMap(["zero"]), "unknown kernel "),
+        # an int too long for repr is described, not shown
+        (lambda: saturation_map(10**5000), "stencil eps must be a number, got an integer of 16610 "),
+        # the registry names every parameter a kernel takes
+        (
+            lambda: StencilMap("scaled_bounded_saturation", {"eps": 0.1, "epsilon": 9}),
+            "stencil parameter 'epsilon' ",
+        ),
+        (lambda: StencilMap("zero", {"eps": 0.1}), "stencil parameter 'eps' "),
     ]
     for make, prefix in refused:
         with pytest.raises(InputError, match=f"^{prefix}"):
