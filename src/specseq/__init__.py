@@ -70,7 +70,6 @@ _LAZY = {
             "lp_apply",
             "lp_fixed_point",
             "manifold_sweep",
-            "spectrum_escape_check",
             "stable_manifold_point",
         ),
         "manifold",
@@ -98,6 +97,8 @@ _LAZY = {
             "apply_resolvent_split",
             "causality_probe",
             "equation_residual",
+            "spectrum_escape_check",
+            "stability_classify",
         ),
         "resolvent",
     ),
@@ -111,7 +112,6 @@ _LAZY = {
             "solve_contraction",
             "solve_ivp",
             "solve_ivp_all",
-            "stability_classify",
             "zero_map",
         ),
         "solver",

@@ -1,8 +1,10 @@
 """Batch command line front-end.
 
 One entry point with subcommands; every run is deterministic given its
-configuration.  Module errors surface as a structured JSON diagnostic on
-stderr plus a distinct nonzero exit status.
+configuration.  Each subcommand's handler returns its JSON result, which
+``main`` writes to stdout or to ``--out`` (``stable-manifold`` writes its
+CSV itself and returns None).  Module errors surface as a structured JSON
+diagnostic on stderr plus a distinct nonzero exit status.
 
 Every run is a fresh process, and without cached bytecode Python compiles
 each module it imports, so each subcommand imports the library modules it
@@ -21,12 +23,6 @@ from . import io
 from .errors import IndeterminateHyperbolic, SpecseqError
 
 
-def _emit(obj, out_path):
-    text = io.dump_json(obj, out_path)
-    if out_path is None:
-        sys.stdout.write(text)
-
-
 def _cmd_spectrum(args):
     from .operators import circle_sup_resolvent, is_hyperbolic, resolvent_at, spectral_radius
 
@@ -41,8 +37,7 @@ def _cmd_spectrum(args):
     if args.resolvent_z is not None:
         z = complex(args.resolvent_z[0], args.resolvent_z[1])
         out["resolvent_at"] = io.matrix_to_json(resolvent_at(A, z))
-    _emit(out, args.out)
-    return 0
+    return out
 
 
 def _cmd_riesz(args):
@@ -50,20 +45,16 @@ def _cmd_riesz(args):
 
     A = io.matrix_from_json(io.load_json(args.A), "A")
     split = riesz_split(A, args.gamma)
-    _emit(
-        {
-            "gamma": split.gamma,
-            "proj_stable": io.matrix_to_json(split.proj_stable),
-            "proj_unstable": io.matrix_to_json(split.proj_unstable),
-            "r_inside": split.r_inside,
-            "r_outside_inv": split.r_outside_inv,
-            "idempotency_defect": split.idempotency_defect,
-            "commutation_defect": split.commutation_defect,
-            "sign_steps": split.quad_points,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "gamma": split.gamma,
+        "proj_stable": io.matrix_to_json(split.proj_stable),
+        "proj_unstable": io.matrix_to_json(split.proj_unstable),
+        "r_inside": split.r_inside,
+        "r_outside_inv": split.r_outside_inv,
+        "idempotency_defect": split.idempotency_defect,
+        "commutation_defect": split.commutation_defect,
+        "sign_steps": split.quad_points,
+    }
 
 
 def _cmd_resolve(args):
@@ -86,16 +77,12 @@ def _cmd_resolve(args):
         u = apply_resolvent_frequency(plan, f)
     if args.csv_out:
         io.write_sequence_csv(u, args.csv_out)
-    _emit(
-        {
-            "mode": args.mode,
-            "rho": args.rho,
-            "solution": io.sequence_to_json(u),
-            "residual": equation_residual(u, A, f, args.rho),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "mode": args.mode,
+        "rho": args.rho,
+        "solution": io.sequence_to_json(u),
+        "residual": equation_residual(u, A, f, args.rho),
+    }
 
 
 def _cmd_ztransform_check(args):
@@ -107,17 +94,13 @@ def _cmd_ztransform_check(args):
     defect = multiplication_equiv_check(u, args.rho)
     if args.circle_csv:
         io.write_circle_csv(f, args.circle_csv)
-    _emit(
-        {
-            "rho": args.rho,
-            "n_samples": f.n_samples,
-            "parseval_lhs": lhs,
-            "parseval_rhs": rhs,
-            "multiplication_defect": defect,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "rho": args.rho,
+        "n_samples": f.n_samples,
+        "parseval_lhs": lhs,
+        "parseval_rhs": rhs,
+        "multiplication_defect": defect,
+    }
 
 
 def _cmd_solve_ivp(args):
@@ -128,26 +111,14 @@ def _cmd_solve_ivp(args):
     x = io.vector_from_json(io.load_json(args.x), "x")
     if args.method == "all":
         sols, devs = solve_ivp_all(A, F, x, args.horizon, rho=args.rho)
-        _emit(
-            {
-                "horizon": args.horizon,
-                "methods": {name: io.sequence_to_json(sol) for name, sol in sols.items()},
-                "pairwise_max_deviation": devs,
-            },
-            args.out,
-        )
-    else:
-        method = {"voc": "variation_of_constants"}.get(args.method, args.method)
-        sol = solve_ivp(A, F, x, args.horizon, method, rho=args.rho)
-        _emit(
-            {
-                "horizon": args.horizon,
-                "method": method,
-                "solution": io.sequence_to_json(sol),
-            },
-            args.out,
-        )
-    return 0
+        return {
+            "horizon": args.horizon,
+            "methods": {name: io.sequence_to_json(sol) for name, sol in sols.items()},
+            "pairwise_max_deviation": devs,
+        }
+    method = {"voc": "variation_of_constants"}.get(args.method, args.method)
+    sol = solve_ivp(A, F, x, args.horizon, method, rho=args.rho)
+    return {"horizon": args.horizon, "method": method, "solution": io.sequence_to_json(sol)}
 
 
 def _cmd_solve_contraction(args):
@@ -163,36 +134,27 @@ def _cmd_solve_contraction(args):
         max_iter=MAX_ITER if args.max_iter is None else args.max_iter,
         dim=args.dim,
     )
-    _emit(
-        {
-            "rho": args.rho,
-            "iterations": report.iterations,
-            "final_residual": report.final_residual,
-            "contraction_estimate": report.contraction_estimate,
-            "converged": True,  # a report is returned only on convergence
-            "solution": io.sequence_to_json(report.solution),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "rho": args.rho,
+        "iterations": report.iterations,
+        "final_residual": report.final_residual,
+        "contraction_estimate": report.contraction_estimate,
+        "converged": True,  # a report is returned only on convergence
+        "solution": io.sequence_to_json(report.solution),
+    }
 
 
 def _cmd_stability(args):
-    from .solver import stability_classify
+    from .resolvent import stability_classify
 
-    A = io.matrix_from_json(io.load_json(args.A), "A")
-    report = stability_classify(A)
-    _emit(
-        {
-            "verdict": report.verdict,
-            "r": report.r,
-            "rho_star": report.rho_star,
-            "probes_consistent": report.probes_consistent,
-            "probe_bound": report.probe_bound,
-        },
-        args.out,
-    )
-    return 0
+    report = stability_classify(io.matrix_from_json(io.load_json(args.A), "A"))
+    return {
+        "verdict": report.verdict,
+        "r": report.r,
+        "rho_star": report.rho_star,
+        "probes_consistent": report.probes_consistent,
+        "probe_bound": report.probe_bound,
+    }
 
 
 def _cmd_stable_manifold(args):
@@ -201,16 +163,14 @@ def _cmd_stable_manifold(args):
     prob = io.manifold_problem_from_json(io.load_json(args.problem), "problem")
     grid = io.grid_from_json(io.load_json(args.grid), "grid")
     io.write_sweep_csv(manifold_sweep(prob, grid), prob.A.dim, args.out)
-    return 0
 
 
 def _cmd_escape_check(args):
-    from .manifold import spectrum_escape_check
+    from .resolvent import spectrum_escape_check
 
     A = io.matrix_from_json(io.load_json(args.A), "A")
     x = io.vector_from_json(io.load_json(args.x), "x")
-    _emit({"escapes": spectrum_escape_check(A, x)}, args.out)
-    return 0
+    return {"escapes": spectrum_escape_check(A, x)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,11 +279,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        if result is not None:  # a JSON result, on stdout unless --out names a file
+            text = io.dump_json(result, args.out)
+            if args.out is None:
+                sys.stdout.write(text)
     except SpecseqError as exc:
-        io_obj = {"error": exc.code, "message": str(exc)}
-        sys.stderr.write(io.dump_json(io_obj))
+        sys.stderr.write(io.dump_json({"error": exc.code, "message": str(exc)}))
         return exc.exit_status
+    return 0
 
 
 if __name__ == "__main__":

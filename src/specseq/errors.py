@@ -2,12 +2,21 @@
 
 Every error carries a stable machine-readable ``code`` (surfaced by the CLI
 in structured stderr diagnostics) and a distinct process ``exit_status``.
-The scalar checks ``_number`` and ``_integer``, which raise
-:class:`InputError`, live here too: the solver, the manifold problem and
-the JSON reader all use them.
+
+The argument policy of the whole library lives here too, one reader per
+kind: ``_number`` (a finite real or complex scalar), ``_positive`` (a
+positive one, such as every weight ``rho``), ``_integer`` (an index, a
+count or a dimension), ``_array`` (a complex array of finite numbers, such
+as a state vector) and ``_square`` (a d x d matrix, d >= 1).  Every public
+entry reads its arguments through them, once per call, so the same bad
+value is the same :class:`InputError`, naming the parameter, wherever it
+is passed: booleans and text are never numbers, NaN and infinity never
+finite, and a fraction never an index.  The JSON reader decodes and leaves
+the checks to them.
 """
 
 import cmath
+import math
 import numbers
 
 import numpy as np
@@ -160,12 +169,14 @@ def all_error_types():
 
 
 def _shown(value) -> str:
-    """``repr(value)``; an int too long for the interpreter's limit on
-    integer text (``sys.set_int_max_str_digits``) is described by its size."""
+    """``repr(value)``; a number whose digits pass the interpreter's limit
+    on integer text (``sys.set_int_max_str_digits``) is described by type."""
     try:
         return repr(value)
     except ValueError:
-        return f"an integer of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to show"
 
 
 def _number(value, what: str, kind: type = float):
@@ -183,11 +194,48 @@ def _number(value, what: str, kind: type = float):
     return x
 
 
+def _positive(value, what: str) -> float:
+    """:func:`_number` of a real above 0."""
+    x = _number(value, what)
+    if not x > 0:
+        raise InputError(f"{what} must be positive, got {x!r}")
+    return x
+
+
 def _integer(value, what: str) -> int:
-    """``value`` as an int: an integer, or an integral float such as
-    ``50.0``; booleans, fractions, infinities and non-numbers are
-    :class:`InputError`."""
+    """``value`` as an int: an integer, or an integral real such as
+    ``50.0``, decided exactly; booleans, fractions, infinities and
+    non-numbers are :class:`InputError`."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
+        if isinstance(value, numbers.Integral):
             return int(value)
-    raise InputError(f"{what} must be an integer, got {value!r}")
+        try:
+            whole = math.floor(value)
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            whole = None
+        if whole == value:
+            return whole
+    raise InputError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _array(value, what: str) -> np.ndarray:
+    """``value`` as a complex array of finite numbers; a ragged nest, text,
+    booleans, NaN or infinity is :class:`InputError` naming ``what``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nest
+        arr = None
+    if arr is None or arr.dtype.kind not in "iufc":
+        raise InputError(f"{what} must be an array of numbers")
+    arr = arr.astype(np.complex128, copy=False)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite")
+    return arr
+
+
+def _square(value, what: str) -> np.ndarray:
+    """:func:`_array` of a d x d matrix, d >= 1."""
+    mat = _array(value, what)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise InputError(f"{what} must be square, got shape {mat.shape}")
+    return mat

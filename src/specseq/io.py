@@ -21,20 +21,20 @@ Problems:    {"A": matrix, "F": stencil, "fp_tol"?, "max_iter"?, "horizon"?}
 Sequence CSV rows: (n, component, re, im).
 Sweep CSV rows: (xi_*, eta_*, decay_rate, iterations, residual, error).
 
-dim, lo, max_iter and horizon are JSON integers or integral floats
-(2.0); booleans, fractions and text are InputError.  Every other numeric
-field (matrix, vector and sequence entries, and fp_tol) holds JSON
-numbers; text such as "2.0" and booleans are InputError.  A stencil's
-parameters other than a linear kernel's matrix object are passed to
-StencilMap as decoded, and its checks, the same for library callers,
-refuse them, and any parameter the kernel does not take, with an
-InputError naming the parameter.  Complex entries are assembled from
-their parts bit for bit, so a -0.0 in either part is kept.  Every JSON
-result is one line, json.dumps(result, sort_keys=True) + "\n"
-(dump_json).  An input that cannot be read, is not UTF-8 JSON, holds an
-integer longer than the interpreter's limit on integer text (4300 digits
-by default) or is nested too deeply to decode, and an output that cannot
-be written, are InputError naming the file.
+dim and lo are JSON integers or integral floats (2.0); booleans,
+fractions and text are InputError.  Matrix, vector and sequence entries
+hold JSON numbers; text such as "2.0" and booleans are InputError.  A
+stencil's parameters other than a linear kernel's matrix object, and a
+problem's fp_tol, max_iter and horizon (null is no horizon), are passed
+to StencilMap and ManifoldProblem as decoded, and their checks, the same
+for library callers, refuse them, and any parameter the kernel does not
+take, with an InputError naming the parameter.  Complex entries are
+assembled from their parts bit for bit, so a -0.0 in either part is
+kept.  Every JSON result is one line, json.dumps(result, sort_keys=True)
++ "\n" (dump_json).  An input that cannot be read, is not UTF-8 JSON,
+holds an integer longer than the interpreter's limit on integer text (4300
+digits by default) or is nested too deeply to decode, and an output that
+cannot be written, are InputError naming the file.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, _integer, _number
+from .errors import InputError, _integer
 from .operators import BoundedOperator
 from .sequences import WindowedSequence, zero_sequence
 
@@ -294,12 +294,8 @@ def manifold_problem_from_json(obj, context="problem") -> ManifoldProblem:
 
     if not isinstance(obj, dict):
         raise InputError(f"{context} must be a JSON object")
-    kwargs = {}
-    if "fp_tol" in obj:
-        kwargs["fp_tol"] = _number(obj["fp_tol"], f"{context} fp_tol")
-    for key in ("max_iter", "horizon"):
-        if key in obj:
-            kwargs[key] = _integer(obj[key], f"{context} {key}")
+    # the iteration limits and the horizon are checked by ManifoldProblem
+    kwargs = {key: obj[key] for key in ("fp_tol", "max_iter", "horizon") if key in obj}
     return ManifoldProblem(
         A=matrix_from_json(_require(obj, "A", context), f"{context}.A"),
         F=stencil_from_json(_require(obj, "F", context), f"{context}.F"),

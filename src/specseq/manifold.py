@@ -53,10 +53,10 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
     SpecseqError,
+    _array,
     _integer,
 )
 from .operators import (
-    GAP_TOL,
     BoundedOperator,
     SpectralSplit,
     _decide,
@@ -64,7 +64,7 @@ from .operators import (
     is_hyperbolic,
     spectral_radius,
 )
-from .resolvent import CERT_CAP, SERIES_TOL, TAIL_CAP, ResolventPlan, decay_steps
+from .resolvent import SERIES_TOL, TAIL_CAP, ResolventPlan
 from .sequences import WindowedSequence, entry_norms
 from .solver import (
     FP_TOL,
@@ -305,10 +305,11 @@ class ManifoldProblem:
         return None if self._m_nu is None else self._m_nu.value()
 
     def check_stable_range(self, xi) -> np.ndarray:
-        """``xi`` as a vector; raises :class:`DimensionMismatch` unless it has
-        ``A``'s dimension and :class:`RangeViolation` unless
+        """``xi`` as a vector; raises :class:`InputError` unless it holds
+        finite numbers, :class:`DimensionMismatch` unless it has ``A``'s
+        dimension and :class:`RangeViolation` unless
         ``||P xi - xi|| <= 1e-8 ||xi||``."""
-        xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
+        xi = _array(xi, "xi").reshape(-1)
         if xi.size != self.A.dim:
             raise DimensionMismatch(f"xi has dimension {xi.size}, expected {self.A.dim}")
         # xi is scaled to a largest entry of 1 so no square overflows
@@ -546,20 +547,23 @@ def manifold_sweep(prob: ManifoldProblem, xi_grid) -> list[SweepRow]:
     block).  Each row reads only its ``eta``, its decay rate (one stacked
     fit per block) and its iteration counts, and the block's orbits go
     before the next block runs, so the sweep peaks there.
-    Rows are independent; per-row failures (a vector off the stable range,
-    no convergence, a failed certificate, a non-finite iterate) are recorded
-    in the ``error`` field with the same code and message as a one-row run,
-    and the other rows are unaffected.  Output order follows the grid.
+    Rows are independent; per-row failures (a malformed vector, one off the
+    stable range, no convergence, a failed certificate, a non-finite
+    iterate) are recorded in the ``error`` field with the same code and
+    message as a one-row run, and the other rows are unaffected.  A
+    malformed row keeps an empty ``xi``.  Output order follows the grid.
     """
-    grid = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in xi_grid]
-    table: list = [None] * len(grid)
-    valid = []
-    for i, xi in enumerate(grid):
-        try:
+    grid, table = [], []
+    for i, x in enumerate(xi_grid):
+        xi = np.empty(0, dtype=np.complex128)
+        try:  # per-row isolation
+            xi = _array(x, "xi").reshape(-1)
             prob.check_stable_range(xi)
-            valid.append(i)
-        except SpecseqError as exc:  # per-row isolation
-            table[i] = _error_row(i, xi, exc)
+            table.append(None)
+        except SpecseqError as exc:
+            table.append(_error_row(i, xi, exc))
+        grid.append(xi)
+    valid = [i for i, row in enumerate(table) if row is None]
     block = _block_width(prob)
     for start in range(0, len(valid), block):
         rows = valid[start : start + block]
@@ -590,30 +594,3 @@ def _error_row(index: int, xi: np.ndarray, error: SpecseqError) -> SweepRow:
         residual=float("nan"),
         error=f"{error.code}: {error}",
     )
-
-
-def spectrum_escape_check(A: BoundedOperator, x) -> bool:
-    """Numerical rendering of: spectrum outside the closed unit disk forces
-    every square-summable orbit to start at 0.
-
-    ``x`` must have ``A``'s dimension, else :class:`DimensionMismatch`,
-    checked first.  Requires all eigenvalue moduli above ``1 + GAP_TOL``.
-    The power search on ``A^{-1}`` finds an ``n`` with ``||A^{-n}|| <= 1/2``, so that
-    ``|A^{qn} x| >= 2^q |x|`` for every ``x``: no orbit but the zero one is
-    square-summable, and the answer is True.  Without such an ``n`` within
-    ``CERT_CAP`` steps it raises :class:`PreconditionViolation`, at once
-    when the spectral radius ``1 / min |lambda|`` of ``A^{-1}`` alone rules
-    the cap out.
-    """
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != A.dim:
-        raise DimensionMismatch(f"vector has dimension {x.size}, expected {A.dim}")
-    least = float(np.min(np.abs(A.eigenvalues)))
-    if least <= 1.0 + GAP_TOL:
-        raise PreconditionViolation(
-            f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
-        )
-    decay_steps(
-        np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate", bound=False
-    )
-    return True

@@ -19,7 +19,6 @@ least :data:`GAP_TOL`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,12 +27,16 @@ import numpy as np
 from .errors import (
     EigenSolverFailure,
     IndeterminateHyperbolic,
-    InputError,
     NormOverflow,
     PreconditionViolation,
     QuadratureError,
     SpectrumHit,
     SpectrumOnCircle,
+    _array,
+    _integer,
+    _number,
+    _positive,
+    _square,
 )
 
 #: Minimum admissible distance between eigenvalue moduli and a test circle.
@@ -73,12 +76,7 @@ class BoundedOperator:
     """
 
     def __init__(self, entries):
-        mat = np.asarray(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise InputError(f"operator entries must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-            raise InputError("operator entries contain non-finite values")
-        mat = mat.copy()
+        mat = _square(entries, "operator entries").copy()
         mat.setflags(write=False)
         self._entries = mat
         self._eig = None
@@ -86,7 +84,7 @@ class BoundedOperator:
 
     @classmethod
     def diagonal(cls, diag) -> "BoundedOperator":
-        return cls(np.diag(np.asarray(diag, dtype=np.complex128)))
+        return cls(np.diag(_array(diag, "operator diagonal")))
 
     @property
     def entries(self) -> np.ndarray:
@@ -154,9 +152,7 @@ def resolvent_at(A: BoundedOperator, z: complex) -> np.ndarray:
     :class:`SpectrumHit` if ``z`` lies within :data:`EIG_TOL` of an
     eigenvalue, where the inverse is meaningless in floating point.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InputError(f"z must be finite, got {z!r}")
+    z = _number(z, "z", complex)
     dist = float(np.min(np.abs(z - A.eigenvalues)))
     if dist <= EIG_TOL:
         raise SpectrumHit(f"z={z} is within {EIG_TOL} of the spectrum (distance {dist:.3e})")
@@ -164,10 +160,10 @@ def resolvent_at(A: BoundedOperator, z: complex) -> np.ndarray:
     return np.linalg.solve(lhs, np.eye(A.dim, dtype=np.complex128))
 
 
-def _check_circle(A: BoundedOperator, rho: float) -> None:
-    moduli = np.abs(A.eigenvalues)
-    if float(np.min(np.abs(moduli - rho))) <= GAP_TOL:
-        raise SpectrumOnCircle(f"spectrum within {GAP_TOL} of the circle |z| = {rho}")
+def _check_circle(A: BoundedOperator, rho: float, error: type = SpectrumOnCircle) -> None:
+    dist = float(np.min(np.abs(np.abs(A.eigenvalues) - rho)))
+    if dist <= GAP_TOL:
+        raise error(f"spectrum within {GAP_TOL} of the circle |z| = {rho} (distance {dist:.3e})")
 
 
 def _shifted_blocks(A: BoundedOperator, nodes: np.ndarray):
@@ -192,6 +188,7 @@ def circle_resolvents(A: BoundedOperator, rho: float, n: int, rhs: np.ndarray):
     of ``max(1, 2**14 // d**2)`` nodes.  Raises :class:`SpectrumOnCircle`
     when an eigenvalue modulus is within :data:`GAP_TOL` of ``rho``.
     """
+    rho, n = _positive(rho, "rho"), _integer(n, "n")
     _check_circle(A, rho)
     nodes = rho * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     for start, z, mats in _shifted_blocks(A, nodes):
@@ -240,12 +237,11 @@ def _sup_rounds(A: BoundedOperator, rho: float, samples: int = 16):
     # The refinement of circle_sup_resolvent, yielding its certified bracket
     # (1 / (min s_hat + margin), 1 / min(lower)) each round, the last high
     # its value; see _SupBracket.
+    samples, rho = _integer(samples, "samples"), _positive(rho, "rho")
     if not 16 <= samples <= MAX_SUP_NODES:
         raise PreconditionViolation(
             f"circle supremum needs 16 <= samples <= {MAX_SUP_NODES}, got {samples}"
         )
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"rho must be positive and finite, got {rho!r}")
     _check_circle(A, rho)
     margin, curve = _sup_margins(A, rho)
     # a finite margin bounds rho + ||A||_F, so every z I - A and its sigma_min are finite
@@ -431,8 +427,7 @@ def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> Spe
     ``||PA - AP|| <= PROJ_TOL max(1, ||P||) max(1, ||A||)``, raises :class:`QuadratureError`.
     ``quad_points`` has no effect; it stays only for the bench tracer, which binds it.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InputError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _positive(gamma, "gamma")
     _check_circle(A, gamma)
     eye = np.eye(A.dim, dtype=np.complex128)
     try:
@@ -458,7 +453,7 @@ def riesz_split(A: BoundedOperator, gamma: float, quad_points: int = 256) -> Spe
     r_inside = float(np.max(moduli[inside])) if n_inside else 0.0
     r_outside_inv = float(np.max(1.0 / moduli[~inside])) if n_inside < A.dim else 0.0
     return SpectralSplit(
-        gamma=float(gamma),
+        gamma=gamma,
         proj_stable=proj,
         proj_unstable=eye - proj,
         r_inside=r_inside,
@@ -479,10 +474,5 @@ def is_hyperbolic(A: BoundedOperator) -> bool:
     distinguish spectrum exactly on the unit circle from spectrum merely
     near it.
     """
-    diffs = np.abs(np.abs(A.eigenvalues) - 1.0)
-    worst = float(np.min(diffs))
-    if worst <= GAP_TOL:
-        raise IndeterminateHyperbolic(
-            f"eigenvalue modulus within {GAP_TOL} of 1 (distance {worst:.3e})"
-        )
+    _check_circle(A, 1.0, IndeterminateHyperbolic)
     return True

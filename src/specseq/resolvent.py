@@ -30,6 +30,11 @@ and accepts a column axis, so many right-hand sides run through one
 recurrence.  Every recurrence is :func:`linear_recurrence`: a single column
 runs as a chunked doubling scan in about ``log2 L + K / L`` array steps for
 ``K`` rows, several columns row by row.
+
+The power search behind the tail cuts, :func:`decay_steps`, also certifies
+exponential stability (:func:`stability_classify`) and the escape of every
+nonzero orbit from spectrum outside the unit disk
+(:func:`spectrum_escape_check`).
 """
 
 from __future__ import annotations
@@ -42,10 +47,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IndeterminateStability,
     InputError,
     InternalInconsistency,
     NotCausalRegime,
     PreconditionViolation,
+    _array,
+    _positive,
 )
 from .operators import (
     GAP_TOL,
@@ -148,6 +156,75 @@ def decay_steps(
 def _tail_cut(mat: np.ndarray, radius: float, weight: float) -> int:
     """The certified series tail cut: :func:`decay_steps` at SERIES_TOL, TAIL_CAP."""
     return decay_steps(mat, radius, weight, SERIES_TOL, TAIL_CAP, "series tail cut", bound=False)[0]
+
+
+@dataclass
+class StabilityReport:
+    """Verdict of the exponential-stability classifier.
+
+    ``probes_consistent`` is True exactly when the verdict carries a
+    certificate: for ``not_stable`` the eigenvalue of largest modulus, for
+    ``exponentially_stable`` the envelope ``||A^n|| <= probe_bound *
+    rho_star^n`` for every ``n >= 0``.  ``probe_bound`` is 0.0 without one.
+    """
+
+    verdict: str
+    r: float
+    rho_star: float | None
+    probes_consistent: bool
+    probe_bound: float
+
+
+def stability_classify(A: BoundedOperator) -> StabilityReport:
+    """Classify ``u_{n+1} = A u_n`` as exponentially stable or not.
+
+    The verdict is ``r(A) < 1``.  When stable, ``rho_star = (1 + r) / 2``
+    and the power search finds the first ``K`` with ``||A^K|| <= rho_star^K
+    / 2`` and a bound ``M >= ||A^n|| rho_star^{-n}`` for ``n < K``; writing
+    ``n = qK + j`` gives ``||A^n|| <= M 2^{-q} rho_star^n`` for every ``n``.
+    A search the spectral radius alone puts past ``CERT_CAP`` steps is not
+    run, and then, as when the search itself passes the cap, the spectral
+    verdict stands without a certificate.
+    """
+    r = spectral_radius(A)
+    if abs(r - 1.0) <= GAP_TOL:
+        raise IndeterminateStability(f"spectral radius {r} within {GAP_TOL} of 1")
+    if r > 1.0:
+        return StabilityReport("not_stable", r, None, True, 0.0)
+    rho_star = (1.0 + r) / 2.0
+    try:
+        _, bound = decay_steps(A.entries, r, 1.0 / rho_star, 0.5, CERT_CAP, "stability certificate")
+    except PreconditionViolation:
+        return StabilityReport("exponentially_stable", r, rho_star, False, 0.0)
+    return StabilityReport("exponentially_stable", r, rho_star, True, bound)
+
+
+def spectrum_escape_check(A: BoundedOperator, x) -> bool:
+    """Numerical rendering of: spectrum outside the closed unit disk forces
+    every square-summable orbit to start at 0.
+
+    ``x`` must be a vector of finite numbers (else :class:`InputError`) of
+    ``A``'s dimension (else :class:`DimensionMismatch`), checked first.
+    Requires all eigenvalue moduli above ``1 + GAP_TOL``.
+    The power search on ``A^{-1}`` finds an ``n`` with ``||A^{-n}|| <= 1/2``, so that
+    ``|A^{qn} x| >= 2^q |x|`` for every ``x``: no orbit but the zero one is
+    square-summable, and the answer is True.  Without such an ``n`` within
+    ``CERT_CAP`` steps it raises :class:`PreconditionViolation`, at once
+    when the spectral radius ``1 / min |lambda|`` of ``A^{-1}`` alone rules
+    the cap out.
+    """
+    x = _array(x, "x").reshape(-1)
+    if x.size != A.dim:
+        raise DimensionMismatch(f"vector has dimension {x.size}, expected {A.dim}")
+    least = float(np.min(np.abs(A.eigenvalues)))
+    if least <= 1.0 + GAP_TOL:
+        raise PreconditionViolation(
+            f"escape check requires all eigenvalue moduli above 1 + {GAP_TOL}"
+        )
+    decay_steps(
+        np.linalg.inv(A.entries), 1.0 / least, 1.0, 0.5, CERT_CAP, "escape certificate", bound=False
+    )
+    return True
 
 
 #: Bound on ``L d^2`` for a single column's doubling scan: its chunk length
@@ -294,8 +371,7 @@ class ResolventPlan:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise InputError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise InputError(f"rho must be positive and finite, got {self.rho!r}")
+        self.rho = _positive(self.rho, "rho")
         radius = spectral_radius(self.A)
         causal_regime = self.rho > radius + GAP_TOL
         self._causal = self._anticausal = None

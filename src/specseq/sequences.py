@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NormOverflow
+from .errors import DimensionMismatch, InputError, NormOverflow, _array, _integer, _number, _positive
 from .workspace import Workspace
 
 #: Absolute magnitude below which an entry does not count as support.
@@ -45,12 +45,11 @@ class Weight:
     p: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0):
-            raise InputError(f"weight rho must be a positive finite real, got {self.rho!r}")
-        if float(self.p) not in _ALLOWED_P:
+        object.__setattr__(self, "rho", _positive(self.rho, "weight rho"))
+        p = math.inf if self.p == math.inf else _number(self.p, "weight exponent p")
+        if p not in _ALLOWED_P:
             raise InputError(f"weight exponent p must be 1, 2, or inf, got {self.p!r}")
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +66,12 @@ class WindowedSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _array(self.values, "sequence values")
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise InputError("sequence values must form a (width, dim) array")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-            raise InputError("sequence contains non-finite entries")
-        lo, vals = _canonical(int(self.lo), vals)
+        lo, vals = _canonical(_integer(self.lo, "sequence lo"), vals)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -115,7 +112,7 @@ class WindowedSequence:
 
     def apply_matrix(self, mat: np.ndarray) -> "WindowedSequence":
         """Pointwise image ``(M u_k)_k`` under a d x d matrix."""
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = _array(mat, "matrix")
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} does not match sequence dimension {self.dim}"
@@ -161,8 +158,8 @@ def zero_sequence(dim: int) -> WindowedSequence:
 
 def impulse(position: int, vector) -> WindowedSequence:
     """Sequence equal to ``vector`` at ``position`` and zero elsewhere."""
-    vec = np.asarray(vector, dtype=np.complex128).reshape(1, -1)
-    return WindowedSequence(position, vec)
+    vec = _array(vector, "impulse vector").reshape(1, -1)
+    return WindowedSequence(_integer(position, "impulse position"), vec)
 
 
 def shift(u: WindowedSequence, n: int) -> WindowedSequence:
@@ -171,7 +168,7 @@ def shift(u: WindowedSequence, n: int) -> WindowedSequence:
     The window moves to ``[lo - n, hi - n]``; on ell_{p,rho} the n-th shift
     power scales norms by exactly ``rho^n``.
     """
-    return WindowedSequence(u.lo - int(n), u.values)
+    return WindowedSequence(u.lo - _integer(n, "shift n"), u.values)
 
 
 def dense_rows(vals: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
@@ -265,8 +262,7 @@ def inner_product(u: WindowedSequence, v: WindowedSequence, rho: float) -> compl
     """Weighted ell_2 inner product, conjugate-linear in the first argument."""
     if u.dim != v.dim:
         raise DimensionMismatch(f"sequence dimensions differ: {u.dim} vs {v.dim}")
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"rho must be positive and finite, got {rho!r}")
+    rho = _positive(rho, "rho")
     lo = max(u.lo, v.lo)
     hi = min(u.hi, v.hi)
     if lo > hi:
@@ -275,7 +271,7 @@ def inner_product(u: WindowedSequence, v: WindowedSequence, rho: float) -> compl
     b = v.values[lo - v.lo : hi - v.lo + 1]
     k = np.arange(lo, hi + 1, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
-        terms = np.sum(np.conj(a) * b, axis=1) * np.power(float(rho), -2.0 * k)
+        terms = np.sum(np.conj(a) * b, axis=1) * np.power(rho, -2.0 * k)
         out = complex(np.sum(terms))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise NormOverflow(f"inner product overflowed at rho={rho}")
@@ -302,8 +298,8 @@ def support_subset_geq(u: WindowedSequence, a: int) -> bool:
 
 def truncate(u: WindowedSequence, lo: int | None = None, hi: int | None = None) -> WindowedSequence:
     """Explicitly restrict ``u`` to ``[lo, hi]``, zeroing everything outside."""
-    a = u.lo if lo is None else int(lo)
-    b = u.hi if hi is None else int(hi)
+    a = u.lo if lo is None else _integer(lo, "truncate lo")
+    b = u.hi if hi is None else _integer(hi, "truncate hi")
     if b < a or b < u.lo or a > u.hi:
         return zero_sequence(u.dim)
     a = max(a, u.lo)

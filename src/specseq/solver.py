@@ -48,25 +48,24 @@ import numpy as np
 from .errors import (
     CausalityRequired,
     DimensionMismatch,
-    IndeterminateStability,
     InputError,
     NoConvergence,
     NormOverflow,
-    NotCausalRegime,
     NotContractive,
-    PreconditionViolation,
+    _array,
     _integer,
     _number,
+    _positive,
+    _square,
 )
 from .operators import (
-    GAP_TOL,
     BoundedOperator,
     _decide,
     _SupBracket,
     operator_norm,
     spectral_radius,
 )
-from .resolvent import CERT_CAP, ResolventPlan, apply_resolvent_window, decay_steps
+from .resolvent import ResolventPlan, apply_resolvent_window
 from .sequences import (
     Weight,
     WindowedSequence,
@@ -154,25 +153,6 @@ def _kernel_implicit_euler(args, params, out):
     return np.add(args[0], params["h"] * fn(args[1]), out=out)
 
 
-def _positive(value, what: str) -> float:
-    x = _number(value, what)
-    if not x > 0:
-        raise InputError(f"{what} must be positive, got {x!r}")
-    return x
-
-
-def _matrix(value, what: str) -> np.ndarray:
-    try:
-        mat = np.asarray(value)
-    except ValueError as exc:  # a ragged nest
-        raise InputError(f"{what} is malformed: {exc}") from None
-    if mat.dtype.kind not in "iufc" or mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InputError(f"{what} must be a square array of numbers")
-    if not np.isfinite(mat).all():
-        raise InputError(f"{what} must be finite")
-    return mat.astype(np.complex128, copy=False)
-
-
 def _coefficients(value, what: str) -> list[complex]:
     if not isinstance(value, (list, tuple)) or not value:
         raise InputError(f"{what} must be a nonempty list (powers from 1), got {value!r}")
@@ -199,7 +179,7 @@ _KERNELS = {
     # name: (fn, lookahead, {parameter: check (value, what) -> value kept},
     #        Lipschitz bound (params, rho) -> sum_j L_j rho^j on ell_{2,rho})
     "zero": (_kernel_zero, 0, {}, lambda p, rho: 0.0),
-    "linear": (_kernel_linear, 0, {"matrix": _matrix}, lambda p, rho: operator_norm(p["matrix"])),
+    "linear": (_kernel_linear, 0, {"matrix": _square}, lambda p, rho: operator_norm(p["matrix"])),
     "scaled_bounded_saturation": (_kernel_saturation, 0, {"eps": _positive}, lambda p, rho: p["eps"]),
     "polynomial_clipped": (
         _kernel_polynomial, 0, {"coeffs": _coefficients, "clip_radius": _positive}, _polynomial_bound
@@ -513,7 +493,7 @@ def solve_contraction(
     lo, hi = _integer(window[0], "window lo"), _integer(window[1], "window hi")
     if hi < lo:
         raise InputError("solve window is empty")
-    dim = F.dim if dim is None else dim
+    dim = F.dim if dim is None else _integer(dim, "dim")
     if dim is None:
         raise InputError(
             "cannot infer state dimension: pass dim= or attach forcing to the stencil"
@@ -560,7 +540,7 @@ def solve_ivp(
         raise InputError("initial value problems need forcing supported in Z_{>=0}")
     if method not in IVP_METHODS:
         raise InputError(f"method must be one of {IVP_METHODS}, got {method!r}")
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    x = _array(x, "x").reshape(-1)
     if x.size != A.dim:
         raise DimensionMismatch(f"initial value has dimension {x.size}, operator {A.dim}")
     F.check_dim(A.dim)
@@ -684,13 +664,9 @@ def smallness_gate(
 
 
 def _ivp_impulse(A, F, x, horizon, rho, fp_tol, max_iter):
-    radius = spectral_radius(A)
-    if rho is None:
-        rho = radius + 1.0
-    if rho <= radius + GAP_TOL:
-        raise NotCausalRegime(f"impulse method needs rho > r(A) = {radius}, got {rho}")
-    smallness_gate(A, F, rho, NotContractive)
-    plan = ResolventPlan(A, rho, "causal")
+    # the plan raises NotCausalRegime unless rho > r(A) + GAP_TOL
+    plan = ResolventPlan(A, spectral_radius(A) + 1.0 if rho is None else rho, "causal")
+    smallness_gate(A, F, plan.rho, NotContractive)
     # row n of the impulse map reads rows before n only, so [0, horizon] is exact
     stack = impulse_fixed_point(plan, F, x[None], horizon, fp_tol, max_iter)
     return _one_column(stack, 0).solution
@@ -715,44 +691,3 @@ def solve_ivp_all(A, F, x, horizon, rho=None, fp_tol=FP_TOL, max_iter=MAX_ITER):
         for b in names[i + 1 :]
     }
     return sols, devs
-
-
-@dataclass
-class StabilityReport:
-    """Verdict of the exponential-stability classifier.
-
-    ``probes_consistent`` is True exactly when the verdict carries a
-    certificate: for ``not_stable`` the eigenvalue of largest modulus, for
-    ``exponentially_stable`` the envelope ``||A^n|| <= probe_bound *
-    rho_star^n`` for every ``n >= 0``.  ``probe_bound`` is 0.0 without one.
-    """
-
-    verdict: str
-    r: float
-    rho_star: float | None
-    probes_consistent: bool
-    probe_bound: float
-
-
-def stability_classify(A: BoundedOperator) -> StabilityReport:
-    """Classify ``u_{n+1} = A u_n`` as exponentially stable or not.
-
-    The verdict is ``r(A) < 1``.  When stable, ``rho_star = (1 + r) / 2``
-    and the power search finds the first ``K`` with ``||A^K|| <= rho_star^K
-    / 2`` and a bound ``M >= ||A^n|| rho_star^{-n}`` for ``n < K``; writing
-    ``n = qK + j`` gives ``||A^n|| <= M 2^{-q} rho_star^n`` for every ``n``.
-    A search the spectral radius alone puts past ``CERT_CAP`` steps is not
-    run, and then, as when the search itself passes the cap, the spectral
-    verdict stands without a certificate.
-    """
-    r = spectral_radius(A)
-    if abs(r - 1.0) <= GAP_TOL:
-        raise IndeterminateStability(f"spectral radius {r} within {GAP_TOL} of 1")
-    if r > 1.0:
-        return StabilityReport("not_stable", r, None, True, 0.0)
-    rho_star = (1.0 + r) / 2.0
-    try:
-        _, bound = decay_steps(A.entries, r, 1.0 / rho_star, 0.5, CERT_CAP, "stability certificate")
-    except PreconditionViolation:
-        return StabilityReport("exponentially_stable", r, rho_star, False, 0.0)
-    return StabilityReport("exponentially_stable", r, rho_star, True, bound)

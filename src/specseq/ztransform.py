@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, InputError, NormOverflow, WindowTooWide
+from .errors import AliasingError, InputError, NormOverflow, WindowTooWide, _integer, _positive
 from .sequences import Weight, WindowedSequence, shift, weighted_norm
 
 
@@ -42,8 +42,7 @@ class CircleFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise InputError(f"rho must be positive and finite, got {self.rho!r}")
+        object.__setattr__(self, "rho", _positive(self.rho, "rho"))
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -54,7 +53,6 @@ class CircleFunction:
             raise InputError(f"sample count must be a power of two, got {n}")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -84,14 +82,13 @@ def ztransform(u: WindowedSequence, rho: float, n_samples: int | None = None) ->
     coefficient array.  Requires ``N >= 2 * width`` to avoid aliasing.
     Raises :class:`NormOverflow` where a scaled coefficient overflows.
     """
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"rho must be positive and finite, got {rho!r}")
+    rho = _positive(rho, "rho")
     width = u.width
-    n = default_sample_count(width) if n_samples is None else int(n_samples)
+    n = default_sample_count(width) if n_samples is None else _integer(n_samples, "n_samples")
     if n < 2 * width:
         raise AliasingError(f"need N >= 2 * width = {2 * width}, got N = {n}")
     k = np.arange(u.lo, u.hi + 1, dtype=np.float64)
-    scaled = _weighted(u.values, float(rho), -k)
+    scaled = _weighted(u.values, rho, -k)
     buf = np.zeros((n, u.dim), dtype=np.complex128)
     buf[np.arange(u.lo, u.hi + 1) % n] = scaled
     return CircleFunction(rho, np.fft.fft(buf, axis=0))
@@ -104,7 +101,7 @@ def inverse_ztransform(f: CircleFunction, window: tuple[int, int]) -> WindowedSe
     must fit in the sample count.  Raises :class:`NormOverflow` where a
     rescaled coefficient overflows.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _integer(window[0], "window lo"), _integer(window[1], "window hi")
     if hi < lo:
         raise InputError("inverse transform window is empty")
     n = f.n_samples
@@ -185,7 +182,7 @@ def positive_support_hardy_check(
     signature of nonnegative support.  A finite grid yields evidence only,
     never a proof verdict.
     """
-    mus = [float(m) for m in mu_grid]
+    rho, mus = _positive(rho, "rho"), [_positive(m, "mu") for m in mu_grid]
     if not mus:
         raise InputError("mu grid is empty")
     if any(m2 <= m1 for m1, m2 in zip(mus, mus[1:])):

@@ -904,6 +904,18 @@ def test_each_subcommand_loads_only_its_modules(files, tmp_path):
     status, loaded = json.loads(stdout)
     assert status == 0
     assert {"specseq.manifold", "specseq.solver", "specseq.resolvent", "specseq.operators"} <= set(loaded)
+    # the escape and stability certificates are power searches of the resolvent module
+    a_two = write_json(tmp_path / "a_two.json", {"dim": 1, "re": [[2.0]]})
+    for argv, result in [
+        (["escape-check", "--A", a_two, "--x", files["x_one"]], {"escapes": True}),
+        (["stability", "--A", a_two], {"verdict": "not_stable"}),
+    ]:
+        code, stdout, err = fresh_run(argv + ["--out", str(out)], code=MODULES_LOADED)
+        assert (code, err) == (0, "")
+        status, loaded = json.loads(stdout)
+        assert status == 0 and result.items() <= json.loads(out.read_text()).items()
+        assert "specseq.resolvent" in loaded
+        assert not {"specseq.solver", "specseq.manifold"} & set(loaded)
 
 
 # every name the package exported when it imported all its modules at once

@@ -312,7 +312,7 @@ SAT = {"kernel": "scaled_bounded_saturation", "params": {"eps": 0.01}}
         (io.stencil_from_json, {**SAT, "params": {"eps": "0.01"}}, "stencil eps"),
         (io.stencil_from_json, {**SAT, "params": {"eps": True}}, "stencil eps"),
         (io.stencil_from_json, {"kernel": "polynomial_clipped", "params": {"coeffs": ["0.5"], "clip_radius": 1.0}}, "stencil coeffs"),
-        (io.manifold_problem_from_json, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": True}, "problem fp_tol"),
+        (io.manifold_problem_from_json, {"A": {"dim": 1, "re": [[0.5]]}, "F": SAT, "fp_tol": True}, "fp_tol"),
     ],
     ids=[
         "text-matrix-entry",

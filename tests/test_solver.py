@@ -15,6 +15,7 @@ from specseq import (
     IndeterminateStability,
     InputError,
     NoConvergence,
+    NotCausalRegime,
     NotContractive,
     ResolventPlan,
     StencilMap,
@@ -314,6 +315,14 @@ def test_solve_ivp_three_methods_agree_nonlinear():
 def test_solve_ivp_requires_causal_stencil():
     with pytest.raises(CausalityRequired):
         solve_ivp(BoundedOperator([[0.5]]), implicit_euler_map(0.1, "linear_decay"), [1.0], 10)
+
+
+def test_solve_ivp_impulse_refuses_rho_inside_the_spectral_radius():
+    # the causal plan decides the regime, before any smallness gate
+    a = BoundedOperator(np.diag([0.5, 2.0]))
+    for rho in (spectral_radius(a) - 0.1, spectral_radius(a)):
+        with pytest.raises(NotCausalRegime):
+            solve_ivp(a, saturation_map(0.01), [0.1, 0.1], 10, "impulse", rho=rho)
 
 
 def test_solve_ivp_impulse_smallness_guard():
