@@ -67,7 +67,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "ManifoldProblem",
-            "lp_apply",
             "lp_fixed_point",
             "manifold_sweep",
             "stable_manifold_point",

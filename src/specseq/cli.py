@@ -173,7 +173,11 @@ def _cmd_escape_check(args):
     return {"escapes": spectrum_escape_check(A, x)}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  ``parse_args`` leaves a parser unchanged
+    and fills a fresh ``Namespace`` per call, so every ``main`` call shares
+    it."""
     parser = argparse.ArgumentParser(
         prog="specseq",
         description="difference equations on exponentially weighted sequence spaces",
@@ -263,14 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_escape_check)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser.  ``parse_args`` leaves a parser unchanged
-    and fills a fresh ``Namespace`` per call, so every ``main`` call shares
-    it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -6,13 +6,18 @@ in structured stderr diagnostics) and a distinct process ``exit_status``.
 The argument policy of the whole library lives here too, one reader per
 kind: ``_number`` (a finite real or complex scalar), ``_positive`` (a
 positive one, such as every weight ``rho``), ``_integer`` (an index, a
-count or a dimension), ``_array`` (a complex array of finite numbers, such
-as a state vector) and ``_square`` (a d x d matrix, d >= 1).  Every public
-entry reads its arguments through them, once per call, so the same bad
-value is the same :class:`InputError`, naming the parameter, wherever it
-is passed: booleans and text are never numbers, NaN and infinity never
-finite, and a fraction never an index.  The JSON reader decodes and leaves
-the checks to them.
+count or a dimension, within inclusive bounds where it has them),
+``_window`` (a window ``(lo, hi)`` of Z with ``lo <= hi``), ``_choice``
+(a name from a fixed set: a route, a method, a kernel, a field),
+``_array`` (a complex array of finite numbers), ``_vector`` (one of them
+flattened to a state vector of a given dimension) and ``_square`` (a d x d
+matrix, d >= 1).  Every public entry reads its arguments through them,
+once per call, so the same bad value is the same :class:`InputError`,
+naming the parameter, wherever it is passed: booleans and text are never
+numbers, NaN and infinity never finite, and a fraction never an index.
+``_same_dim`` is the one :class:`DimensionMismatch` between an operand and
+the dimension it must have, and ``_vector`` raises it.  The JSON reader
+decodes and leaves the checks to them.
 """
 
 import cmath
@@ -163,11 +168,6 @@ class InternalInconsistency(SpecseqError):
     exit_status = 21
 
 
-def all_error_types():
-    """All concrete error classes, for diagnostics and registry tests."""
-    return SpecseqError.__subclasses__()
-
-
 def _shown(value) -> str:
     """``repr(value)``; a number whose digits pass the interpreter's limit
     on integer text (``sys.set_int_max_str_digits``) is described by type."""
@@ -202,20 +202,43 @@ def _positive(value, what: str) -> float:
     return x
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int: an integer, or an integral real such as
-    ``50.0``, decided exactly; booleans, fractions, infinities and
-    non-numbers are :class:`InputError`."""
+    ``50.0``, decided exactly, within the inclusive bounds ``low`` and
+    ``high`` that are given; booleans, fractions, infinities, non-numbers
+    and values out of bounds are :class:`InputError`."""
+    n = None
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
         try:
-            whole = math.floor(value)
+            n = int(value) if isinstance(value, numbers.Integral) else math.floor(value)
         except (OverflowError, ValueError):  # an infinity or a NaN
-            whole = None
-        if whole == value:
-            return whole
-    raise InputError(f"{what} must be an integer, got {_shown(value)}")
+            pass
+    if n is None or n != value:
+        raise InputError(f"{what} must be an integer, got {_shown(value)}")
+    if (low is not None and n < low) or (high is not None and n > high):
+        ends = [f">= {low}"] * (low is not None) + [f"<= {high}"] * (high is not None)
+        raise InputError(f"{what} must be an integer {' and '.join(ends)}, got {_shown(n)}")
+    return n
+
+
+def _window(value, what: str) -> tuple[int, int]:
+    """``value`` as a window ``(lo, hi)`` of Z: a pair of integers, read by
+    :func:`_integer` as ``{what} lo`` and ``{what} hi``, with ``lo <= hi``."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):  # not a pair
+        raise InputError(f"{what} must be a pair (lo, hi), got {_shown(value)}") from None
+    lo, hi = _integer(lo, f"{what} lo"), _integer(hi, f"{what} hi")
+    if hi < lo:
+        raise InputError(f"{what} must be a pair with lo <= hi, got {_shown((lo, hi))}")
+    return lo, hi
+
+
+def _choice(value, what: str, options) -> str:
+    """``value`` if it is text and one of ``options``, else :class:`InputError`."""
+    if not isinstance(value, str) or value not in options:
+        raise InputError(f"{what} must be one of {sorted(options)}, got {_shown(value)}")
+    return value
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -239,3 +262,17 @@ def _square(value, what: str) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise InputError(f"{what} must be square, got shape {mat.shape}")
     return mat
+
+
+def _same_dim(n: int, dim: int, what: str) -> None:
+    """:class:`DimensionMismatch` unless ``what``, of dimension ``n``, has ``dim``."""
+    if n != dim:
+        raise DimensionMismatch(f"{what} has dimension {n}, expected {dim}")
+
+
+def _vector(value, what: str, dim: int) -> np.ndarray:
+    """:func:`_array` flattened to a vector of ``dim`` entries (else
+    :class:`DimensionMismatch`)."""
+    vec = _array(value, what).reshape(-1)
+    _same_dim(vec.size, dim, what)
+    return vec

@@ -148,10 +148,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _dim(obj, context) -> int:
-    dim = _integer(_require(obj, "dim", context), f"{context} dim")
-    if dim < 1:
-        raise InputError(f"{context} dim must be positive, got {dim}")
-    return dim
+    return _integer(_require(obj, "dim", context), f"{context} dim", low=1)
 
 
 def _parts(obj, context) -> tuple[np.ndarray, np.ndarray]:

@@ -47,14 +47,13 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
-    DimensionMismatch,
-    InputError,
     InternalInconsistency,
     PreconditionViolation,
     RangeViolation,
     SpecseqError,
     _array,
     _integer,
+    _vector,
 )
 from .operators import (
     BoundedOperator,
@@ -196,9 +195,7 @@ class ManifoldProblem:
     def __post_init__(self):
         self.fp_tol, self.max_iter = check_iteration_limits(self.fp_tol, self.max_iter)
         if self.horizon is not None:
-            self.horizon = _integer(self.horizon, "horizon")
-            if not 0 <= self.horizon <= TAIL_CAP:
-                raise InputError(f"horizon must lie in [0, {TAIL_CAP}], got {self.horizon}")
+            self.horizon = _integer(self.horizon, "horizon", low=0, high=TAIL_CAP)
         self.F.check_dim(self.A.dim)
         is_hyperbolic(self.A)
         if not self.F.causal:
@@ -309,9 +306,7 @@ class ManifoldProblem:
         finite numbers, :class:`DimensionMismatch` unless it has ``A``'s
         dimension and :class:`RangeViolation` unless
         ``||P xi - xi|| <= 1e-8 ||xi||``."""
-        xi = _array(xi, "xi").reshape(-1)
-        if xi.size != self.A.dim:
-            raise DimensionMismatch(f"xi has dimension {xi.size}, expected {self.A.dim}")
+        xi = _vector(xi, "xi", self.A.dim)
         # xi is scaled to a largest entry of 1 so no square overflows
         scale = float(np.max(np.abs(xi)))
         if scale == 0.0:
@@ -334,25 +329,6 @@ class ManifoldPoint:
     iterations: int
     residual: float
     contraction_estimate: float
-
-
-def lp_apply(prob: ManifoldProblem, xi, u: WindowedSequence) -> WindowedSequence:
-    """One application of the cut-off resolvent map at weight 1.
-
-    The map acts on sequences over ``[0, horizon]``, the space the iteration
-    lives in, so ``u`` is read there.  Contraction in ``u`` with factor at
-    most ``M_1 * |F|_Lip``; the cutoff to nonnegative indices and the
-    horizon truncation are norm-nonexpansive.  A ``u`` of another dimension
-    than ``A``'s raises :class:`DimensionMismatch`.
-    """
-    xi = prob.check_stable_range(xi)
-    if u.dim != prob.A.dim:
-        raise DimensionMismatch(
-            f"sequence has dimension {u.dim}, the operator has dimension {prob.A.dim}"
-        )
-    h = prob.horizon
-    image = impulse_image(prob.plan, prob.F, xi[None], u.dense(0, h)[:, None], h)
-    return WindowedSequence(0, image[:, 0])
 
 
 def _characterization_defects(

@@ -46,14 +46,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IndeterminateStability,
     InputError,
     InternalInconsistency,
     NotCausalRegime,
     PreconditionViolation,
-    _array,
+    _choice,
     _positive,
+    _same_dim,
+    _vector,
 )
 from .operators import (
     GAP_TOL,
@@ -75,7 +76,7 @@ from .sequences import (
     zero_sequence,
 )
 from .workspace import Workspace
-from .ztransform import CircleFunction, inverse_ztransform, next_pow2, ztransform
+from .ztransform import CircleFunction, _finite, inverse_ztransform, next_pow2, ztransform
 
 #: Target size for truncated series tails, in the weighted norm.
 SERIES_TOL = 1e-12
@@ -213,9 +214,7 @@ def spectrum_escape_check(A: BoundedOperator, x) -> bool:
     when the spectral radius ``1 / min |lambda|`` of ``A^{-1}`` alone rules
     the cap out.
     """
-    x = _array(x, "x").reshape(-1)
-    if x.size != A.dim:
-        raise DimensionMismatch(f"vector has dimension {x.size}, expected {A.dim}")
+    _vector(x, "x", A.dim)
     least = float(np.min(np.abs(A.eigenvalues)))
     if least <= 1.0 + GAP_TOL:
         raise PreconditionViolation(
@@ -369,8 +368,7 @@ class ResolventPlan:
     split: SpectralSplit | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise InputError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        _choice(self.mode, "mode", _MODES)
         self.rho = _positive(self.rho, "rho")
         radius = spectral_radius(self.A)
         causal_regime = self.rho > radius + GAP_TOL
@@ -505,10 +503,7 @@ def _plan_window(plan: ResolventPlan, f: WindowedSequence, mode: str) -> tuple[i
     # data's side, is returned (None for f = 0).
     if plan.mode != mode:
         raise InputError(f"plan mode is {plan.mode!r}, expected {mode!r}")
-    if f.dim != plan.A.dim:
-        raise DimensionMismatch(
-            f"sequence has dimension {f.dim}, the operator has dimension {plan.A.dim}"
-        )
+    _same_dim(f.dim, plan.A.dim, "sequence")
     causal, anticausal = plan._tails
     if f.is_zero:
         return None
@@ -555,6 +550,7 @@ def apply_resolvent_frequency(plan: ResolventPlan, f: WindowedSequence) -> Windo
     least twice the window length, so the periodic images of the solution
     overlap the window only where they are below the certified cut; it
     agrees with the time-domain route up to the rounding of the transforms.
+    A solution sample that overflows raises :class:`NormOverflow`.
     """
     window = _plan_window(plan, f, "frequency")
     if window is None:
@@ -565,6 +561,7 @@ def apply_resolvent_frequency(plan: ResolventPlan, f: WindowedSequence) -> Windo
     out = np.empty_like(fhat.samples)
     for start, _, x in circle_resolvents(plan.A, fhat.rho, n, fhat.samples[:, :, None]):
         out[start : start + len(x)] = x[:, :, 0]
+    out = _finite(out, "a solution sample", plan.rho)
     return inverse_ztransform(CircleFunction(plan.rho, out), (out_lo, out_hi))
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NormOverflow, _array, _integer, _number, _positive
+from .errors import DimensionMismatch, InputError, NormOverflow
+from .errors import _array, _integer, _number, _positive, _same_dim, _window
 from .workspace import Workspace
 
 #: Absolute magnitude below which an entry does not count as support.
@@ -106,8 +107,7 @@ class WindowedSequence:
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Entries over ``[lo, hi]`` as a zero-padded ``(hi-lo+1, dim)`` array,
         read-only when the window lies inside the stored one."""
-        if hi < lo:
-            raise InputError("dense window is empty")
+        lo, hi = _window((lo, hi), "dense window")
         return dense_rows(self.values, self.lo, lo, hi)
 
     def apply_matrix(self, mat: np.ndarray) -> "WindowedSequence":
@@ -145,15 +145,14 @@ def _canonical(lo: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _aligned(u: WindowedSequence, v: WindowedSequence):
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"sequence dimensions differ: {u.dim} vs {v.dim}")
+    _same_dim(v.dim, u.dim, "the second sequence")
     lo = min(u.lo, v.lo)
     hi = max(u.hi, v.hi)
     return lo, u.dense(lo, hi), v.dense(lo, hi)
 
 
 def zero_sequence(dim: int) -> WindowedSequence:
-    return WindowedSequence(0, np.zeros((1, dim), dtype=np.complex128))
+    return WindowedSequence(0, np.zeros((1, _integer(dim, "dim", low=1)), dtype=np.complex128))
 
 
 def impulse(position: int, vector) -> WindowedSequence:
@@ -260,8 +259,7 @@ def weighted_norm(u: WindowedSequence, w: Weight) -> float:
 
 def inner_product(u: WindowedSequence, v: WindowedSequence, rho: float) -> complex:
     """Weighted ell_2 inner product, conjugate-linear in the first argument."""
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"sequence dimensions differ: {u.dim} vs {v.dim}")
+    _same_dim(v.dim, u.dim, "the second sequence")
     rho = _positive(rho, "rho")
     lo = max(u.lo, v.lo)
     hi = min(u.hi, v.hi)

@@ -52,11 +52,13 @@ from .errors import (
     NoConvergence,
     NormOverflow,
     NotContractive,
-    _array,
+    _choice,
     _integer,
     _number,
     _positive,
     _square,
+    _vector,
+    _window,
 )
 from .operators import (
     BoundedOperator,
@@ -159,12 +161,6 @@ def _coefficients(value, what: str) -> list[complex]:
     return [_number(c, what, complex) for c in value]
 
 
-def _field(value, what: str) -> str:
-    if not isinstance(value, str) or value not in FIELD_TABLE:
-        raise InputError(f"{what} must be one of {sorted(FIELD_TABLE)}, got {value!r}")
-    return value
-
-
 def _polynomial_bound(p, rho):
     # sum_k k |c_k| R^(k-1) over the coefficients c_k of s^k: a zero
     # coefficient adds 0, and a power that overflows makes the bound inf
@@ -186,7 +182,8 @@ _KERNELS = {
     ),
     # offset 0 of the implicit Euler step has L_0 = 1, offset 1 has h L_f
     "implicit_euler": (
-        _kernel_implicit_euler, 1, {"h": _positive, "field": _field},
+        _kernel_implicit_euler, 1,
+        {"h": _positive, "field": lambda value, what: _choice(value, what, FIELD_TABLE)},
         lambda p, rho: 1.0 + p["h"] * FIELD_TABLE[p["field"]][1] * rho,
     ),
 }
@@ -204,8 +201,7 @@ class StencilMap:
     forcing: WindowedSequence | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kernel, str) or self.kernel not in _KERNELS:
-            raise InputError(f"unknown kernel {self.kernel!r}; known: {sorted(_KERNELS)}")
+        _choice(self.kernel, "stencil kernel", _KERNELS)
         if not isinstance(self.params, dict):
             raise InputError(f"stencil params must be a mapping, got {self.params!r}")
         p, checks = dict(self.params), _KERNELS[self.kernel][2]
@@ -233,7 +229,7 @@ class StencilMap:
     def check_dim(self, dim: int, of: str = "the state") -> None:
         """Raise :class:`DimensionMismatch` unless the stencil can act on
         sequences of dimension ``dim``, that of ``of``."""
-        if self.dim is not None and self.dim != dim:
+        if self.dim not in (None, dim):
             raise DimensionMismatch(
                 f"stencil {self.kernel!r} acts on dimension {self.dim}, {of} has dimension {dim}"
             )
@@ -351,10 +347,7 @@ def check_iteration_limits(fp_tol: float, max_iter: int) -> tuple[float, int]:
     """``(fp_tol, max_iter)`` as a float and an int; :class:`InputError`
     unless ``fp_tol`` is a positive finite number and ``max_iter`` an
     integer (or an integral float such as ``50.0``) of at least 1."""
-    fp_tol, max_iter = _positive(fp_tol, "fp_tol"), _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {max_iter!r}")
-    return fp_tol, max_iter
+    return _positive(fp_tol, "fp_tol"), _integer(max_iter, "max_iter", low=1)
 
 
 def fixed_point(
@@ -490,16 +483,12 @@ def solve_contraction(
         raise NotContractive(
             f"declared Lipschitz bound {lip:.6g} is not below rho = {w.rho}"
         )
-    lo, hi = _integer(window[0], "window lo"), _integer(window[1], "window hi")
-    if hi < lo:
-        raise InputError("solve window is empty")
-    dim = F.dim if dim is None else _integer(dim, "dim")
+    lo, hi = _window(window, "window")
+    dim = F.dim if dim is None else _integer(dim, "dim", low=1)
     if dim is None:
         raise InputError(
             "cannot infer state dimension: pass dim= or attach forcing to the stencil"
         )
-    if dim < 1:
-        raise InputError(f"state dimension must be at least 1, got {dim}")
     F.check_dim(dim)
     # rows [lo, hi] of tau^{-1} F(u) are the rows [lo - 1, hi - 1] of F(u)
     stack = fixed_point(
@@ -538,15 +527,10 @@ def solve_ivp(
         raise CausalityRequired(f"kernel {F.kernel!r} has lookahead {F.lookahead}")
     if F.forcing is not None and not support_subset_geq(F.forcing, 0):
         raise InputError("initial value problems need forcing supported in Z_{>=0}")
-    if method not in IVP_METHODS:
-        raise InputError(f"method must be one of {IVP_METHODS}, got {method!r}")
-    x = _array(x, "x").reshape(-1)
-    if x.size != A.dim:
-        raise DimensionMismatch(f"initial value has dimension {x.size}, operator {A.dim}")
+    _choice(method, "method", IVP_METHODS)
+    x = _vector(x, "x", A.dim)
     F.check_dim(A.dim)
-    horizon = _integer(horizon, "horizon")
-    if horizon < 0:
-        raise InputError("horizon must be nonnegative")
+    horizon = _integer(horizon, "horizon", low=0)
 
     if method == "recursion":
         return WindowedSequence(0, forward_orbit(A, F, x, horizon))

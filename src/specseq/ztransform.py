@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, InputError, NormOverflow, WindowTooWide, _integer, _positive
+from .errors import AliasingError, InputError, NormOverflow, WindowTooWide
+from .errors import _array, _integer, _positive, _window
 from .sequences import Weight, WindowedSequence, shift, weighted_norm
 
 
@@ -35,7 +36,8 @@ def next_pow2(n: int) -> int:
 class CircleFunction:
     """Function on S_rho held as N uniform samples, N a power of two.
 
-    ``samples[j]`` is the value at ``rho * exp(2 pi i j / N)``.
+    ``samples[j]`` is the value at ``rho * exp(2 pi i j / N)``; they must be
+    finite numbers (else :class:`InputError` naming ``samples``).
     """
 
     rho: float
@@ -43,7 +45,7 @@ class CircleFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _positive(self.rho, "rho"))
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = _array(self.samples, "samples")
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
@@ -80,7 +82,8 @@ def ztransform(u: WindowedSequence, rho: float, n_samples: int | None = None) ->
 
     Computed as a length-N FFT of the rho^(-k)-scaled, index-rotated
     coefficient array.  Requires ``N >= 2 * width`` to avoid aliasing.
-    Raises :class:`NormOverflow` where a scaled coefficient overflows.
+    Raises :class:`NormOverflow` where a scaled coefficient or a sample
+    overflows.
     """
     rho = _positive(rho, "rho")
     width = u.width
@@ -91,7 +94,9 @@ def ztransform(u: WindowedSequence, rho: float, n_samples: int | None = None) ->
     scaled = _weighted(u.values, rho, -k)
     buf = np.zeros((n, u.dim), dtype=np.complex128)
     buf[np.arange(u.lo, u.hi + 1) % n] = scaled
-    return CircleFunction(rho, np.fft.fft(buf, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.fft.fft(buf, axis=0)
+    return CircleFunction(rho, _finite(samples, "a sample", rho))
 
 
 def inverse_ztransform(f: CircleFunction, window: tuple[int, int]) -> WindowedSequence:
@@ -101,9 +106,7 @@ def inverse_ztransform(f: CircleFunction, window: tuple[int, int]) -> WindowedSe
     must fit in the sample count.  Raises :class:`NormOverflow` where a
     rescaled coefficient overflows.
     """
-    lo, hi = _integer(window[0], "window lo"), _integer(window[1], "window hi")
-    if hi < lo:
-        raise InputError("inverse transform window is empty")
+    lo, hi = _window(window, "window")
     n = f.n_samples
     if hi - lo + 1 > n:
         raise WindowTooWide(f"window width {hi - lo + 1} exceeds N = {n}")
@@ -117,20 +120,19 @@ def _weighted(rows: np.ndarray, rho: float, powers: np.ndarray) -> np.ndarray:
     # rows[i] * rho^powers[i]; NormOverflow where a product is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         out = rows * np.power(rho, powers)[:, None]
-    if not np.isfinite(out).all():
-        raise NormOverflow(f"a weighted coefficient overflows at rho = {rho}")
-    return out
+    return _finite(out, "a weighted coefficient", rho)
 
 
-def circle_l2_norm(f: CircleFunction) -> float:
-    """Discrete L2(S_rho) norm: sqrt of the sample mean of |f(z)|^2.
-
-    Raises :class:`NormOverflow` where the mean overflows."""
-    return _rms(f.samples, f.rho)
+def _finite(arr: np.ndarray, what: str, rho: float) -> np.ndarray:
+    # arr, or NormOverflow naming what where an entry is not finite
+    if not np.isfinite(arr).all():
+        raise NormOverflow(f"{what} overflows at rho = {rho}")
+    return arr
 
 
 def _rms(samples: np.ndarray, rho: float) -> float:
-    # sqrt of the mean over rows of |row|^2, NormOverflow where it overflows
+    # the discrete L2(S_rho) norm, sqrt of the mean over rows of |row|^2;
+    # NormOverflow where it overflows
     with np.errstate(over="ignore"):
         out = float(np.sqrt(np.mean(np.sum(np.abs(samples) ** 2, axis=1))))
     if not math.isfinite(out):
@@ -139,20 +141,17 @@ def _rms(samples: np.ndarray, rho: float) -> float:
 
 
 def parseval_check(
-    u: WindowedSequence,
-    rho: float,
-    n_samples: int | None = None,
-    transform: CircleFunction | None = None,
+    u: WindowedSequence, rho: float, transform: CircleFunction | None = None
 ) -> tuple[float, float]:
     """Both sides of the unitarity identity.
 
     Returns ``(lhs, rhs)`` where lhs is the squared discrete circle norm of
     the transform and rhs the squared ell_{2,rho} norm of ``u``; callers
-    assert ``|lhs - rhs| <= tol * rhs``.  A caller that already holds
-    ``ztransform(u, rho, n_samples)`` passes it as ``transform``.
+    assert ``|lhs - rhs| <= tol * rhs``.  A caller that already holds a
+    ``ztransform(u, rho, ...)`` passes it as ``transform``.
     """
-    f = ztransform(u, rho, n_samples) if transform is None else transform
-    lhs = circle_l2_norm(f) ** 2
+    f = ztransform(u, rho) if transform is None else transform
+    lhs = _rms(f.samples, f.rho) ** 2
     rhs = weighted_norm(u, Weight(rho, 2.0)) ** 2
     return lhs, rhs
 

@@ -1,6 +1,7 @@
-"""Every public entry reads its weights, indices, matrices and state vectors
-through the readers of ``specseq.errors``: one bad value is the same typed
-refusal, naming the parameter, wherever it is passed."""
+"""Every public entry reads its weights, indices, bounds, windows, choices,
+matrices and state vectors through the readers of ``specseq.errors``: one
+bad value is the same typed refusal, naming the parameter, wherever it is
+passed."""
 
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from specseq import (
     spectrum_escape_check,
     truncate,
     zero_map,
+    zero_sequence,
     ztransform,
 )
 from specseq.errors import _integer
@@ -95,6 +97,24 @@ REFUSED = {
         lambda lo: solve_contraction(saturation_map(0.1), Weight(1.0), (lo, 4), dim=1), HUGE, "window lo"
     ),
     "problem-horizon-huge-fraction": (lambda h: problem(horizon=h), HUGE, "horizon"),
+    "zero-sequence-fraction": (zero_sequence, 2.5, "dim"),
+    "zero-sequence-bool": (zero_sequence, True, "dim"),
+    "zero-sequence-negative": (zero_sequence, -1, "dim"),
+    # windows
+    "dense-lo-fraction": (lambda lo: U.dense(lo, 3), 0.5, "dense window lo"),
+    "dense-lo-text": (lambda lo: U.dense(lo, 3), "0", "dense window lo"),
+    "contraction-window-short": (
+        lambda window: solve_contraction(saturation_map(0.1), Weight(1.0), window, dim=1), (0,), "window"
+    ),
+    "contraction-window-int": (
+        lambda window: solve_contraction(saturation_map(0.1), Weight(1.0), window, dim=1), 5, "window"
+    ),
+    "contraction-window-none": (
+        lambda window: solve_contraction(saturation_map(0.1), Weight(1.0), window, dim=1), None, "window"
+    ),
+    "inverse-window-short": (lambda window: inverse_ztransform(CIRCLE, window), (0,), "window"),
+    "inverse-window-int": (lambda window: inverse_ztransform(CIRCLE, window), 5, "window"),
+    "inverse-window-none": (lambda window: inverse_ztransform(CIRCLE, window), None, "window"),
     "stencil-eps-huge-fraction": (saturation_map, HUGE, "stencil eps"),
     # matrices
     "operator-ragged": (BoundedOperator, [[1.0, 2.0], [3.0]], "operator entries"),
@@ -116,6 +136,11 @@ REFUSED = {
     "escape-ragged": (lambda x: spectrum_escape_check(GROWING, x), [[1.0], [2.0, 3.0]], "x"),
     "stable-range-nan": (lambda xi: problem().check_stable_range(xi), [NAN, 0.0], "xi"),
     "stable-range-text": (lambda xi: problem().check_stable_range(xi), ["a", "b"], "xi"),
+    "circle-samples-text": (lambda s: CircleFunction(1.0, s), ["a"] * 4, "samples"),
+    "circle-samples-ragged": (lambda s: CircleFunction(1.0, s), [[1.0], [2.0, 3.0]], "samples"),
+    "circle-samples-bool": (lambda s: CircleFunction(1.0, s), [True] * 4, "samples"),
+    "circle-samples-nan": (lambda s: CircleFunction(1.0, s), [NAN] * 4, "samples"),
+    "circle-samples-inf": (lambda s: CircleFunction(1.0, s), [INF] * 4, "samples"),
 }
 
 

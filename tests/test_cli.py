@@ -12,7 +12,7 @@ import pytest
 import specseq
 from specseq import resolvent
 from specseq.cli import main
-from specseq.errors import all_error_types
+from specseq.errors import SpecseqError
 from specseq.operators import SUP_REL_TOL
 from specseq.resolvent import CERT_CAP
 
@@ -219,6 +219,14 @@ def test_ztransform_check_reports_the_default_sample_count(files, tmp_path, caps
     assert code == 0
     rows = circle.read_text().splitlines()
     assert json.loads(out)["n_samples"] == len(rows) - 1 > 0
+
+
+def test_ztransform_check_of_an_overflowing_transform_exits_5(tmp_path, capsys):
+    # finite coefficients whose sum in the sample at z = 1 overflows
+    u = write_json(tmp_path / "u.json", {"dim": 1, "lo": 0, "values": [[[1e308], [0.0]]] * 2})
+    code, out, err = run_cli(["ztransform-check", "--u", u, "--rho", "1.0"], capsys)
+    assert (code, out) == (5, "")
+    assert json.loads(err)["error"] == "norm-overflow"
 
 
 def test_ztransform_check_transforms_once(files, tmp_path, capsys, monkeypatch):
@@ -834,8 +842,8 @@ def test_json_output_layout_is_one_stdlib_sorted_line(files, capsys, argv):
 
 
 def test_error_codes_are_distinct():
-    codes = [cls.code for cls in all_error_types()]
-    statuses = [cls.exit_status for cls in all_error_types()]
+    codes = [cls.code for cls in SpecseqError.__subclasses__()]
+    statuses = [cls.exit_status for cls in SpecseqError.__subclasses__()]
     assert len(set(codes)) == len(codes)
     assert len(set(statuses)) == len(statuses)
     assert all(status != 0 for status in statuses)
@@ -930,7 +938,7 @@ EXPORTED = {
     "WindowedSequence", "apply_resolvent_causal", "apply_resolvent_frequency",
     "apply_resolvent_split", "causality_probe", "circle_sup_resolvent", "equation_residual",
     "implicit_euler_map", "impulse", "inner_product", "inverse_ztransform", "is_hyperbolic",
-    "linear_map", "lp_apply", "lp_fixed_point", "manifold_sweep",
+    "linear_map", "lp_fixed_point", "manifold_sweep",
     "multiplication_equiv_check", "operator_norm", "parseval_check", "polynomial_map",
     "positive_support_hardy_check", "resolvent_at", "riesz_split", "saturation_map",
     "shift", "solve_contraction", "solve_ivp", "solve_ivp_all", "spectral_radius",

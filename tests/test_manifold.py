@@ -23,7 +23,6 @@ from specseq import (
     impulse,
     implicit_euler_map,
     linear_map,
-    lp_apply,
     lp_fixed_point,
     manifold_sweep,
     polynomial_map,
@@ -42,6 +41,7 @@ from specseq.manifold import _decay_rates, _first_horizon
 from specseq.resolvent import _LOG_SLACK, CERT_CAP, TAIL_CAP, decay_steps
 from testutil import (
     counted_sigma_min,
+    lp_apply,
     matrix_with_moduli,
     max_abs_diff,
     random_sequence,
@@ -202,7 +202,7 @@ def test_lp_apply_rejects_unstable_xi(desk_problem):
 
 
 def test_lp_apply_refuses_a_sequence_of_another_dimension(desk_problem):
-    with pytest.raises(DimensionMismatch, match="dimension 3, the operator has dimension 2"):
+    with pytest.raises(DimensionMismatch, match="^sequence has dimension 3, expected 2$"):
         lp_apply(desk_problem, np.array([0.1, 0.0]), zero_sequence(3))
 
 

@@ -586,7 +586,7 @@ def test_causality_probe_large_radius():
 
 
 def test_causality_probe_refuses_a_vector_of_another_dimension():
-    with pytest.raises(DimensionMismatch, match="dimension 3, the operator has dimension 2"):
+    with pytest.raises(DimensionMismatch, match="^sequence has dimension 3, expected 2$"):
         causality_probe(BoundedOperator(np.diag([0.5, 2.0])), 3.0, np.ones(3))
 
 

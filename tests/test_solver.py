@@ -84,7 +84,7 @@ def test_stencil_registry_validation():
         (lambda: implicit_euler_map(0.1, ["linear_decay"]), "stencil field "),
         (lambda: StencilMap("scaled_bounded_saturation"), "stencil eps "),
         (lambda: StencilMap("zero", [("eps", 1.0)]), "stencil params "),
-        (lambda: StencilMap(["zero"]), "unknown kernel "),
+        (lambda: StencilMap(["zero"]), "stencil kernel "),
         # an int too long for repr is described, not shown
         (lambda: saturation_map(10**5000), "stencil eps must be a number, got an integer of 16610 "),
         # the registry names every parameter a kernel takes

@@ -5,8 +5,10 @@ from specseq import (
     AliasingError,
     CircleFunction,
     InputError,
+    NormOverflow,
     Weight,
     WindowTooWide,
+    WindowedSequence,
     impulse,
     inverse_ztransform,
     multiplication_equiv_check,
@@ -165,6 +167,14 @@ def test_aliasing_and_window_errors():
         inverse_ztransform(f, (0, 16))
     with pytest.raises(InputError):
         CircleFunction(1.0, np.zeros((6, 1)))  # not a power of two
+
+
+def test_an_overflowing_transform_is_norm_overflow():
+    # each coefficient is finite, their sum in the sample at z = 1 is not;
+    # this used to return infinite samples
+    u = WindowedSequence(0, [[1e308], [1e308]])
+    with pytest.raises(NormOverflow, match="^a sample overflows at rho = 1.0$"):
+        ztransform(u, 1.0)
 
 
 def test_shift_intertwining_consistency_with_transform():

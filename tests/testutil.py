@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from specseq import BoundedOperator, Weight, WindowedSequence, operators, weighted_norm
+from specseq.errors import _same_dim
+from specseq.solver import impulse_image
 
 
 def max_abs_diff(u, v):
@@ -59,3 +61,20 @@ def counted_sigma_min(monkeypatch):
 
     monkeypatch.setattr(operators, "_sigma_min", counted)
     return nodes
+
+
+def lp_apply(prob, xi, u):
+    """One application of the cut-off resolvent map of the
+    :class:`~specseq.ManifoldProblem` ``prob`` at weight 1.
+
+    The map acts on sequences over ``[0, horizon]``, the space the iteration
+    lives in, so ``u`` is read there.  Contraction in ``u`` with factor at
+    most ``M_1 * |F|_Lip``; the cutoff to nonnegative indices and the
+    horizon truncation are norm-nonexpansive.  A ``u`` of another dimension
+    than ``A``'s raises :class:`~specseq.DimensionMismatch`.
+    """
+    xi = prob.check_stable_range(xi)
+    _same_dim(u.dim, prob.A.dim, "sequence")
+    h = prob.horizon
+    image = impulse_image(prob.plan, prob.F, xi[None], u.dense(0, h)[:, None], h)
+    return WindowedSequence(0, image[:, 0])
